@@ -248,7 +248,6 @@ def _unsigned_quotient_min(
     preconditioned residual, previous increment}; convergence matches
     conjugate-gradient behavior on the masked subspace.
     """
-    g = form.g
     P_mult = 1.0 / (1.0 + form.lam_sq_full)
 
     def precondition(r):
@@ -810,7 +809,6 @@ def certify(
         else math.inf
     )
     if best is None:
-        sob = sharp_sobolev_constant(g.n_ambient)
         best = CoercivityConstants(
             eps0=math.nan, b=math.nan, mu=math.nan,
             k_low=math.nan, k_high=math.nan, k_high_certified=math.nan,

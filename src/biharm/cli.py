@@ -20,8 +20,9 @@ mini-grammar)::
 Exit codes: 0 success (for ``certify``: conditions (1) and (2) hold),
 2 configuration/validation error, 3 numeric failure, 4 hypothesis gate
 failed, 5 non-convergence, 6 curve shape not found, 7 path collapse.
-The environment variable BIHARM_THREADS caps internal parallelism (the
-solvers are sequential, so any positive cap is honored).
+The environment variable BIHARM_THREADS is validated (a positive
+integer, else exit 2) and otherwise reserved: the solvers run on one
+thread and do not read it.
 """
 
 from __future__ import annotations

@@ -230,10 +230,26 @@ class TorusGeometry:
         fine = self.pad_coeffs(coeffs)
         return np.fft.ifftn(fine).real * (self.fine_size**self.d_eff)
 
+    def fine_to_coeffs(self, values: np.ndarray) -> np.ndarray:
+        """Native-band coefficients of the L2 projection of fine-grid values."""
+        return self.truncate_coeffs(np.fft.fftn(values) * self.fine_weight)
+
     def fine_to_field(self, values: np.ndarray) -> "SpectralField":
         """Project fine-grid point values back onto the native band."""
-        fine_coeffs = np.fft.fftn(values) * self.fine_weight
-        return SpectralField(self, coeffs=self.truncate_coeffs(fine_coeffs))
+        return SpectralField(self, coeffs=self.fine_to_coeffs(values))
+
+    def div_a_grad_coeffs(self, a_fine: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """Native-band coefficients of sum_i d_i P(a d_i u) for coefficients of u.
+
+        ``a_fine`` holds the values of a on the refined grid.  Each product
+        a * d_i(u) is formed pointwise there and projected back onto the
+        band; this is the one place the divergence term is assembled.
+        """
+        out = np.zeros(self.shape, dtype=np.complex128)
+        for i in range(self.d_eff):
+            du = self.fine_samples(self.deriv_mult[i] * coeffs)
+            out += self.deriv_mult[i] * self.fine_to_coeffs(a_fine * du)
+        return out
 
     def integrate_fine(self, values: np.ndarray) -> float:
         """Uniform-weight quadrature on the refined grid."""
@@ -300,12 +316,6 @@ def bilaplacian(u: SpectralField) -> SpectralField:
     return u.geometry.field_from_coeffs(u.geometry.lam_sq * u.coeffs)
 
 
-def partial_deriv(u: SpectralField, axis: int) -> SpectralField:
-    """Partial derivative along one effective axis."""
-    g = u.geometry
-    return g.field_from_coeffs(g.deriv_mult[axis] * u.coeffs)
-
-
 def grad_fine(u: SpectralField):
     """Fine-grid point values of every gradient component."""
     g = u.geometry
@@ -318,17 +328,12 @@ def div_a_grad(a: SpectralField, u: SpectralField) -> SpectralField:
     Each product a * d_i(u) is formed pointwise on the refined grid and
     projected back onto the native band, which reproduces the exact L2
     projection of the true product.  For constant a this reduces to
-    -a * laplacian(u).
+    -a * laplacian(u).  The assembly is ``TorusGeometry.div_a_grad_coeffs``,
+    the same helper the operator kernel ``problem.apply_operator`` uses.
     """
     g = a.geometry
     g.check_same(u.geometry)
-    a_fine = a.fine_values
-    out = np.zeros(g.shape, dtype=np.complex128)
-    for i in range(g.d_eff):
-        du = g.fine_samples(g.deriv_mult[i] * u.coeffs)
-        prod = g.truncate_coeffs(np.fft.fftn(a_fine * du) * g.fine_weight)
-        out += g.deriv_mult[i] * prod
-    return g.field_from_coeffs(out)
+    return g.field_from_coeffs(g.div_a_grad_coeffs(a.fine_values, u.coeffs))
 
 
 def multiply(a: SpectralField, u: SpectralField) -> SpectralField:

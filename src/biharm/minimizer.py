@@ -47,7 +47,6 @@ class SolverOptions:
     multistart: bool = True
     n_random_starts: int = 3
     memory: int = 12               # nonmonotone line-search window
-    verbose: bool = False
 
     def rng(self, stream: int = 0) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, stream]))

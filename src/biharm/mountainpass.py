@@ -137,23 +137,14 @@ def find_mu_zeros(curve: MuCurve, evaluator=None, rel_tol: float = 1e-4):
 
 def _hessian_apply(problem, q, u, v):
     """Action of half the Hessian of F_q at u on v."""
-    g = problem.geometry
-    out = g.lam_sq * v.coeffs
-    vf = v.fine_values
-    uf = u.fine_values
-    for i in range(g.d_eff):
-        dv = g.fine_samples(g.deriv_mult[i] * v.coeffs)
-        prod = g.truncate_coeffs(np.fft.fftn(problem.a_fine * dv) * g.fine_weight)
-        out += g.deriv_mult[i] * prod
-    out += g.truncate_coeffs(np.fft.fftn(problem.h_fine * vf) * g.fine_weight)
-    weight = 0.5 * q * (q - 1.0) * problem.f_fine * np.abs(uf) ** (q - 2.0)
-    out -= g.truncate_coeffs(np.fft.fftn(weight * vf) * g.fine_weight)
-    return g.field_from_coeffs(out)
+    w = 0.5 * q * (q - 1.0) * problem.f_fine * np.abs(u.fine_values) ** (q - 2.0)
+    return problem.geometry.field_from_coeffs(prob.apply_operator(problem, v, w))
 
 
 def _residual_field(problem, q, u):
     """Half the gradient of F_q: the strong-form stationarity residual."""
-    return geo.scale(prob.grad_F(u, problem, q), 0.5)
+    w = 0.5 * q * problem.f_fine * np.abs(u.fine_values) ** (q - 2.0)
+    return problem.geometry.field_from_coeffs(prob.apply_operator(problem, u, w))
 
 
 def refine_critical_point(
@@ -665,9 +656,9 @@ def mountain_pass(
     else:
         # the path threaded through the polished saddle attains F(v)
         nu_path = max(nu_path, F_v)
-    converged = polished and (stalled or it >= max_iter)
+    converged = polished and stalled
     report = make_report(problem, q, v, 0.0, converged, flags)
-    if not converged and not stalled:
+    if not stalled:
         raise NonConvergence(
             f"path deformation still moving after {max_iter} iterations",
             best=MountainPassResult(v, nu_path, report, state, profile_rows, it, False),

@@ -1,27 +1,38 @@
-"""Problem instances and the constrained energy functional.
+"""Problem instances, the operator kernel and the energy functional.
 
 A problem bundles the three coefficients of
 
     Delta^2 u + div(a grad u) + h u = f |u|^(q-2) u
 
-on a shared torus geometry.  The energy whose critical points solve the
-(q/2-weighted) equation is
+on a shared torus geometry.  Every solver object is one band-limited
+operator with a caller-chosen zero-order weight w(x),
+
+    L_w v = Delta^2 v + div(a grad v) + P((h - w) v),
+
+with P the band projection; ``apply_operator`` is its only
+implementation.  The weights passed are
+
+    gradient        w = (q/2) f |u|^(q-2)           (grad F_q = 2 L_w u)
+    EL residual     w = (lam + (q/2) f) |u|^(q-2)   (variational form)
+                    w = (lam + f) |u|^(q-2)         (equation-normalized)
+    half Hessian    w = (q(q-1)/2) f |u|^(q-2)      (applied to a direction)
+
+The energy whose critical points solve the (q/2-weighted) equation is
 
     F_q(u) = |Delta u|_2^2 - int a |grad u|^2 + int h u^2 - int f |u|^q,
 
 and its auxiliary form G_q replaces the last term by + int f^- |u|^q.
 Both are evaluated with the refined-grid quadrature of the geometry
-module, which makes the discrete L2 gradient of F_q exactly
+module, which makes the discrete L2 gradient of F_q exactly 2 L_w u with
+the gradient weight above; directional derivatives therefore match
+finite differences of eval_F to quadrature-free accuracy.  The same
+exactness gives F_q(u) = <u, L_w u> + (q/2 - 1) int f |u|^q by Parseval,
+which is how ``energy_and_grad`` shares one operator application
+between the value and the gradient.
 
-    grad F_q(u) = 2 Delta^2 u + 2 div(a grad u) + 2 P(h u)
-                  - q P(f |u|^(q-2) u),
-
-with P the band projection; directional derivatives therefore match
-finite differences of eval_F to quadrature-free accuracy.
-
-The nonlinear power is evaluated as sign(u) |u|^(q-1), which is
-continuous at u = 0 for every q > 2 and avoids fractional powers of
-negative numbers.
+The nonlinear power is evaluated as |u|^(q-2) u (or sign(u) |u|^(q-1)),
+which is continuous at u = 0 for every q > 2 and avoids fractional
+powers of negative numbers.
 """
 
 from __future__ import annotations
@@ -111,12 +122,8 @@ class ProblemData:
         self.f_plus_fine = np.maximum(self.f_fine, 0.0)
         self.f_minus_fine = np.maximum(-self.f_fine, 0.0)
 
-        self.f_plus = geometry.field(np.maximum(f.samples, 0.0))
-        self.f_minus = geometry.field(np.maximum(-f.samples, 0.0))
-
         self.a_plus_sup = float(np.max(np.maximum(self.a_fine, 0.0)))
         self.a_sup = float(np.max(np.abs(self.a_fine)))
-        self.a_min = float(np.min(self.a_fine))
         self.h_sup = float(np.max(np.abs(self.h_fine)))
         self.h_min = float(np.min(self.h_fine))
         self.h_max = float(np.max(self.h_fine))
@@ -132,7 +139,6 @@ class ProblemData:
 
         self.h_negative = bool(np.all(self.h_fine < 0.0))
         self.f_minus_positive = self.int_f_minus > 0.0
-        self.f_sign_changing = self.f_max > 0.0 and self.f_minus_sup > 0.0
 
     # ------------------------------------------------------------------
 
@@ -170,7 +176,24 @@ class ProblemData:
 
 
 # ----------------------------------------------------------------------
-# energy evaluation
+# the operator kernel and the energy
+
+
+def apply_operator(
+    problem: ProblemData, v: SpectralField, w_fine: np.ndarray | None = None
+) -> np.ndarray:
+    """Native-band coefficients of Delta^2 v + div(a grad v) + P((h - w) v).
+
+    ``w_fine`` is the zero-order weight on the refined grid (None for
+    w = 0).  Every operator the solvers apply is this one with a
+    different weight; see the module docstring.
+    """
+    g = problem.geometry
+    g.check_same(v.geometry)
+    zero_order = problem.h_fine if w_fine is None else problem.h_fine - w_fine
+    out = g.lam_sq * v.coeffs + g.div_a_grad_coeffs(problem.a_fine, v.coeffs)
+    out += g.fine_to_coeffs(zero_order * v.fine_values)
+    return out
 
 
 def _grad_weighted_sq(problem: ProblemData, u: SpectralField) -> float:
@@ -207,13 +230,16 @@ def f_minus_moment(u: SpectralField, problem: ProblemData, q: float) -> float:
     return g.integrate_fine(problem.f_minus_fine * np.abs(u.fine_values) ** q)
 
 
-def eval_F(u: SpectralField, problem: ProblemData, q: float) -> float:
-    """Energy F_q(u); raises on a non-finite result."""
-    problem.exponents(q)
-    value = quadratic_part(u, problem) - f_weighted_mass(u, problem, q)
+def _finite(value: float) -> float:
     if not math.isfinite(value):
         raise ValueError("energy evaluation overflowed to a non-finite value")
     return value
+
+
+def eval_F(u: SpectralField, problem: ProblemData, q: float) -> float:
+    """Energy F_q(u); raises on a non-finite result."""
+    problem.exponents(q)
+    return _finite(quadratic_part(u, problem) - f_weighted_mass(u, problem, q))
 
 
 def eval_G(u: SpectralField, problem: ProblemData, q: float) -> float:
@@ -222,61 +248,28 @@ def eval_G(u: SpectralField, problem: ProblemData, q: float) -> float:
     Satisfies F_q(u) = G_q(u) - int f^+ |u|^q by the sign split of f.
     """
     problem.exponents(q)
-    g = problem.geometry
-    value = quadratic_part(u, problem) + g.integrate_fine(
-        problem.f_minus_fine * np.abs(u.fine_values) ** q
-    )
-    if not math.isfinite(value):
-        raise ValueError("energy evaluation overflowed to a non-finite value")
-    return value
+    return _finite(quadratic_part(u, problem) + f_minus_moment(u, problem, q))
 
 
 def grad_F(u: SpectralField, problem: ProblemData, q: float) -> SpectralField:
     """Unconstrained L2 gradient of F_q (exact for the discrete quadratures)."""
-    g = problem.geometry
-    g.check_same(u.geometry)
-    uf = u.fine_values
-    out = 2.0 * g.lam_sq * u.coeffs
-    for i in range(g.d_eff):
-        du = g.fine_samples(g.deriv_mult[i] * u.coeffs)
-        prod = g.truncate_coeffs(np.fft.fftn(problem.a_fine * du) * g.fine_weight)
-        out += 2.0 * g.deriv_mult[i] * prod
-    hu = g.truncate_coeffs(np.fft.fftn(problem.h_fine * uf) * g.fine_weight)
-    fpow = g.truncate_coeffs(
-        np.fft.fftn(problem.f_fine * signed_power(uf, q - 1.0)) * g.fine_weight
-    )
-    out += 2.0 * hu - q * fpow
-    return g.field_from_coeffs(out)
+    w = 0.5 * q * problem.f_fine * np.abs(u.fine_values) ** (q - 2.0)
+    return problem.geometry.field_from_coeffs(2.0 * apply_operator(problem, u, w))
 
 
 def energy_and_grad(u: SpectralField, problem: ProblemData, q: float):
-    """F_q(u) and grad F_q(u) sharing the fine-grid transforms."""
+    """F_q(u) and grad F_q(u) from one operator application.
+
+    With L_w u the half gradient, F_q(u) = <u, L_w u> + (q/2 - 1) int f |u|^q
+    holds exactly for band-limited u (Parseval on the refined grid).
+    """
     g = problem.geometry
-    g.check_same(u.geometry)
     uf = u.fine_values
-    abs_uf_qm1 = np.abs(uf) ** (q - 1.0)
-
-    quad = geo.bilap_energy(u)
-    out = 2.0 * g.lam_sq * u.coeffs
-    agrad = 0.0
-    for i in range(g.d_eff):
-        du = g.fine_samples(g.deriv_mult[i] * u.coeffs)
-        agrad += g.integrate_fine(problem.a_fine * du * du)
-        prod = g.truncate_coeffs(np.fft.fftn(problem.a_fine * du) * g.fine_weight)
-        out += 2.0 * g.deriv_mult[i] * prod
-    hterm = g.integrate_fine(problem.h_fine * uf * uf)
-    fterm = g.integrate_fine(problem.f_fine * np.abs(uf) * abs_uf_qm1)
-
-    hu = g.truncate_coeffs(np.fft.fftn(problem.h_fine * uf) * g.fine_weight)
-    fpow = g.truncate_coeffs(
-        np.fft.fftn(problem.f_fine * np.sign(uf) * abs_uf_qm1) * g.fine_weight
-    )
-    out += 2.0 * hu - q * fpow
-
-    value = quad - agrad + hterm - fterm
-    if not math.isfinite(value):
-        raise ValueError("energy evaluation overflowed to a non-finite value")
-    return value, g.field_from_coeffs(out)
+    fw = problem.f_fine * np.abs(uf) ** (q - 2.0)
+    half_grad = apply_operator(problem, u, 0.5 * q * fw)
+    f_mass = g.integrate_fine(fw * uf * uf)
+    value = float(np.vdot(u.coeffs, half_grad).real) + (0.5 * q - 1.0) * f_mass
+    return _finite(value), g.field_from_coeffs(2.0 * half_grad)
 
 
 def constraint_direction(u: SpectralField, q: float) -> SpectralField:
@@ -304,19 +297,9 @@ def el_residual(
     (lam + f): the form solved by the rescaled field
     u = (q/2)^(1/(q-2)) v, normally checked at lam = 0.
     """
-    g = problem.geometry
-    g.check_same(u.geometry)
-    uf = u.fine_values
-    res = g.lam_sq * u.coeffs
-    for i in range(g.d_eff):
-        du = g.fine_samples(g.deriv_mult[i] * u.coeffs)
-        prod = g.truncate_coeffs(np.fft.fftn(problem.a_fine * du) * g.fine_weight)
-        res += g.deriv_mult[i] * prod
-    res += g.truncate_coeffs(np.fft.fftn(problem.h_fine * uf) * g.fine_weight)
-    weight = lam + (0.5 * q if not equation_normalized else 1.0) * problem.f_fine
-    res -= g.truncate_coeffs(
-        np.fft.fftn(weight * signed_power(uf, q - 1.0)) * g.fine_weight
-    )
+    c = 1.0 if equation_normalized else 0.5 * q
+    w = (lam + c * problem.f_fine) * np.abs(u.fine_values) ** (q - 2.0)
+    res = apply_operator(problem, u, w)
     return math.sqrt(max(float(np.sum(np.abs(res) ** 2)), 0.0))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from biharm.expressions import parse_coefficient
 from biharm.geometry import TorusGeometry
 from biharm.minimizer import SolverOptions
 from biharm.problem import ProblemData
@@ -19,6 +20,17 @@ def geom128():
 @pytest.fixture(scope="session")
 def geom2d():
     return TorusGeometry(7, 2, 32)
+
+
+@pytest.fixture(scope="session")
+def plate2d(geom2d):
+    """2-D coefficients with a variable a; built from fields, which skips
+    the adaptive quadrature of int f^- (the grid value is used)."""
+    a, h, f = (
+        parse_coefficient(e, geom2d)
+        for e in ("0.1 + 0.05*cos(2*pi*x2)", "-1", "cos(2*pi*x1)*cos(2*pi*x2) - 0.25")
+    )
+    return ProblemData.from_fields(geom2d, a, h, f)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from scipy import ndimage
 
 from biharm import geometry as geo
 from biharm import problem as prob
-from biharm.errors import Collapse, ShapeNotFound
+from biharm.errors import Collapse, NonConvergence, ShapeNotFound
 from biharm.minimizer import MuCurve, SolverOptions, minimize_on_sphere, trace_mu_curve
 from biharm.mountainpass import (
     align_sign,
@@ -275,6 +275,16 @@ def test_two_solutions_distinct(toy_pipeline, toy64, opts):
     assert rep_min.energy < 0.0 < mp.report.energy
     gap = geo.l2_norm(geo.add(mp.report.field, rep_min.field, -1.0))
     assert gap > 0.1
+
+
+def test_budget_exhausted_raises_nonconvergence(toy_pipeline, toy64, opts):
+    # two iterations cannot flatten the level: the maximum is still moving
+    _, _, (end1, u2), _ = toy_pipeline
+    with pytest.raises(NonConvergence) as exc:
+        mountain_pass(toy64, 4.0, end1.v, u2, opts=opts, max_iter=2, record_profile=False)
+    best = exc.value.best
+    assert best.iterations == 2
+    assert not best.converged
 
 
 def test_collapse_detected(toy64, opts):

@@ -94,17 +94,23 @@ def test_grad_constant_field(geom64):
     assert np.allclose(g.samples, want, atol=1e-10)
 
 
-@pytest.mark.parametrize("q", [2.3, 2.5, 3.0, 6.0])
-def test_gradient_matches_finite_differences(bundled64, geom64, q, rng):
+@pytest.mark.parametrize(
+    "dim, q",
+    [pytest.param(1, q, id=str(q)) for q in (2.3, 2.5, 3.0, 6.0)]
+    + [pytest.param(2, q, id=f"2d-{q}") for q in (2.3, 3.0, 4.5)],
+)
+def test_gradient_matches_finite_differences(bundled64, plate2d, dim, q, rng):
+    problem = bundled64 if dim == 1 else plate2d
+    g = problem.geometry
     worst = 0.0
     for _ in range(25):
-        u = geom64.random_smooth(rng, decay=2.5)
-        phi = geom64.random_smooth(rng, decay=2.5)
-        lhs = geo.inner(grad_F(u, bundled64, q), phi)
+        u = g.random_smooth(rng, decay=2.5)
+        phi = g.random_smooth(rng, decay=2.5)
+        lhs = geo.inner(grad_F(u, problem, q), phi)
         t = 1e-5
         fd = (
-            eval_F(geo.add(u, phi, t), bundled64, q)
-            - eval_F(geo.add(u, phi, -t), bundled64, q)
+            eval_F(geo.add(u, phi, t), problem, q)
+            - eval_F(geo.add(u, phi, -t), problem, q)
         ) / (2.0 * t)
         worst = max(worst, abs(lhs - fd) / max(1.0, abs(fd)))
     assert worst <= 1e-5
