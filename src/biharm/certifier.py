@@ -785,6 +785,14 @@ def certify(
     a_plus = problem.a_plus_sup
     sigma = 0.25 / a_plus if a_plus > 0.0 else 1.0
 
+    remainders: dict[float, float] = {}
+
+    def remainder(eps: float) -> float:
+        """embedding_remainder at eps, computed on first use only."""
+        if eps not in remainders:
+            remainders[eps] = embedding_remainder(g, eps, seed=opts.seed)
+        return remainders[eps]
+
     best: CoercivityConstants | None = None
     moment_values = {}
     for eta in etas:
@@ -793,10 +801,13 @@ def certify(
         except InfeasibleConstraint:
             lam_eq = math.inf       # infimum over an empty constraint set
         moment_values[eta] = lam_eq
+        if lam_eq - problem.h_sup <= 0.0:
+            continue                # NonPositiveEps0 at every eps
         for eps in epss:
             try:
                 cc = coercivity_constants(
-                    problem, q, eta, sigma, eps, lam_eta_q=lam_eq, opts=opts
+                    problem, q, eta, sigma, eps, lam_eta_q=lam_eq,
+                    remainder=remainder(eps), opts=opts,
                 )
             except (NonPositiveEps0, BadSigma):
                 continue
@@ -823,11 +834,7 @@ def certify(
     meas = float(np.mean(problem.f.samples >= 0.0))
     if meas > 0.0 and math.isfinite(lam_nonneg):
         eps_m = best.eps if math.isfinite(best.eps) else 0.1
-        rem_m = (
-            best.remainder
-            if math.isfinite(best.remainder)
-            else embedding_remainder(g, eps_m, seed=opts.seed)
-        )
+        rem_m = remainder(eps_m)
         mu_grad = masked_grad_rayleigh(problem, opts=opts)
         k2_sq = sharp_sobolev_constant(n) ** 2
         rhs = (meas ** (-4.0 / n) - rem_m - mu_grad * problem.a_sup) / (

@@ -12,7 +12,9 @@ Grammar (EBNF):
 Numbers are Python floats.  ``x2`` is only valid on two-dimensional
 grids.  Parsing is done with the standard-library ``ast`` module against
 a strict node whitelist, so syntax errors carry character positions and
-nothing outside the grammar evaluates.
+nothing outside the grammar evaluates.  The validated tree is compiled
+once (integer literals lowered to floats, ``/`` to a zero-checked
+division) and run with no builtins.
 """
 
 from __future__ import annotations
@@ -30,6 +32,16 @@ _BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Div}
 _UNARYOPS = {ast.USub, ast.UAdd}
 
 
+def _div(left, right, col):
+    if np.any(right == 0):
+        raise ExpressionError("division by zero at a node", col)
+    return left / right
+
+
+# the only names compiled code sees
+_NAMESPACE = {"__builtins__": {}, "pi": math.pi, "_div": _div, **_FUNCS}
+
+
 class Expression:
     """A parsed coefficient expression, evaluable on coordinate arrays."""
 
@@ -41,19 +53,24 @@ class Expression:
         except SyntaxError as exc:
             pos = (exc.offset - 1) if exc.offset else None
             raise ExpressionError(f"syntax error in {text!r}", pos) from None
-        self._root = tree.body
-        self._validate(self._root)
+        fn = ast.parse(f"lambda {', '.join(('x1', 'x2')[:d_eff])}: 0", mode="eval")
+        fn.body.body = self._lower(tree.body)
+        code = compile(ast.fix_missing_locations(fn), "<coefficient>", "eval")
+        self._fn = eval(code, _NAMESPACE)
 
-    def _validate(self, node):
+    def _lower(self, node):
+        """Check ``node`` against the grammar; return its compilable form."""
         if isinstance(node, ast.BinOp):
             if type(node.op) not in _BINOPS:
                 raise ExpressionError("operator not allowed", node.col_offset)
-            self._validate(node.left)
-            self._validate(node.right)
+            node.left, node.right = self._lower(node.left), self._lower(node.right)
+            if isinstance(node.op, ast.Div):
+                args = [node.left, node.right, ast.Constant(node.col_offset)]
+                return ast.Call(ast.Name("_div", ast.Load()), args, [])
         elif isinstance(node, ast.UnaryOp):
             if type(node.op) not in _UNARYOPS:
                 raise ExpressionError("operator not allowed", node.col_offset)
-            self._validate(node.operand)
+            node.operand = self._lower(node.operand)
         elif isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
                 raise ExpressionError("unknown function", node.col_offset)
@@ -61,7 +78,7 @@ class Expression:
                 raise ExpressionError(
                     f"{node.func.id} takes exactly one argument", node.col_offset
                 )
-            self._validate(node.args[0])
+            node.args = [self._lower(node.args[0])]
         elif isinstance(node, ast.Name):
             if node.id == "x2" and self.d_eff < 2:
                 raise ExpressionError(
@@ -72,45 +89,28 @@ class Expression:
         elif isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ExpressionError("only numeric literals allowed", node.col_offset)
+            return ast.Constant(float(node.value))
         else:
             raise ExpressionError(
                 "unsupported syntax element", getattr(node, "col_offset", None)
             )
-
-    def _eval(self, node, env):
-        if isinstance(node, ast.BinOp):
-            left = self._eval(node.left, env)
-            right = self._eval(node.right, env)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if np.any(right == 0):
-                raise ExpressionError("division by zero at a node", node.col_offset)
-            return left / right
-        if isinstance(node, ast.UnaryOp):
-            val = self._eval(node.operand, env)
-            return -val if isinstance(node.op, ast.USub) else val
-        if isinstance(node, ast.Call):
-            return _FUNCS[node.func.id](self._eval(node.args[0], env))
-        if isinstance(node, ast.Name):
-            return env[node.id]
-        return float(node.value)
+        return node
 
     def __call__(self, *coords):
         """Evaluate on coordinate arrays (or scalars), one per axis."""
         if len(coords) != self.d_eff:
             raise ValueError(f"expected {self.d_eff} coordinate arrays")
-        env = {"pi": math.pi, "x1": coords[0]}
-        if self.d_eff == 2:
-            env["x2"] = coords[1]
-        out = self._eval(self._root, env)
-        out = np.asarray(out, dtype=np.float64)
-        if not np.all(np.isfinite(out)):
-            raise ExpressionError(f"expression {self.text!r} is not finite on the grid")
-        return out if out.shape else float(out)
+        out = self._fn(*coords)
+        if isinstance(out, float):          # also np.float64
+            if math.isfinite(out):
+                return float(out)
+        else:
+            out = np.asarray(out, dtype=np.float64)
+            if np.all(np.isfinite(out)):
+                return out if out.shape else float(out)
+        raise ExpressionError(
+            f"expression {self.text!r} is not finite at the evaluation points"
+        )
 
 
 def parse_coefficient(text: str, geometry):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,3 +61,25 @@ def opts():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def assert_golden_certificate():
+    """Check a report.json dict against tests/golden/certify_bundled.json.
+
+    Floats agree to rel 1e-9; every other value and every key set is equal.
+    """
+    golden = Path(__file__).resolve().parent / "golden" / "certify_bundled.json"
+    want = json.loads(golden.read_text())
+
+    def compare(a, b, key):
+        if isinstance(b, float) and isinstance(a, float):
+            assert a == pytest.approx(b, rel=1e-9, abs=1e-12), key
+        elif isinstance(b, dict):
+            assert set(a) == set(b), key
+            for kk in b:
+                compare(a[kk], b[kk], f"{key}.{kk}")
+        else:
+            assert a == b, key
+
+    return lambda got: compare(got, want, "report")

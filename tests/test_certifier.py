@@ -334,3 +334,43 @@ def test_certify_2d_smoke(geom2d, opts):
     assert rep.cond_spectral            # tiny h against a clamped-patch quotient
     assert rep.k_low > 0.0
     assert rep.sobolev_constant == pytest.approx(sharp_sobolev_constant(7), rel=1e-14)
+    # dblquad value of int f^- (the plate has no closed form)
+    assert rep.int_f_minus == pytest.approx(0.3547381706247783, rel=1e-12)
+
+
+def _count_remainder_calls(monkeypatch):
+    import biharm.certifier as cert
+
+    calls = []
+    real = cert.embedding_remainder
+
+    def counted(geometry, eps, **kwargs):
+        calls.append(eps)
+        return real(geometry, eps, **kwargs)
+
+    monkeypatch.setattr(cert, "embedding_remainder", counted)
+    return calls
+
+
+def test_certify_computes_each_remainder_once(
+    bundled128, opts, monkeypatch, tmp_path, assert_golden_certificate
+):
+    import json
+
+    from biharm import serialize as ser
+
+    calls = _count_remainder_calls(monkeypatch)
+    rep = certify(bundled128, 2.5, opts)        # configs/bundled.json
+    assert sorted(calls) == [0.01, 0.1]
+    ser.write_json(tmp_path / "report.json", ser.hypothesis_report_dict(rep))
+    assert_golden_certificate(json.loads((tmp_path / "report.json").read_text()))
+
+
+def test_certify_remainder_is_lazy(geom64, opts, monkeypatch):
+    # h dominates every moment quotient: no (eta, eps) is admissible, so
+    # only the measure criterion asks for a remainder, at its default eps
+    p = ProblemData.from_expressions(geom64, "0", "-1e6", "cos(2*pi*x1) - 0.25")
+    calls = _count_remainder_calls(monkeypatch)
+    rep = certify(p, 2.5, opts)
+    assert math.isnan(rep.eps)
+    assert calls == [0.1]

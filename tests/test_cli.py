@@ -4,10 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args, check=False):
@@ -65,7 +62,7 @@ def test_certify_missing_config(tmp_path):
     assert res.returncode == 2
 
 
-def test_certify_golden_report():
+def test_certify_golden_report(assert_golden_certificate):
     """The bundled-config certificate matches the checked-in golden values."""
     import tempfile
 
@@ -77,21 +74,7 @@ def test_certify_golden_report():
         )
         assert res.returncode == 4      # bundled example fails the ratio cond
         got = json.loads(Path(tmp, "report.json").read_text())
-    want = json.loads((GOLDEN / "certify_bundled.json").read_text())
-    assert set(got) == set(want)
-
-    def compare(a, b, key):
-        if isinstance(b, float) and isinstance(a, float):
-            assert a == pytest.approx(b, rel=1e-9, abs=1e-12), key
-        elif isinstance(b, dict):
-            assert set(a) == set(b), key
-            for kk in b:
-                compare(a[kk], b[kk], f"{key}.{kk}")
-        else:
-            assert a == b, key
-
-    for key in want:
-        compare(got[key], want[key], key)
+    assert_golden_certificate(got)
 
 
 def test_mu_curve_outputs_and_force_gate(tmp_path):

@@ -53,10 +53,63 @@ def test_syntax_error_position():
     assert exc.value.position is not None
 
 
+def test_f_minus_integral_2d_matches_closed_form(geom2d):
+    from biharm.problem import ProblemData
+
+    for f in ("cos(2*pi*x1) - 0.5", "cos(2*pi*x2) - 0.5"):
+        p = ProblemData.from_expressions(geom2d, "0", "-1", f)
+        assert p.int_f_minus == pytest.approx(F_MINUS_COS_HALF, abs=1e-9), f
+
+
 def test_division_by_zero_reports_position(geom64):
     with pytest.raises(ExpressionError) as exc:
         parse_coefficient("1/(x1 - 0.5)", geom64)   # 0.5 is a grid node
     assert "division by zero" in str(exc.value)
+    assert exc.value.position is not None
+
+
+def test_scalar_division_by_zero_is_expression_error():
+    with pytest.raises(ExpressionError) as exc:
+        Expression("1/(x1 - 0.5)", 1)(0.5)
+    assert "division by zero" in str(exc.value)
+    assert exc.value.position is not None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("d_eff", [1, 2])
+def test_scalar_non_finite_rejected(d_eff):
+    expr = Expression("exp(1000) + " + " + ".join(("x1", "x2")[:d_eff]), d_eff)
+    with pytest.raises(ExpressionError, match="not finite at the evaluation points"):
+        expr(*[0.25] * d_eff)
+
+
+def test_compiled_matches_hand_written_numpy():
+    x1, x2 = np.random.default_rng(3).random((2, 50))
+    text = "exp(abs(x1 - 0.5)) / (2 + cos(2*pi*x1)) - 3*sin(pi*x2)"
+    want = np.exp(np.abs(x1 - 0.5)) / (2.0 + np.cos(2.0 * math.pi * x1))
+    want -= 3.0 * np.sin(math.pi * x2)
+    assert np.array_equal(Expression(text, 2)(x1, x2), want)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sin(2*pi*x1) * cos(3*pi*x2)",
+        "exp(-abs(x1 - x2)) / (2 + cos(2*pi*x1*x2))",
+        "-x1 / 3 + +x2 * 7 - pi",
+        "abs(sin(5*x1) - 0.25) * exp(x2)",
+    ],
+)
+@pytest.mark.parametrize("d_eff", [1, 2])
+def test_scalar_and_array_evaluation_agree_bitwise(text, d_eff):
+    if d_eff == 1:
+        text = text.replace("x2", "(1 - x1)")
+    expr = Expression(text, d_eff)
+    pts = np.random.default_rng(5).random((d_eff, 97))
+    array = expr(*pts)
+    scalar = np.array([expr(*(float(c) for c in col)) for col in pts.T])
+    assert array.shape == (97,)
+    assert np.array_equal(array, scalar)
 
 
 def test_x2_rejected_on_1d(geom64):
