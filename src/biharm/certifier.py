@@ -169,40 +169,39 @@ class _MaskedForm:
         g = problem.geometry
         self.g = g
         self.operator = operator
-        M = g.grid_size
-        m_axis = np.fft.fftfreq(M, d=1.0 / M)
-        grids = np.meshgrid(*([m_axis] * g.d_eff), indexing="ij")
-        lam_full = (2.0 * math.pi) ** 2 * sum(mm**2 for mm in grids)
-        self.lam_sq_full = lam_full**2
-        self.deriv = [1j * 2.0 * math.pi * mm for mm in grids]
+        # the geometry's multipliers cover the full lattice (Nyquist included)
+        self.lam_sq_full = g.lam_sq
+        self.deriv = g.deriv_mult
         self.a_samples = problem.a.samples
         self.weight = g.weight
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        vh = np.fft.fftn(v)
+        g = self.g
+        vh = g.forward(v)
         if self.operator == "grad":
             out = np.zeros_like(v)
             for d in self.deriv:
-                dv = np.fft.ifftn(d * vh).real
-                out -= np.fft.ifftn(d * np.fft.fftn(dv)).real
+                dv = g.inverse(d * vh)
+                out -= g.inverse(d * g.forward(dv))
             return out
-        out = np.fft.ifftn(self.lam_sq_full * vh).real
+        out = g.inverse(self.lam_sq_full * vh)
         for d in self.deriv:
-            dv = np.fft.ifftn(d * vh).real
-            out += np.fft.ifftn(d * np.fft.fftn(self.a_samples * dv)).real
+            dv = g.inverse(d * vh)
+            out += g.inverse(d * g.forward(self.a_samples * dv))
         return out
 
     def quad(self, v: np.ndarray) -> float:
-        vh = np.fft.fftn(v)
+        g = self.g
+        vh = g.forward(v)
         if self.operator == "grad":
             total = 0.0
             for d in self.deriv:
-                dv = np.fft.ifftn(d * vh).real
+                dv = g.inverse(d * vh)
                 total += self.weight * float(np.sum(dv * dv))
             return total
-        quad = float(np.sum(self.lam_sq_full * np.abs(vh) ** 2)) * self.weight**2
+        quad = float(np.sum(self.lam_sq_full * np.abs(vh) ** 2))
         for d in self.deriv:
-            dv = np.fft.ifftn(d * vh).real
+            dv = g.inverse(d * vh)
             quad -= self.weight * float(np.sum(self.a_samples * dv * dv))
         return quad
 
@@ -251,7 +250,7 @@ def _unsigned_quotient_min(
     P_mult = 1.0 / (1.0 + form.lam_sq_full)
 
     def precondition(r):
-        return np.where(mask, np.fft.ifftn(P_mult * np.fft.fftn(r)).real, 0.0)
+        return np.where(mask, form.g.inverse(P_mult * form.g.forward(r)), 0.0)
 
     v = np.where(mask, v0, 0.0)
     nrm = math.sqrt(float(np.sum(v * v)))
@@ -308,7 +307,7 @@ def _nonneg_quotient_min(
     tau = 1.0
     for _ in range(max_iter):
         resid = form.apply(v) - r_val * v
-        d = feasible(v - np.fft.ifftn(P_mult * np.fft.fftn(resid)).real) - v
+        d = feasible(v - g.inverse(P_mult * g.forward(resid))) - v
         nd = math.sqrt(float(np.sum(d * d)))
         if nd == 0.0:
             break

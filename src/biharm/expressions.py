@@ -89,7 +89,12 @@ class Expression:
         elif isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ExpressionError("only numeric literals allowed", node.col_offset)
-            return ast.Constant(float(node.value))
+            try:
+                return ast.Constant(float(node.value))
+            except OverflowError:
+                raise ExpressionError(
+                    "integer literal out of float range", node.col_offset
+                ) from None
         else:
             raise ExpressionError(
                 "unsupported syntax element", getattr(node, "col_offset", None)

@@ -3,9 +3,8 @@
 Fields live on a uniform periodic grid over [0, 1)^d with d in {1, 2}
 effective coordinates; Sobolev exponents come from the ambient dimension
 n >= 5 (the remaining n - d coordinates are dummy directions of the
-unit-volume torus and integrate away).  A field is stored both as real
-grid samples and as the Fourier coefficients of its trigonometric
-interpolant
+unit-volume torus and integrate away).  A field is stored as the Fourier
+coefficients of its trigonometric interpolant
 
     u(x) = sum_m  c_m exp(2 pi i m.x),      |m_i| <= M/2 - 1,
 
@@ -14,6 +13,14 @@ plane of the even-size FFT is projected out at construction; this makes
 the retained mode set conjugation-symmetric, turns spectral truncation
 into an exact L2-orthogonal projection, and lets the 2x-refined grid
 integrate triple products of band-limited fields without aliasing.
+
+Grid samples and refined-grid values are transformed from the
+coefficients on first read and cached (idempotent, read-only caches).
+``scale``, ``add`` and ``combination`` carry the cached refined-grid
+values of their inputs, which they are linear in, and ``inner`` and
+``l2_norm`` use Parseval on the coefficients, so linear arithmetic makes
+no transform.  Every transform of the package is a ``scipy.fft`` call
+made here, through ``TorusGeometry.forward`` and ``inverse``.
 
 Multiplier table (angular frequency w = 2 pi m, sign convention
 Delta = -div grad):
@@ -35,6 +42,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.fft import fftn, ifftn
 
 from .errors import GeometryMismatch
 
@@ -87,7 +95,6 @@ class TorusGeometry:
 
         # integer mode numbers per axis, numpy FFT ordering
         m_axis = np.fft.fftfreq(M, d=1.0 / M).astype(np.int64)
-        self._m_axis = m_axis
         # retained band: |m| <= M/2 - 1 on every axis (Nyquist projected out)
         keep_axis = np.abs(m_axis) <= M // 2 - 1
         grids = np.meshgrid(*([m_axis] * d), indexing="ij")
@@ -101,9 +108,9 @@ class TorusGeometry:
         self.deriv_mult = [1j * TWO_PI * g.astype(np.float64) for g in grids]
 
         # position of coarse mode m inside the refined spectrum
-        self._fine_pos = [m_axis % self.fine_size]
-        if d == 2:
-            self._fine_pos.append(m_axis % self.fine_size)
+        self._fine_index = np.ix_(*([m_axis % self.fine_size] * d))
+        self._off_band = ~self.band_mask
+        self._axes = tuple(range(d - 1, -1, -1))
 
     # ------------------------------------------------------------------
     # basic descriptors
@@ -140,6 +147,26 @@ class TorusGeometry:
             )
 
     # ------------------------------------------------------------------
+    # transforms (the only FFT calls of the package)
+    #
+    # Complex input, last axis first: the same sequence of 1-D complex
+    # transforms as numpy.fft.fftn/ifftn, so results are bit-identical to
+    # numpy's; the power-of-two normalization is exact.
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients DFT(values) / N of values on a grid of N points (native or refined)."""
+        values = np.asarray(values, dtype=np.complex128)
+        return fftn(values, axes=self._axes, norm="forward")
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real part of the grid values of a coefficient array (inverse of ``forward``).
+
+        A contiguous copy: it frees the complex buffer and keeps later
+        pointwise arithmetic on unit strides.
+        """
+        return ifftn(coeffs, axes=self._axes, norm="forward").real.copy()
+
+    # ------------------------------------------------------------------
     # field constructors
 
     def field(self, samples) -> "SpectralField":
@@ -149,9 +176,9 @@ class TorusGeometry:
             raise GeometryMismatch(
                 f"sample shape {samples.shape} does not match grid {self.shape}"
             )
-        coeffs = np.fft.fftn(samples) * self.weight
-        coeffs[~self.band_mask] = 0.0
-        return SpectralField(self, coeffs=coeffs)
+        coeffs = self.forward(samples)
+        coeffs[self._off_band] = 0.0
+        return SpectralField(self, coeffs)
 
     def field_from_coeffs(self, coeffs) -> "SpectralField":
         coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -159,13 +186,12 @@ class TorusGeometry:
             raise GeometryMismatch(
                 f"coefficient shape {coeffs.shape} does not match grid {self.shape}"
             )
-        out = np.where(self.band_mask, coeffs, 0.0 + 0.0j)
-        return SpectralField(self, coeffs=out)
+        return SpectralField(self, np.where(self.band_mask, coeffs, 0.0 + 0.0j))
 
     def constant(self, value: float) -> "SpectralField":
         coeffs = np.zeros(self.shape, dtype=np.complex128)
         coeffs[(0,) * self.d_eff] = value
-        return SpectralField(self, coeffs=coeffs)
+        return SpectralField(self, coeffs)
 
     def zero(self) -> "SpectralField":
         return self.constant(0.0)
@@ -188,11 +214,10 @@ class TorusGeometry:
         generator state.
         """
         white = rng.standard_normal(self.shape)
-        coeffs = np.fft.fftn(white) * self.weight
         m_sq = self.lam / (TWO_PI**2)
-        coeffs = coeffs / (1.0 + m_sq) ** (decay / 2.0)
-        coeffs[~self.band_mask] = 0.0
-        u = SpectralField(self, coeffs=coeffs)
+        coeffs = self.forward(white) / (1.0 + m_sq) ** (decay / 2.0)
+        coeffs[self._off_band] = 0.0
+        u = SpectralField(self, coeffs)
         nrm = l2_norm(u)
         if nrm == 0.0:
             return u
@@ -216,27 +241,26 @@ class TorusGeometry:
     def pad_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Embed native-band coefficients into the refined spectrum."""
         fine = np.zeros(self.fine_shape, dtype=np.complex128)
-        fine[np.ix_(*self._fine_pos)] = coeffs
+        fine[self._fine_index] = coeffs
         return fine
 
     def truncate_coeffs(self, fine_coeffs: np.ndarray) -> np.ndarray:
         """Orthogonal projection of a refined spectrum onto the native band."""
-        coeffs = fine_coeffs[np.ix_(*self._fine_pos)].copy()
-        coeffs[~self.band_mask] = 0.0
+        coeffs = fine_coeffs[self._fine_index]     # advanced indexing: a copy
+        coeffs[self._off_band] = 0.0
         return coeffs
 
     def fine_samples(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate the interpolant of native-band coefficients on the fine grid."""
-        fine = self.pad_coeffs(coeffs)
-        return np.fft.ifftn(fine).real * (self.fine_size**self.d_eff)
+        return self.inverse(self.pad_coeffs(coeffs))
 
     def fine_to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Native-band coefficients of the L2 projection of fine-grid values."""
-        return self.truncate_coeffs(np.fft.fftn(values) * self.fine_weight)
+        return self.truncate_coeffs(self.forward(values))
 
     def fine_to_field(self, values: np.ndarray) -> "SpectralField":
         """Project fine-grid point values back onto the native band."""
-        return SpectralField(self, coeffs=self.fine_to_coeffs(values))
+        return SpectralField(self, self.fine_to_coeffs(values))
 
     def div_a_grad_coeffs(self, a_fine: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Native-band coefficients of sum_i d_i P(a d_i u) for coefficients of u.
@@ -263,34 +287,44 @@ class TorusGeometry:
 
 
 class SpectralField:
-    """Real scalar field stored as grid samples plus Fourier coefficients.
+    """Real scalar field stored as the Fourier coefficients of its interpolant.
 
-    Instances are immutable: samples and coefficients are synchronized
-    eagerly at construction and the underlying arrays are read-only, so
-    fields are safe to share across threads.
+    Instances are immutable.  ``samples`` (native grid) and ``fine_values``
+    (refined grid) are transformed from the coefficients on first read and
+    cached; the caches are idempotent, so a field is safe to share across
+    threads (a racing first read computes the same array twice).  Every
+    array a field exposes is read-only.  ``fine`` lets a caller that
+    already holds the refined-grid values of the same interpolant (a
+    linear combination of cached values) seed that cache.
     """
 
-    __slots__ = ("geometry", "samples", "coeffs", "_fine")
+    __slots__ = ("geometry", "coeffs", "_samples", "_fine")
 
-    def __init__(self, geometry: TorusGeometry, coeffs: np.ndarray):
-        self.geometry = geometry
+    def __init__(self, geometry: TorusGeometry, coeffs: np.ndarray, fine=None):
         coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-        samples = np.fft.ifftn(coeffs).real * geometry.size
         coeffs.flags.writeable = False
-        samples.flags.writeable = False
+        if fine is not None:
+            fine.flags.writeable = False
+        object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "_fine", None)
+        object.__setattr__(self, "_samples", None)
+        object.__setattr__(self, "_fine", fine)
 
     def __setattr__(self, name, value):
-        if name in ("geometry", "_fine") or not hasattr(self, name):
-            object.__setattr__(self, name, value)
-        else:
-            raise AttributeError("SpectralField is immutable")
+        raise AttributeError("SpectralField is immutable")
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Values at the grid nodes (cached on first read; read-only)."""
+        if self._samples is None:
+            vals = self.geometry.inverse(self.coeffs)
+            vals.flags.writeable = False
+            object.__setattr__(self, "_samples", vals)
+        return self._samples
 
     @property
     def fine_values(self) -> np.ndarray:
-        """Interpolant values on the refined grid (cached; idempotent)."""
+        """Interpolant values on the refined grid (cached on first read; read-only)."""
         if self._fine is None:
             vals = self.geometry.fine_samples(self.coeffs)
             vals.flags.writeable = False
@@ -348,9 +382,9 @@ def multiply(a: SpectralField, u: SpectralField) -> SpectralField:
 
 
 def inner(u: SpectralField, v: SpectralField) -> float:
-    """L2 inner product by uniform quadrature (= Parseval sum)."""
+    """L2 inner product by Parseval on the coefficients (= the grid quadrature)."""
     u.geometry.check_same(v.geometry)
-    return float(np.vdot(u.samples, v.samples).real * u.geometry.weight)
+    return float(np.vdot(u.coeffs, v.coeffs).real)
 
 
 def l2_norm(u: SpectralField) -> float:
@@ -409,21 +443,35 @@ def h2_norm(u: SpectralField) -> float:
 # arithmetic helpers (fields form a vector space)
 
 
+# The inputs are band-limited already, so the results skip the band mask;
+# refined-grid values are carried when every input has them cached.
+
+
 def scale(u: SpectralField, alpha: float) -> SpectralField:
-    return u.geometry.field_from_coeffs(alpha * u.coeffs)
+    fine = None if u._fine is None else alpha * u._fine
+    return SpectralField(u.geometry, alpha * u.coeffs, fine)
 
 
 def add(u: SpectralField, v: SpectralField, alpha: float = 1.0) -> SpectralField:
     """u + alpha * v."""
     u.geometry.check_same(v.geometry)
-    return u.geometry.field_from_coeffs(u.coeffs + alpha * v.coeffs)
+    fine = None
+    if u._fine is not None and v._fine is not None:
+        fine = u._fine + alpha * v._fine
+    return SpectralField(u.geometry, u.coeffs + alpha * v.coeffs, fine)
 
 
 def combination(fields, weights) -> SpectralField:
     """Linear combination sum_i w_i * fields[i]."""
     g = fields[0].geometry
+    pairs = list(zip(fields, weights))
     out = np.zeros(g.shape, dtype=np.complex128)
-    for f, w in zip(fields, weights):
+    for f, w in pairs:
         g.check_same(f.geometry)
         out += w * f.coeffs
-    return g.field_from_coeffs(out)
+    fine = None
+    if all(f._fine is not None for f, _ in pairs):
+        fine = np.zeros(g.fine_shape)
+        for f, w in pairs:
+            fine += w * f._fine
+    return SpectralField(g, out, fine)

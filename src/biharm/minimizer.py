@@ -269,6 +269,18 @@ def default_seeds(problem: ProblemData, q: float, k: float, opts: SolverOptions)
     return [(tag, _retract_sphere(s, q, k)) for tag, s in seeds]
 
 
+def _earliest_lowest(candidates):
+    """Multistart winner: the earliest candidate whose energy ties the lowest.
+
+    ``candidates`` holds (F, result) in seed order.  Energies within
+    1e-12 (1 + |F_min|) of the lowest count as tied, so a rounding-level
+    change in the numerics cannot flip the winning seed.
+    """
+    F_min = min(F for F, _ in candidates)
+    tol = 1e-12 * (1.0 + abs(F_min))
+    return next(res for F, res in candidates if F <= F_min + tol)
+
+
 # ----------------------------------------------------------------------
 # public solvers
 
@@ -285,9 +297,10 @@ def minimize_on_sphere(
 
     Runs the warm start (if given) to full tolerance and, when
     multistart is enabled, a capped battery of standard seeds whose
-    winner is polished to full tolerance; ties break toward the lowest
-    energy, then the earlier seed.  The output always satisfies the
-    constraint exactly by retraction.
+    winner is polished to full tolerance.  The winner has the lowest
+    energy; energies within 1e-12 (1 + |F_min|) of it count as tied, and
+    the earliest of the tied candidates (warm start first) wins.  The
+    output always satisfies the constraint exactly by retraction.
     """
     if k <= 0.0:
         raise ValueError(f"sphere mass k must be positive, got {k}")
@@ -299,15 +312,14 @@ def minimize_on_sphere(
         u, F, lam, res, its, conv = _bb_minimize(
             problem, q, init, opts, opts.max_iter, sphere_k=k, subspace=subspace
         )
-        candidates.append((F, 0, SphereResult(u, F, lam, res, its, conv, "warm")))
+        candidates.append((F, SphereResult(u, F, lam, res, its, conv, "warm")))
     if opts.multistart or init is None:
-        for i, (tag, s) in enumerate(default_seeds(problem, q, k, opts), start=1):
+        for tag, s in default_seeds(problem, q, k, opts):
             u, F, lam, res, its, conv = _bb_minimize(
                 problem, q, s, opts, opts.battery_iter, sphere_k=k, subspace=subspace
             )
-            candidates.append((F, i, SphereResult(u, F, lam, res, its, conv, tag)))
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    winner = candidates[0][2]
+            candidates.append((F, SphereResult(u, F, lam, res, its, conv, tag)))
+    winner = _earliest_lowest(candidates)
     if not winner.converged:
         u, F, lam, res, its, conv = _bb_minimize(
             problem, q, winner.v, opts, opts.max_iter, sphere_k=k, subspace=subspace
@@ -323,7 +335,11 @@ def minimize_on_ball(
     init: SpectralField | None = None,
     opts: SolverOptions | None = None,
 ) -> SphereResult:
-    """Minimize F_q over the ball |u|_q^q <= cap (inequality retraction)."""
+    """Minimize F_q over the ball |u|_q^q <= cap (inequality retraction).
+
+    Starts are the warm start (if given), the best constant, then the
+    battery; the winner is chosen as in ``minimize_on_sphere``.
+    """
     if cap <= 0.0:
         raise ValueError(f"ball cap must be positive, got {cap}")
     opts = opts or SolverOptions()
@@ -344,14 +360,13 @@ def minimize_on_ball(
         small = 0.05 * cap
         for tag, s in default_seeds(problem, q, small, opts):
             starts.append((tag, s))
-    for i, (tag, s) in enumerate(starts):
+    for tag, s in starts:
         cap_iter = opts.max_iter if tag in ("warm", "const-scan") else opts.battery_iter
         u, F, lam, res, its, conv = _bb_minimize(
             problem, q, s, opts, cap_iter, ball_cap=cap
         )
-        candidates.append((F, i, SphereResult(u, F, lam, res, its, conv, tag)))
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    winner = candidates[0][2]
+        candidates.append((F, SphereResult(u, F, lam, res, its, conv, tag)))
+    winner = _earliest_lowest(candidates)
     if not winner.converged:
         u, F, lam, res, its, conv = _bb_minimize(
             problem, q, winner.v, opts, opts.max_iter, ball_cap=cap

@@ -56,6 +56,16 @@ def test_certify_bad_expression_rejected(tmp_path):
     assert res.returncode == 2
 
 
+def test_certify_overflowing_literal_is_config_error(tmp_path):
+    f = "1" + "0" * 400 + "*cos(2*pi*x1) - 1"
+    cfg = write_config(tmp_path, coefficients={"a": "0", "h": "-1", "f": f})
+    res = run_cli("certify", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    err = json.loads((tmp_path / "o" / "error.json").read_text())
+    assert err["error"] == "ConfigError"
+    assert "out of float range" in err["message"]
+
+
 def test_certify_missing_config(tmp_path):
     res = run_cli("certify", "--config", str(tmp_path / "nope.json"),
                   "--out", str(tmp_path / "o"))

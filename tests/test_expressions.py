@@ -68,6 +68,13 @@ def test_division_by_zero_reports_position(geom64):
     assert exc.value.position is not None
 
 
+def test_integer_literal_beyond_float_range_is_expression_error():
+    text = "0.5 + 1" + "0" * 400
+    with pytest.raises(ExpressionError, match="out of float range") as exc:
+        Expression(text, 1)
+    assert exc.value.position == 6
+
+
 def test_scalar_division_by_zero_is_expression_error():
     with pytest.raises(ExpressionError) as exc:
         Expression("1/(x1 - 0.5)", 1)(0.5)

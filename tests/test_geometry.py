@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biharm import geometry as geo
 from biharm.errors import GeometryMismatch
@@ -194,3 +196,106 @@ def test_product_projection_exactness(geom64, rng):
     want = conv[M - (M // 2 - 1) : M + M // 2]
     got = np.fft.fftshift(w.coeffs)[1:]
     assert np.allclose(got, want, atol=1e-13 * max(1.0, float(np.abs(want).max())))
+
+
+# ----------------------------------------------------------------------
+# lazy values: transformed on first read, carried through linear ops
+
+PROPERTY = settings(max_examples=20, deadline=None, database=None, derandomize=True)
+SEEDS = st.integers(0, 2**32 - 1)
+WEIGHTS = st.tuples(st.floats(1e-3, 1e3), st.sampled_from([-1.0, 1.0])).map(
+    lambda t: t[0] * t[1]
+)
+GEOMS = pytest.mark.parametrize("dim", [1, 2])
+
+
+def _geom(dim, geom64, geom2d):
+    return geom64 if dim == 1 else geom2d
+
+
+def _cached_fields(g, seed, n):
+    rng = np.random.default_rng(seed)
+    fields = [g.random_smooth(rng, decay=2.5) for _ in range(n)]
+    for f in fields:
+        f.fine_values
+    return fields
+
+
+def _assert_carried(w):
+    """Carried fine values equal a fresh transform of the coefficients."""
+    g = w.geometry
+    carried = w.fine_values
+    fresh = g.fine_samples(np.array(w.coeffs))
+    assert not carried.flags.writeable
+    assert np.max(np.abs(carried - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+
+
+@GEOMS
+@PROPERTY
+@given(seed=SEEDS, alpha=WEIGHTS, beta=WEIGHTS)
+def test_linear_ops_carry_fine_values(dim, geom64, geom2d, seed, alpha, beta):
+    g = _geom(dim, geom64, geom2d)
+    u, v, w = _cached_fields(g, seed, 3)
+    _assert_carried(geo.scale(u, alpha))
+    _assert_carried(geo.add(u, v, alpha))
+    _assert_carried(geo.combination([u, v, w], [alpha, beta, 1.0]))
+
+
+@GEOMS
+@PROPERTY
+@given(seed=SEEDS)
+def test_parseval_inner_matches_sample_quadrature(dim, geom64, geom2d, seed):
+    g = _geom(dim, geom64, geom2d)
+    rng = np.random.default_rng(seed)
+    u, v = g.random_smooth(rng), g.random_smooth(rng, decay=3.0)
+    quad = g.weight * float(np.sum(u.samples * v.samples))
+    bound = 1e-13 * geo.l2_norm(u) * geo.l2_norm(v)
+    assert abs(geo.inner(u, v) - quad) <= bound
+    assert geo.inner(u, u) == pytest.approx(geo.l2_norm(u) ** 2, rel=1e-13)
+
+
+@GEOMS
+def test_lazy_values_are_read_only_and_cached(dim, geom64, geom2d):
+    g = _geom(dim, geom64, geom2d)
+    u = g.random_smooth(np.random.default_rng(7))
+    for name in ("samples", "fine_values"):
+        vals = getattr(u, name)
+        assert getattr(u, name) is vals        # idempotent: computed once
+        assert not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[(0,) * dim] = 1.0
+        with pytest.raises(AttributeError):
+            setattr(u, name, vals.copy())
+    with pytest.raises(AttributeError):
+        u.coeffs = np.zeros(g.shape, dtype=complex)
+    assert not u.coeffs.flags.writeable
+
+
+@GEOMS
+def test_construction_and_linear_ops_make_no_transform(dim, geom64, geom2d, monkeypatch):
+    g = _geom(dim, geom64, geom2d)
+    cached = _cached_fields(g, 11, 2)
+    plain = [g.field_from_coeffs(f.coeffs) for f in cached]
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(geo, "fftn", counting(geo.fftn))
+    monkeypatch.setattr(geo, "ifftn", counting(geo.ifftn))
+    for u, v in (cached, plain):
+        g.field_from_coeffs(u.coeffs)
+        geo.scale(u, 2.0)
+        geo.add(u, v, -0.5)
+        geo.combination([u, v], [0.25, 3.0])
+        geo.inner(u, v)
+        geo.l2_norm(u)
+    assert calls == []
+    # the counter sees a read: one transform, then the cache
+    u = plain[0]
+    u.samples, u.samples
+    u.fine_values, u.fine_values
+    assert calls == ["ifftn", "ifftn"]

@@ -219,3 +219,38 @@ def test_sphere_minimizer_2d(geom2d):
     assert res.mu <= cap + 1e-9 * (1.0 + abs(cap))
     el = prob.el_residual(res.v, p, q, res.lagrange)
     assert el <= 1e-6 * (1.0 + abs(res.mu))
+
+
+def _fake_bb(energies):
+    """Stand-in for ``_bb_minimize``: converged at the given energies, in call order."""
+    it = iter(energies)
+
+    def fake(problem, q, u0, opts, max_iter, **kwargs):
+        return u0, next(it), 0.0, 0.0, 1, True
+
+    return fake
+
+
+@pytest.mark.parametrize("solver", ["sphere", "ball"])
+@pytest.mark.parametrize(
+    "second, winner",
+    [(np.nextafter(-1.0, -np.inf), "first"), (-1.0 - 1e-9, "second")],
+    ids=["one-ulp", "gap-1e-9"],
+)
+def test_multistart_tie_goes_to_earlier_seed(bundled64, monkeypatch, solver, second, winner):
+    """Energies one ulp apart tie (the earlier seed wins); a real gap does not."""
+    import biharm.minimizer as mz
+
+    g = bundled64.geometry
+    seeds = [("first", g.constant(1.0)), ("second", g.constant(1.0))]
+    monkeypatch.setattr(mz, "default_seeds", lambda *args: seeds)
+    energies = [-1.0, second]
+    opts = SolverOptions(seed=0)
+    if solver == "sphere":
+        monkeypatch.setattr(mz, "_bb_minimize", _fake_bb(energies))
+        res = minimize_on_sphere(bundled64, 3.0, 1.0, opts=opts)
+    else:
+        # the ball solver runs its constant start before the battery
+        monkeypatch.setattr(mz, "_bb_minimize", _fake_bb([0.0] + energies))
+        res = minimize_on_ball(bundled64, 3.0, 1.0, opts=opts)
+    assert res.seed_tag == winner

@@ -1,0 +1,46 @@
+"""Source-level rules of the package layout."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "biharm"
+
+# fft, ifft, fftn, ifftn, fft2, rfft, irfft, rfftn, irfftn, ... (not fftfreq)
+TRANSFORM = re.compile(r"^i?r?fft[n2]?$")
+
+
+def _transform_names(tree):
+    """(line, name) of every transform a module names: call, reference or import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        else:
+            continue
+        if TRANSFORM.match(name):
+            yield getattr(node, "lineno", None), name
+
+
+def test_transform_pattern():
+    for name in ("fft", "ifft", "fftn", "ifftn", "fft2", "rfft", "irfft", "rfftn", "irfftn"):
+        assert TRANSFORM.match(name), name
+    for name in ("fftfreq", "rfftfreq", "fftshift", "forward", "inverse"):
+        assert not TRANSFORM.match(name), name
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
+)
+def test_only_geometry_calls_the_fft(path):
+    """Every transform goes through ``geometry`` (TorusGeometry.forward/inverse)."""
+    found = list(_transform_names(ast.parse(path.read_text(encoding="utf-8"))))
+    if path.name == "geometry.py":
+        assert found, "geometry.py should hold the package's transforms"
+    else:
+        assert not found, f"{path.name} calls the FFT directly: {found}"
