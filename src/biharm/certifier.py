@@ -341,14 +341,15 @@ def _masked_quotient_min(
     seed: int,
     max_iter: int = 600,
     n_starts: int = 3,
-) -> float:
-    """Minimize quad(v)/|v|^2 over masked (optionally nonnegative) vectors.
+) -> tuple[float, float | None]:
+    """Minimize quad(v)/|v|^2 over masked vectors, unsigned and nonnegative.
 
     Deterministic multistart (flat profile on the mask, a bump at the
     mask center, fixed-seed random vectors); the minimum over the
-    fixed-order starts is returned.  The nonnegative variant additionally
+    fixed-order starts is taken.  The nonnegative variant additionally
     starts from |v*| of the unsigned minimizer, which is the exact answer
-    whenever the ground state is one-signed.
+    whenever the ground state is one-signed.  Returns (unsigned minimum,
+    nonnegative minimum); the second is None unless ``nonneg``.
     """
     g = form.g
     rng = np.random.default_rng(np.random.SeedSequence([seed, 13]))
@@ -371,7 +372,7 @@ def _masked_quotient_min(
             minimizers.append(v)
             best = min(best, val)
     if not nonneg:
-        return best
+        return best, None
 
     best_nn = math.inf
     nn_starts = []
@@ -383,7 +384,18 @@ def _masked_quotient_min(
     for v0 in nn_starts:
         _, val = _nonneg_quotient_min(form, mask, np.asarray(v0, float), max_iter)
         best_nn = min(best_nn, val)
-    return best_nn
+    return best, best_nn
+
+
+def _masked_minima(problem, opts, operator, nonneg, max_iter=600):
+    """``_masked_quotient_min`` of a form on the mask {f^- <= tau}; (inf, inf) when empty."""
+    opts = opts or SolverOptions()
+    tau = 1e-12 * problem.f_sup
+    mask = np.maximum(-problem.f.samples, 0.0) <= tau
+    if not mask.any():
+        return math.inf, math.inf
+    form = _MaskedForm(problem, operator=operator)
+    return _masked_quotient_min(form, mask, nonneg, opts.seed, max_iter=max_iter)
 
 
 def masked_rayleigh(
@@ -399,27 +411,28 @@ def masked_rayleigh(
     {f^- <= tau} with tau = 1e-12 * sup|f| (grid-sampled f^- is rarely
     exactly zero).  Returns +inf when the mask is empty.  With
     ``nonneg=False`` the sign constraint is dropped; both variants are
-    reported by ``certify`` since their gap is not settled by theory.
+    reported by ``certify`` since their gap is not settled by theory
+    (``masked_rayleigh_variants`` gives both from one pass).
     """
-    opts = opts or SolverOptions()
-    tau = 1e-12 * problem.f_sup
-    f_minus_native = np.maximum(-problem.f.samples, 0.0)
-    mask = f_minus_native <= tau
-    if not mask.any():
-        return math.inf
-    form = _MaskedForm(problem, operator="bilap-a")
-    return _masked_quotient_min(form, mask, nonneg, opts.seed, max_iter=max_iter)
+    unsigned, nonneg_min = _masked_minima(problem, opts, "bilap-a", nonneg, max_iter)
+    return nonneg_min if nonneg else unsigned
+
+
+def masked_rayleigh_variants(
+    problem: ProblemData, opts: SolverOptions | None = None, max_iter: int = 600
+) -> tuple[float, float]:
+    """(nonneg, unsigned) ``masked_rayleigh`` values from one pass.
+
+    The nonnegative variant starts from the unsigned minimizers, so the
+    unsigned minimizations run once for both.
+    """
+    unsigned, nonneg_min = _masked_minima(problem, opts, "bilap-a", True, max_iter)
+    return nonneg_min, unsigned
 
 
 def masked_grad_rayleigh(problem: ProblemData, opts: SolverOptions | None = None) -> float:
     """Infimum of |grad u|^2 / |u|^2 over the same masked set (squared form)."""
-    opts = opts or SolverOptions()
-    tau = 1e-12 * problem.f_sup
-    mask = np.maximum(-problem.f.samples, 0.0) <= tau
-    if not mask.any():
-        return math.inf
-    form = _MaskedForm(problem, operator="grad")
-    return _masked_quotient_min(form, mask, nonneg=True, seed=opts.seed)
+    return _masked_minima(problem, opts, "grad", True)[1]
 
 
 # ----------------------------------------------------------------------
@@ -771,8 +784,7 @@ def certify(
     g = problem.geometry
     problem.exponents(q)
 
-    lam_nonneg = masked_rayleigh(problem, opts=opts, nonneg=True)
-    lam_unsigned = masked_rayleigh(problem, opts=opts, nonneg=False)
+    lam_nonneg, lam_unsigned = masked_rayleigh_variants(problem, opts=opts)
     gap = (
         lam_nonneg - lam_unsigned
         if math.isfinite(lam_nonneg) and math.isfinite(lam_unsigned)

@@ -3,7 +3,10 @@
 Runs are configured by a JSON file (schema below, documented in the
 README) plus a few override flags, and write deterministic artifacts
 into the output directory.  Every failure path exits nonzero and leaves
-a machine-readable ``error.json``.
+a machine-readable ``error.json``; when a solve stopped above its
+tolerance with a best iterate, that iterate's energy, equation residual
+and convergence flag (and, for the mountain pass, its level ``nu`` and
+iteration count) are kept under ``best``.
 
 Config schema (all coefficients are expressions in the documented
 mini-grammar)::
@@ -376,13 +379,15 @@ def main(argv=None) -> int:
 
 def _write_error(args, exc, code) -> None:
     payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+    if isinstance(exc, NonConvergence) and exc.best is not None:
+        payload["best"] = ser.best_iterate_dict(exc.best)
     try:
         out = Path(getattr(args, "out", ".") or ".")
         out.mkdir(parents=True, exist_ok=True)
         ser.write_json(out / "error.json", payload)
     except OSError:
         pass
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    print(json.dumps(ser.jsonable(payload), sort_keys=True), file=sys.stderr)
 
 
 if __name__ == "__main__":

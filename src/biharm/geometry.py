@@ -22,6 +22,15 @@ values of their inputs, which they are linear in, and ``inner`` and
 no transform.  Every transform of the package is a ``scipy.fft`` call
 made here, through ``TorusGeometry.forward`` and ``inverse``.
 
+A field may hold a stack of fields along one leading axis (``stack``;
+``u[i]`` takes one out).  Transforms, padding, truncation, the
+divergence helper and the refined-grid quadrature act on the last
+``d_eff`` axes only, so each field of a stack gets the same arithmetic,
+bit for bit, as it would alone, and one transform call serves the whole
+stack.  ``scale`` and ``add`` take one weight per field of a stack;
+``lp_mass`` returns one value per field.  ``inner``, ``l2_norm``,
+``lp_norm`` and the other scalar functionals are for single fields.
+
 Multiplier table (angular frequency w = 2 pi m, sign convention
 Delta = -div grad):
 
@@ -110,7 +119,8 @@ class TorusGeometry:
         # position of coarse mode m inside the refined spectrum
         self._fine_index = np.ix_(*([m_axis % self.fine_size] * d))
         self._off_band = ~self.band_mask
-        self._axes = tuple(range(d - 1, -1, -1))
+        # the field axes, last first; leading (stack) axes are left alone
+        self._axes = tuple(range(-1, -d - 1, -1))
 
     # ------------------------------------------------------------------
     # basic descriptors
@@ -151,7 +161,9 @@ class TorusGeometry:
     #
     # Complex input, last axis first: the same sequence of 1-D complex
     # transforms as numpy.fft.fftn/ifftn, so results are bit-identical to
-    # numpy's; the power-of-two normalization is exact.
+    # numpy's; the power-of-two normalization is exact.  Only the last
+    # d_eff axes are transformed: a stack is transformed field by field in
+    # one call.
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Coefficients DFT(values) / N of values on a grid of N points (native or refined)."""
@@ -181,8 +193,9 @@ class TorusGeometry:
         return SpectralField(self, coeffs)
 
     def field_from_coeffs(self, coeffs) -> "SpectralField":
+        """Field (or stack of fields) from coefficients, projected onto the band."""
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != self.shape:
+        if coeffs.shape[coeffs.ndim - self.d_eff:] != self.shape or coeffs.ndim > self.d_eff + 1:
             raise GeometryMismatch(
                 f"coefficient shape {coeffs.shape} does not match grid {self.shape}"
             )
@@ -240,14 +253,15 @@ class TorusGeometry:
 
     def pad_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Embed native-band coefficients into the refined spectrum."""
-        fine = np.zeros(self.fine_shape, dtype=np.complex128)
-        fine[self._fine_index] = coeffs
+        lead = coeffs.shape[: coeffs.ndim - self.d_eff]
+        fine = np.zeros(lead + self.fine_shape, dtype=np.complex128)
+        fine[(...,) + self._fine_index] = coeffs
         return fine
 
     def truncate_coeffs(self, fine_coeffs: np.ndarray) -> np.ndarray:
         """Orthogonal projection of a refined spectrum onto the native band."""
-        coeffs = fine_coeffs[self._fine_index]     # advanced indexing: a copy
-        coeffs[self._off_band] = 0.0
+        coeffs = fine_coeffs[(...,) + self._fine_index]     # advanced indexing: a copy
+        coeffs[..., self._off_band] = 0.0
         return coeffs
 
     def fine_samples(self, coeffs: np.ndarray) -> np.ndarray:
@@ -269,15 +283,20 @@ class TorusGeometry:
         a * d_i(u) is formed pointwise there and projected back onto the
         band; this is the one place the divergence term is assembled.
         """
-        out = np.zeros(self.shape, dtype=np.complex128)
+        out = np.zeros(coeffs.shape, dtype=np.complex128)
         for i in range(self.d_eff):
             du = self.fine_samples(self.deriv_mult[i] * coeffs)
             out += self.deriv_mult[i] * self.fine_to_coeffs(a_fine * du)
         return out
 
-    def integrate_fine(self, values: np.ndarray) -> float:
-        """Uniform-weight quadrature on the refined grid."""
-        return float(np.sum(values) * self.fine_weight)
+    def integrate_fine(self, values: np.ndarray):
+        """Uniform-weight quadrature on the refined grid.
+
+        A float for the values of one field; for a stack, an array with
+        one value per field.
+        """
+        total = np.sum(values, axis=self._axes) * self.fine_weight
+        return float(total) if total.ndim == 0 else total
 
     def __repr__(self):
         return (
@@ -296,6 +315,10 @@ class SpectralField:
     array a field exposes is read-only.  ``fine`` lets a caller that
     already holds the refined-grid values of the same interpolant (a
     linear combination of cached values) seed that cache.
+
+    A stack (coefficients with one leading axis) is a field of the same
+    kind; ``u[i]`` is field i of it as a field of its own (a copy), and
+    ``u[[i, j]]`` a smaller stack.
     """
 
     __slots__ = ("geometry", "coeffs", "_samples", "_fine")
@@ -312,6 +335,12 @@ class SpectralField:
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralField is immutable")
+
+    def __getitem__(self, index) -> "SpectralField":
+        if self.coeffs.ndim == self.geometry.d_eff:
+            raise TypeError("a single field has no fields to index; stack fields first")
+        fine = None if self._fine is None else self._fine[index].copy()
+        return SpectralField(self.geometry, self.coeffs[index].copy(), fine)
 
     @property
     def samples(self) -> np.ndarray:
@@ -399,8 +428,11 @@ def lp_norm(u: SpectralField, p: float) -> float:
     return float(u.geometry.integrate_fine(vals)) ** (1.0 / p)
 
 
-def lp_mass(u: SpectralField, p: float) -> float:
-    """Integral of |u|^p on the refined grid (the L^p norm to the p)."""
+def lp_mass(u: SpectralField, p: float):
+    """Integral of |u|^p on the refined grid (the L^p norm to the p).
+
+    One value per field for a stack.
+    """
     if not (p >= 1.0 and math.isfinite(p)):
         raise ValueError(f"p must be finite and >= 1, got {p}")
     return u.geometry.integrate_fine(np.abs(u.fine_values) ** p)
@@ -444,17 +476,40 @@ def h2_norm(u: SpectralField) -> float:
 
 
 # The inputs are band-limited already, so the results skip the band mask;
-# refined-grid values are carried when every input has them cached.
+# refined-grid values are carried when every input has them cached.  On a
+# stack, ``alpha`` is a scalar or a sequence with one weight per field.
 
 
-def scale(u: SpectralField, alpha: float) -> SpectralField:
+def _per_field(u: SpectralField, alpha):
+    """A weight broadcast against the field axes (unchanged when scalar)."""
+    if np.ndim(alpha) == 0:
+        return alpha
+    d = u.geometry.d_eff
+    lead = u.coeffs.shape[: u.coeffs.ndim - d]
+    return np.reshape(np.asarray(alpha, dtype=np.float64), lead + (1,) * d)
+
+
+def stack(fields) -> SpectralField:
+    """The fields as one stack, in order (refined values carried when all have them)."""
+    g = fields[0].geometry
+    for f in fields:
+        g.check_same(f.geometry)
+    fine = None
+    if all(f._fine is not None for f in fields):
+        fine = np.stack([f._fine for f in fields])
+    return SpectralField(g, np.stack([f.coeffs for f in fields]), fine)
+
+
+def scale(u: SpectralField, alpha) -> SpectralField:
+    alpha = _per_field(u, alpha)
     fine = None if u._fine is None else alpha * u._fine
     return SpectralField(u.geometry, alpha * u.coeffs, fine)
 
 
-def add(u: SpectralField, v: SpectralField, alpha: float = 1.0) -> SpectralField:
+def add(u: SpectralField, v: SpectralField, alpha=1.0) -> SpectralField:
     """u + alpha * v."""
     u.geometry.check_same(v.geometry)
+    alpha = _per_field(u, alpha)
     fine = None
     if u._fine is not None and v._fine is not None:
         fine = u._fine + alpha * v._fine

@@ -14,10 +14,20 @@ multiplier is the L2 Riesz coefficient
 so converged iterates satisfy the multiplier form of the stationarity
 equation to the gradient tolerance.
 
+A multistart solve runs all of its starts (warm start, best constant,
+battery) as one stack of fields in lockstep: every step makes one
+stacked energy/gradient evaluation, one stacked constraint direction
+and one stacked trial per line-search round, so the per-call cost of
+the small transforms is paid once per step rather than once per start.
+The BB step, the line search, convergence and the best iterate stay per
+start, with the arithmetic of a start run alone, so each start returns
+exactly what it would return alone; single solves are stacks of one.
+
 ``trace_mu_curve`` sweeps a geometric k-grid in both directions with
-warm starts plus a fixed multistart battery per point and annotates the
-curve with the negative minimum, bisection-refined zero crossings and
-the certified coercivity window when a certificate is supplied.
+warm starts plus a fixed multistart battery per point, run once per
+point and shared by the two sweeps, and annotates the curve with the
+negative minimum, bisection-refined zero crossings and the certified
+coercivity window when a certificate is supplied.
 """
 
 from __future__ import annotations
@@ -122,10 +132,11 @@ def _precond_shift(problem: ProblemData, q: float, k: float) -> float:
 
 
 def _retract_sphere(u: SpectralField, q: float, k: float) -> SpectralField:
-    nrm = geo.lp_norm(u, q)
-    if nrm == 0.0:
+    """Scale u (each field of a stack) onto the sphere |u|_q^q = k."""
+    norms = [float(m) ** (1.0 / q) for m in np.atleast_1d(geo.lp_mass(u, q))]
+    if 0.0 in norms:
         raise ValueError("cannot retract the zero field onto the sphere")
-    return geo.scale(u, k ** (1.0 / q) / nrm)
+    return geo.scale(u, [k ** (1.0 / q) / nrm for nrm in norms])
 
 
 def _project_span(u: SpectralField, basis) -> SpectralField:
@@ -133,113 +144,178 @@ def _project_span(u: SpectralField, basis) -> SpectralField:
     return geo.combination(basis, [geo.inner(u, e) for e in basis])
 
 
+class _Start:
+    """Per-start state of the lockstep iteration in ``_bb_minimize``."""
+
+    def __init__(self, u, F, grad, cap):
+        self.u, self.F, self.grad, self.cap = u, F, grad, cap
+        self.hist = [F]
+        self.tau = 1.0
+        self.prev_coeffs = None
+        self.prev_pg = None
+        self.best = (F, u, 0.0, math.inf)
+        self.result = None
+
+    def finish(self, it, tol):
+        F_b, u_b, lam_b, res_b = self.best
+        self.result = (u_b, F_b, lam_b, res_b, it, res_b <= tol * (1.0 + abs(F_b)))
+
+
+def _line_search(problem, q, retract, u, d, stepping, it, tol):
+    """Nonmonotone backtracking of every stepping start, one stacked trial per round.
+
+    ``u`` and ``d`` stack the iterates and directions of the entries
+    (start, |d|^2, reference energy) of ``stepping``.  An accepted
+    trial becomes the start's iterate; a start that finds none in 40
+    rounds is finished at iteration ``it``.
+    """
+    t = [run.tau for run, _, _ in stepping]
+    searching = list(range(len(stepping)))
+    for _ in range(40):
+        if not searching:
+            break
+        trial = retract(geo.add(u[searching], d[searching], [t[j] for j in searching]))
+        F_t, grad_t = prob.energy_and_grad(trial, problem, q)
+        still = []
+        for row, j in enumerate(searching):
+            run, d_sq, f_ref = stepping[j]
+            if not math.isfinite(F_t[row]):
+                t[j] *= 0.25
+                still.append(j)
+            elif F_t[row] <= f_ref - 1e-6 * t[j] * d_sq or F_t[row] < run.best[0]:
+                run.u, run.F, run.grad = trial[row], F_t[row], grad_t.coeffs[row]
+                run.hist.append(run.F)
+            else:
+                t[j] *= 0.5
+                still.append(j)
+        searching = still
+    for j in searching:
+        # descent exhausted at line-search resolution
+        stepping[j][0].finish(it, tol)
+
+
 def _bb_minimize(
     problem: ProblemData,
     q: float,
-    u0: SpectralField,
+    starts,
     opts: SolverOptions,
-    max_iter: int,
+    caps,
     sphere_k: float | None = None,
     ball_cap: float | None = None,
-    subspace=None,
 ):
     """Preconditioned BB descent on a sphere (sphere_k) or ball (ball_cap).
 
-    Returns (u, F, lagrange, residual, iterations, converged).  The
-    residual is the L2 norm of the gradient with its multiplier
-    component removed (sphere/active boundary) or of the raw gradient
-    (ball interior).
+    Runs the fields ``starts`` in lockstep, start i for at most
+    ``caps[i]`` iterations.  Each step makes one energy/gradient
+    evaluation, one constraint direction and, per line-search round, one
+    retraction and trial evaluation for the stack of starts still
+    running; the BB step, the nonmonotone line search, convergence and
+    the best iterate are kept per start, with the arithmetic of a start
+    run alone.  Returns one (u, F, lagrange, residual, iterations,
+    converged) per start, in order.  The residual is the L2 norm of the
+    gradient with its multiplier component removed (sphere/active
+    boundary) or of the raw gradient (ball interior).
     """
     g = problem.geometry
+    tol = opts.tol_scale
     scale_k = sphere_k if sphere_k is not None else (ball_cap or 1.0)
     P = 1.0 / (_precond_shift(problem, q, scale_k) + g.lam_sq)
 
     def retract(w):
         if sphere_k is not None:
             return _retract_sphere(w, q, sphere_k)
-        if ball_cap is not None and geo.lp_mass(w, q) > ball_cap:
-            return _retract_sphere(w, q, ball_cap)
-        return w
+        masses = np.atleast_1d(geo.lp_mass(w, q))
+        if not np.any(masses > ball_cap):
+            return w
+        factors = [
+            ball_cap ** (1.0 / q) / float(m) ** (1.0 / q) if m > ball_cap else 1.0
+            for m in masses
+        ]
+        return geo.scale(w, factors)
 
-    u = retract(u0 if subspace is None else _project_span(u0, subspace))
-    F, grad = prob.energy_and_grad(u, problem, q)
-    hist = [F]
-    tau = 1.0
-    prev_coeffs = None
-    prev_pg = None
-    best = (F, u, 0.0, math.inf)
-    lam = 0.0
-    residual = math.inf
+    u = retract(geo.stack(starts))
+    Fs, grad = prob.energy_and_grad(u, problem, q)
+    runs = [
+        _Start(u[i], prob._finite(F), grad.coeffs[i], cap)
+        for i, (F, cap) in enumerate(zip(Fs, caps))
+    ]
+    for run in runs:
+        if run.cap < 1:
+            run.finish(0, tol)
+    active = [run for run in runs if run.result is None]
+
     it = 0
-    for it in range(1, max_iter + 1):
-        on_boundary = sphere_k is not None or (
-            ball_cap is not None
-            and geo.lp_mass(u, q) >= ball_cap * (1.0 - 1e-12)
-        )
-        if on_boundary:
-            psi = prob.constraint_direction(u, q)
-            psi_sq = geo.inner(psi, psi)
-            lam = geo.inner(grad, psi) / (2.0 * psi_sq)
-            res_field = geo.add(grad, psi, -2.0 * lam)
-            residual = geo.l2_norm(res_field)
-            beta = float(
-                np.vdot(psi.coeffs, P * grad.coeffs).real
-                / max(np.vdot(psi.coeffs, P * psi.coeffs).real, _EPS)
-            )
-            d_coeffs = -P * (grad.coeffs - beta * psi.coeffs)
+    while active:
+        it += 1
+        u = geo.stack([run.u for run in active])
+        G = np.stack([run.grad for run in active])
+        if sphere_k is not None:
+            boundary = [True] * len(active)
         else:
-            lam = 0.0
-            residual = geo.l2_norm(grad)
-            d_coeffs = -P * grad.coeffs
-        if F <= best[0]:
-            best = (F, u, lam, residual)
-        if residual <= opts.tol_scale * (1.0 + abs(F)):
-            return u, F, lam, residual, it, True
+            masses = np.atleast_1d(geo.lp_mass(u, q))
+            boundary = [m >= ball_cap * (1.0 - 1e-12) for m in masses]
+        if any(boundary):
+            Psi = prob.constraint_direction(u, q).coeffs
+            PG, PPsi = P * G, P * Psi
 
-        d = g.field_from_coeffs(d_coeffs)
-        if subspace is not None:
-            d = _project_span(d, subspace)
-        d_sq = geo.inner(d, d)
-        if d_sq <= 0.0:
-            break
-
-        # BB step from the previous accepted move, safeguarded
-        if prev_coeffs is not None:
-            s = u.coeffs - prev_coeffs
-            y = (-d_coeffs) - prev_pg
-            sy = float(np.vdot(s, y).real)
-            if it % 2 == 0:
-                ss = float(np.vdot(s, s).real)
-                tau_bb = ss / sy if sy > 0 else tau * 2.0
+        stepping, rows, D = [], [], []
+        for row, run in enumerate(active):
+            grad = G[row]
+            if boundary[row]:
+                psi = Psi[row]
+                psi_sq = float(np.vdot(psi, psi).real)
+                lam = float(np.vdot(grad, psi).real) / (2.0 * psi_sq)
+                res = grad + (-2.0 * lam) * psi
+                residual = math.sqrt(max(float(np.sum(np.abs(res) ** 2)), 0.0))
+                beta = float(
+                    np.vdot(psi, PG[row]).real
+                    / max(np.vdot(psi, PPsi[row]).real, _EPS)
+                )
+                d_coeffs = -P * (grad - beta * psi)
             else:
-                yy = float(np.vdot(y, y).real)
-                tau_bb = sy / yy if sy > 0 and yy > 0 else tau * 2.0
-            tau = min(max(tau_bb, 1e-10), 1e12)
-        prev_coeffs = u.coeffs
-        prev_pg = -d_coeffs
-
-        f_ref = max(hist[-opts.memory:])
-        accepted = False
-        t = tau
-        for _ in range(40):
-            trial = retract(geo.add(u, d, t))
-            try:
-                F_t, grad_t = prob.energy_and_grad(trial, problem, q)
-            except ValueError:
-                t *= 0.25
+                lam = 0.0
+                residual = math.sqrt(max(float(np.sum(np.abs(grad) ** 2)), 0.0))
+                d_coeffs = -P * grad
+            if run.F <= run.best[0]:
+                run.best = (run.F, run.u, lam, residual)
+            if residual <= tol * (1.0 + abs(run.F)):
+                run.result = (run.u, run.F, lam, residual, it, True)
                 continue
-            if F_t <= f_ref - 1e-6 * t * d_sq or F_t < best[0]:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            # descent exhausted at line-search resolution
-            break
-        u, F, grad = trial, F_t, grad_t
-        hist.append(F)
 
-    F_b, u_b, lam_b, res_b = best
-    return u_b, F_b, lam_b, res_b, it, res_b <= opts.tol_scale * (1.0 + abs(F_b))
+            d = np.where(g.band_mask, d_coeffs, 0.0 + 0.0j)
+            d_sq = float(np.vdot(d, d).real)
+            if d_sq <= 0.0:
+                run.finish(it, tol)
+                continue
+
+            # BB step from the previous accepted move, safeguarded
+            if run.prev_coeffs is not None:
+                s = run.u.coeffs - run.prev_coeffs
+                y = (-d_coeffs) - run.prev_pg
+                sy = float(np.vdot(s, y).real)
+                if it % 2 == 0:
+                    ss = float(np.vdot(s, s).real)
+                    tau_bb = ss / sy if sy > 0 else run.tau * 2.0
+                else:
+                    yy = float(np.vdot(y, y).real)
+                    tau_bb = sy / yy if sy > 0 and yy > 0 else run.tau * 2.0
+                run.tau = min(max(tau_bb, 1e-10), 1e12)
+            run.prev_coeffs = run.u.coeffs
+            run.prev_pg = -d_coeffs
+            stepping.append((run, d_sq, max(run.hist[-opts.memory:])))
+            rows.append(row)
+            D.append(d)
+
+        if stepping:
+            _line_search(
+                problem, q, retract, u[rows], SpectralField(g, np.stack(D)), stepping, it, tol
+            )
+        for run in active:
+            if run.result is None and it >= run.cap:
+                run.finish(it, tol)
+        active = [run for run in active if run.result is None]
+
+    return [run.result for run in runs]
 
 
 # ----------------------------------------------------------------------
@@ -249,20 +325,19 @@ def _bb_minimize(
 def default_seeds(problem: ProblemData, q: float, k: float, opts: SolverOptions):
     """Deterministic multistart battery for the sphere of mass k.
 
-    Constant, +/- a smooth bump centered in the positivity set of f,
-    +/- the lowest nonconstant mode, and fixed-seed random smooth
-    fields; every seed is retracted onto the sphere.
+    Constant, a smooth bump centered in the positivity set of f, the
+    lowest nonconstant mode, and fixed-seed random smooth fields; every
+    seed is retracted onto the sphere.  Negated seeds are left out: F_q
+    is even and negation is exact in floating point, so a start -s runs
+    to exactly -u with the same energy, multiplier, residual and
+    iteration count as s, and s, the earlier seed, wins the tie.
     """
     g = problem.geometry
     seeds = [("const", g.constant(1.0))]
     idx = np.unravel_index(int(np.argmax(problem.f.samples)), g.shape)
     center = [i / g.grid_size for i in idx]
-    bump = g.bump(center, width=0.08)
-    seeds.append(("bump+", bump))
-    seeds.append(("bump-", geo.scale(bump, -1.0)))
-    mode = g.mode((1,) * g.d_eff)
-    seeds.append(("mode+", mode))
-    seeds.append(("mode-", geo.scale(mode, -1.0)))
+    seeds.append(("bump+", g.bump(center, width=0.08)))
+    seeds.append(("mode+", g.mode((1,) * g.d_eff)))
     rng = opts.rng(stream=101)
     for i in range(opts.n_random_starts):
         seeds.append((f"rand{i}", g.random_smooth(rng, decay=2.5)))
@@ -281,6 +356,41 @@ def _earliest_lowest(candidates):
     return next(res for F, res in candidates if F <= F_min + tol)
 
 
+def _battery_candidate(candidates):
+    """The battery as one candidate: its winner, entered at its lowest energy.
+
+    ``_earliest_lowest`` picks the same result from the warm candidate
+    followed by this one as from the warm candidate followed by the whole
+    battery: the lowest energy, hence the tie tolerance, is the same, and
+    when the warm start does not tie the battery's own winner does.
+    """
+    return min(F for F, _ in candidates), _earliest_lowest(candidates)
+
+
+def _solve_stack(problem, q, tagged, opts, sphere_k=None, ball_cap=None):
+    """Run tagged starts (tag, field, cap) as one stack; (F, SphereResult) per start."""
+    if not tagged:
+        return []
+    results = _bb_minimize(
+        problem, q, [s for _, s, _ in tagged], opts, [c for _, _, c in tagged],
+        sphere_k=sphere_k, ball_cap=ball_cap,
+    )
+    return [
+        (F, SphereResult(u, F, lam, res, its, conv, tag))
+        for (tag, _, _), (u, F, lam, res, its, conv) in zip(tagged, results)
+    ]
+
+
+def _polish(problem, q, winner, opts, sphere_k=None, ball_cap=None):
+    """Run a non-converged winner on to full tolerance (iterations add up)."""
+    if winner.converged:
+        return winner
+    [(u, F, lam, res, its, conv)] = _bb_minimize(
+        problem, q, [winner.v], opts, [opts.max_iter], sphere_k=sphere_k, ball_cap=ball_cap
+    )
+    return SphereResult(u, F, lam, res, winner.iterations + its, conv, winner.seed_tag)
+
+
 # ----------------------------------------------------------------------
 # public solvers
 
@@ -291,41 +401,43 @@ def minimize_on_sphere(
     k: float,
     init: SpectralField | None = None,
     opts: SolverOptions | None = None,
-    subspace=None,
+    battery_memo: dict | None = None,
 ) -> SphereResult:
     """Minimize F_q over the sphere |u|_q^q = k.
 
     Runs the warm start (if given) to full tolerance and, when
-    multistart is enabled, a capped battery of standard seeds whose
-    winner is polished to full tolerance.  The winner has the lowest
-    energy; energies within 1e-12 (1 + |F_min|) of it count as tied, and
-    the earliest of the tied candidates (warm start first) wins.  The
-    output always satisfies the constraint exactly by retraction.
+    multistart is enabled, a capped battery of standard seeds, all as
+    one stack; a winner that did not converge is polished to full
+    tolerance.  The winner has the lowest energy; energies within
+    1e-12 (1 + |F_min|) of it count as tied, and the earliest of the
+    tied candidates (warm start first) wins.  The output always
+    satisfies the constraint exactly by retraction.
+
+    ``battery_memo`` lets one caller solve the same mass twice with one
+    battery: a solve at a k that is not in the dict leaves its battery's
+    outcome there under k, and a solve at a k that is takes it out
+    instead of running the battery again.  The outcome depends only on
+    (problem, q, k, opts), so the result is the same either way.
     """
     if k <= 0.0:
         raise ValueError(f"sphere mass k must be positive, got {k}")
     opts = opts or SolverOptions()
     problem.exponents(q)
 
-    candidates = []
-    if init is not None:
-        u, F, lam, res, its, conv = _bb_minimize(
-            problem, q, init, opts, opts.max_iter, sphere_k=k, subspace=subspace
-        )
-        candidates.append((F, SphereResult(u, F, lam, res, its, conv, "warm")))
+    warm = [("warm", init, opts.max_iter)] if init is not None else []
+    battery, seeds = None, []
     if opts.multistart or init is None:
-        for tag, s in default_seeds(problem, q, k, opts):
-            u, F, lam, res, its, conv = _bb_minimize(
-                problem, q, s, opts, opts.battery_iter, sphere_k=k, subspace=subspace
-            )
-            candidates.append((F, SphereResult(u, F, lam, res, its, conv, tag)))
-    winner = _earliest_lowest(candidates)
-    if not winner.converged:
-        u, F, lam, res, its, conv = _bb_minimize(
-            problem, q, winner.v, opts, opts.max_iter, sphere_k=k, subspace=subspace
-        )
-        winner = SphereResult(u, F, lam, res, winner.iterations + its, conv, winner.seed_tag)
-    return winner
+        if battery_memo is not None:
+            battery = battery_memo.pop(k, None)
+        if battery is None:
+            seeds = [(tag, s, opts.battery_iter) for tag, s in default_seeds(problem, q, k, opts)]
+    solved = _solve_stack(problem, q, warm + seeds, opts, sphere_k=k)
+    if seeds:
+        battery = _battery_candidate(solved[len(warm):])
+        if battery_memo is not None:
+            battery_memo[k] = battery
+    candidates = solved[: len(warm)] + ([battery] if battery is not None else [])
+    return _polish(problem, q, _earliest_lowest(candidates), opts, sphere_k=k)
 
 
 def minimize_on_ball(
@@ -338,7 +450,8 @@ def minimize_on_ball(
     """Minimize F_q over the ball |u|_q^q <= cap (inequality retraction).
 
     Starts are the warm start (if given), the best constant, then the
-    battery; the winner is chosen as in ``minimize_on_sphere``.
+    battery, run as one stack; the winner is chosen as in
+    ``minimize_on_sphere``.
     """
     if cap <= 0.0:
         raise ValueError(f"ball cap must be positive, got {cap}")
@@ -352,27 +465,14 @@ def minimize_on_ball(
     vals = cs**2 * problem.int_h - np.abs(cs) ** q * problem.int_f
     c_best = float(cs[int(np.argmin(vals))])
 
-    candidates = []
-    starts = [("const-scan", g.constant(c_best))]
+    tagged = [("const-scan", g.constant(c_best), opts.max_iter)]
     if init is not None:
-        starts.insert(0, ("warm", init))
+        tagged.insert(0, ("warm", init, opts.max_iter))
     if opts.multistart:
-        small = 0.05 * cap
-        for tag, s in default_seeds(problem, q, small, opts):
-            starts.append((tag, s))
-    for tag, s in starts:
-        cap_iter = opts.max_iter if tag in ("warm", "const-scan") else opts.battery_iter
-        u, F, lam, res, its, conv = _bb_minimize(
-            problem, q, s, opts, cap_iter, ball_cap=cap
-        )
-        candidates.append((F, SphereResult(u, F, lam, res, its, conv, tag)))
-    winner = _earliest_lowest(candidates)
-    if not winner.converged:
-        u, F, lam, res, its, conv = _bb_minimize(
-            problem, q, winner.v, opts, opts.max_iter, ball_cap=cap
-        )
-        winner = SphereResult(u, F, lam, res, winner.iterations + its, conv, winner.seed_tag)
-    return winner
+        seeds = default_seeds(problem, q, 0.05 * cap, opts)
+        tagged += [(tag, s, opts.battery_iter) for tag, s in seeds]
+    candidates = _solve_stack(problem, q, tagged, opts, ball_cap=cap)
+    return _polish(problem, q, _earliest_lowest(candidates), opts, ball_cap=cap)
 
 
 def make_report(
@@ -466,10 +566,10 @@ def first_solution(
 # the mu-curve tracer
 
 
-def _curve_point(problem, q, k, warm, opts):
+def _curve_point(problem, q, k, warm, opts, battery_memo=None):
     """Best sphere minimization at one mass, warm start plus battery."""
     init = _retract_sphere(warm, q, k) if warm is not None else None
-    return minimize_on_sphere(problem, q, k, init=init, opts=opts)
+    return minimize_on_sphere(problem, q, k, init=init, opts=opts, battery_memo=battery_memo)
 
 
 def trace_mu_curve(
@@ -485,7 +585,10 @@ def trace_mu_curve(
 
     Two sweeps (upward and downward in k) are run with warm starts from
     the neighbor's minimizer plus the multistart battery at every point;
-    the pointwise minimum is kept.  Non-converged points are flagged and
+    the pointwise minimum is kept.  The battery at a grid point does not
+    depend on the warm start, so it runs once per point: the upward
+    sweep leaves its outcome in a memo private to this call and the
+    downward sweep takes it out again.  Non-converged points are flagged and
     skipped by the annotation pass, never fatal.  Annotations:
 
     - ``k_neg_min`` / ``mu_neg_min``: the interior negative minimum
@@ -502,14 +605,15 @@ def trace_mu_curve(
     ks = np.geomspace(k_min, k_max, n_points)
     results: list[SphereResult | None] = [None] * n_points
 
+    battery_memo: dict = {}
     warm = None
     for i in range(n_points):
-        res = _curve_point(problem, q, ks[i], warm, opts)
+        res = _curve_point(problem, q, ks[i], warm, opts, battery_memo)
         results[i] = res
         warm = res.v
     warm = None
     for i in range(n_points - 1, -1, -1):
-        res = _curve_point(problem, q, ks[i], warm, opts)
+        res = _curve_point(problem, q, ks[i], warm, opts, battery_memo)
         if res.mu < results[i].mu:
             results[i] = res
         warm = results[i].v

@@ -30,6 +30,11 @@ exactness gives F_q(u) = <u, L_w u> + (q/2 - 1) int f |u|^q by Parseval,
 which is how ``energy_and_grad`` shares one operator application
 between the value and the gradient.
 
+``apply_operator``, ``energy_and_grad`` and ``constraint_direction``
+take a stack of fields as well as a single one (see the geometry
+module): each field gets the arithmetic it would get alone, and the
+transforms are made once for the stack.
+
 The nonlinear power is evaluated as |u|^(q-2) u (or sign(u) |u|^(q-1)),
 which is continuous at u = 0 for every q > 2 and avoids fractional
 powers of negative numbers.
@@ -185,8 +190,8 @@ def apply_operator(
     """Native-band coefficients of Delta^2 v + div(a grad v) + P((h - w) v).
 
     ``w_fine`` is the zero-order weight on the refined grid (None for
-    w = 0).  Every operator the solvers apply is this one with a
-    different weight; see the module docstring.
+    w = 0), one per field for a stack.  Every operator the solvers apply
+    is this one with a different weight; see the module docstring.
     """
     g = problem.geometry
     g.check_same(v.geometry)
@@ -261,15 +266,22 @@ def energy_and_grad(u: SpectralField, problem: ProblemData, q: float):
     """F_q(u) and grad F_q(u) from one operator application.
 
     With L_w u the half gradient, F_q(u) = <u, L_w u> + (q/2 - 1) int f |u|^q
-    holds exactly for band-limited u (Parseval on the refined grid).
+    holds exactly for band-limited u (Parseval on the refined grid).  A
+    non-finite F raises ValueError.  For a stack, F is a list with one
+    float per field, non-finite entries included (the caller decides),
+    and the gradient is a stack.
     """
     g = problem.geometry
     uf = u.fine_values
     fw = problem.f_fine * np.abs(uf) ** (q - 2.0)
     half_grad = apply_operator(problem, u, 0.5 * q * fw)
-    f_mass = g.integrate_fine(fw * uf * uf)
-    value = float(np.vdot(u.coeffs, half_grad).real) + (0.5 * q - 1.0) * f_mass
-    return _finite(value), g.field_from_coeffs(2.0 * half_grad)
+    f_mass = np.atleast_1d(g.integrate_fine(fw * uf * uf))
+    rows = zip(u.coeffs.reshape(-1, g.size), half_grad.reshape(-1, g.size), f_mass)
+    values = [float(np.vdot(c, hg).real + (0.5 * q - 1.0) * m) for c, hg, m in rows]
+    grad = g.field_from_coeffs(2.0 * half_grad)
+    if u.coeffs.ndim > g.d_eff:
+        return values, grad
+    return _finite(values[0]), grad
 
 
 def constraint_direction(u: SpectralField, q: float) -> SpectralField:

@@ -72,6 +72,24 @@ def critical_report_dict(report) -> dict:
     }
 
 
+def best_iterate_dict(best) -> dict:
+    """Summary of the best iterate a ``NonConvergence`` carries.
+
+    ``best`` is a ``CriticalPointReport`` or a ``MountainPassResult``;
+    the latter adds its path level ``nu`` and its iteration count.
+    """
+    report = getattr(best, "report", best)
+    out = {
+        "energy": report.energy,
+        "residual_equation": report.residual_equation,
+        "converged": best.converged,
+    }
+    if hasattr(best, "nu"):
+        out["nu"] = best.nu
+        out["iterations"] = best.iterations
+    return out
+
+
 def continuation_trace_dict(trace) -> dict:
     return {
         "schema_version": 1,

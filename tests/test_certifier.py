@@ -12,6 +12,7 @@ from biharm.certifier import (
     embedding_remainder,
     grad_interp_constant,
     masked_rayleigh,
+    masked_rayleigh_variants,
     moment_rayleigh,
     sharp_sobolev_constant,
 )
@@ -374,3 +375,32 @@ def test_certify_remainder_is_lazy(geom64, opts, monkeypatch):
     rep = certify(p, 2.5, opts)
     assert math.isnan(rep.eps)
     assert calls == [0.1]
+
+
+def test_certify_runs_the_unsigned_masked_minimizations_once(
+    bundled128, opts, monkeypatch, tmp_path, assert_golden_certificate
+):
+    # 3 starts for the masked quotient (both variants) + 3 for the grad quotient
+    import json
+
+    import biharm.certifier as cert
+    from biharm import serialize as ser
+
+    calls = []
+    real = cert._unsigned_quotient_min
+
+    def counted(form, *args, **kwargs):
+        calls.append(form.operator)
+        return real(form, *args, **kwargs)
+
+    monkeypatch.setattr(cert, "_unsigned_quotient_min", counted)
+    rep = certify(bundled128, 2.5, opts)        # configs/bundled.json
+    assert calls == ["bilap-a"] * 3 + ["grad"] * 3
+    ser.write_json(tmp_path / "report.json", ser.hypothesis_report_dict(rep))
+    assert_golden_certificate(json.loads((tmp_path / "report.json").read_text()))
+
+
+def test_masked_rayleigh_variants_match_the_single_variants(bundled64, opts):
+    lam_n, lam_u = masked_rayleigh_variants(bundled64, opts)
+    assert lam_n == masked_rayleigh(bundled64, opts, nonneg=True)
+    assert lam_u == masked_rayleigh(bundled64, opts, nonneg=False)

@@ -209,3 +209,37 @@ def test_mu_curve_gate_passes_without_force(tmp_path):
     lo, hi = ann["certified_window"]
     assert lo < hi
     assert ann["certified_bound_ok"] is True
+
+
+def test_nonconvergence_error_keeps_best_iterate(tmp_path, monkeypatch):
+    import biharm.cli as cli
+    from biharm import serialize as ser
+    from biharm.errors import NonConvergence
+    from biharm.minimizer import make_report
+    from biharm.mountainpass import MountainPassResult
+
+    reports = []
+
+    def exhausted(problem, q, u1, u2, **kwargs):
+        report = make_report(problem, q, u1, 0.0, False)
+        reports.append(report)
+        best = MountainPassResult(u1, 1.25, report, None, [], 17, False)
+        raise NonConvergence("path budget exhausted", best=best)
+
+    monkeypatch.setattr(cli, "mountain_pass", exhausted)
+    cfg = write_config(tmp_path, curve={"k_steps": 12})
+    out = tmp_path / "o"
+    code = cli.main(["mountain-pass", "--force", "--config", str(cfg), "--out", str(out)])
+    assert code == 5
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NonConvergence" and err["exit_code"] == 5
+    [report] = reports
+    assert err["best"] == {
+        "energy": report.energy,
+        "residual_equation": report.residual_equation,
+        "converged": False,
+        "nu": 1.25,
+        "iterations": 17,
+    }
+    # a CriticalPointReport (the ball minimizer's best) has no level or count
+    assert set(ser.best_iterate_dict(report)) == {"energy", "residual_equation", "converged"}

@@ -299,3 +299,64 @@ def test_construction_and_linear_ops_make_no_transform(dim, geom64, geom2d, monk
     u.samples, u.samples
     u.fine_values, u.fine_values
     assert calls == ["ifftn", "ifftn"]
+
+
+# ----------------------------------------------------------------------
+# stacks: every field of a stack gets the arithmetic it gets alone
+
+
+@GEOMS
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(1, 5), alphas=st.lists(WEIGHTS, min_size=5, max_size=5))
+def test_stack_rows_match_single_fields_bitwise(dim, geom64, geom2d, seed, n, alphas):
+    g = _geom(dim, geom64, geom2d)
+    rng = np.random.default_rng(seed)
+    fields = [g.random_smooth(rng, decay=2.5) for _ in range(n)]
+    others = [g.random_smooth(rng) for _ in range(n)]
+    a_fine = g.random_smooth(rng).fine_values
+    weights = alphas[:n]
+    u = geo.stack([g.field_from_coeffs(f.coeffs) for f in fields])   # nothing cached
+    v = geo.stack(others)
+    fine = u.fine_values
+    scaled = geo.scale(u, weights)
+    summed = geo.add(u, v, weights)
+    masses = geo.lp_mass(u, 3.3)
+    projected = g.fine_to_coeffs(fine * fine)
+    div = g.div_a_grad_coeffs(a_fine, u.coeffs)
+    assert u.coeffs.shape == (n,) + g.shape and fine.shape == (n,) + g.fine_shape
+    for i, (f, w) in enumerate(zip(fields, weights)):
+        assert np.array_equal(u.samples[i], f.samples)
+        assert np.array_equal(fine[i], f.fine_values)
+        assert np.array_equal(g.forward(u.samples)[i], g.forward(f.samples))
+        assert np.array_equal(projected[i], g.fine_to_coeffs(f.fine_values * f.fine_values))
+        assert np.array_equal(div[i], g.div_a_grad_coeffs(a_fine, f.coeffs))
+        assert masses[i] == geo.lp_mass(f, 3.3)
+        assert g.integrate_fine(fine)[i] == g.integrate_fine(f.fine_values)
+        for got, want in (
+            (scaled, geo.scale(f, w)),
+            (summed, geo.add(f, others[i], w)),
+        ):
+            assert np.array_equal(got.coeffs[i], want.coeffs)
+            assert np.array_equal(got.fine_values[i], want.fine_values)
+
+
+@GEOMS
+def test_stack_rows_are_fields_of_their_own(dim, geom64, geom2d, monkeypatch):
+    g = _geom(dim, geom64, geom2d)
+    fields = _cached_fields(g, 5, 3)
+    calls = []
+    real = geo.ifftn
+    monkeypatch.setattr(geo, "ifftn", lambda *a, **k: calls.append(1) or real(*a, **k))
+    u = geo.stack(fields)
+    first = u[0]
+    assert first.coeffs.shape == g.shape and first.coeffs.base is None
+    assert np.array_equal(first.fine_values, fields[0].fine_values)
+    assert calls == []                       # carried, not transformed
+    sub = u[[2, 0]]
+    assert np.array_equal(sub.coeffs[0], fields[2].coeffs)
+    geo.stack([g.field_from_coeffs(f.coeffs) for f in fields]).fine_values
+    assert calls == [1]                      # one transform for the stack
+    with pytest.raises(GeometryMismatch):
+        g.field_from_coeffs(np.zeros((2, 2) + g.shape))
+    with pytest.raises(TypeError):
+        fields[0][0]

@@ -3,6 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import biharm.minimizer as mz
 from biharm import geometry as geo
 from biharm import problem as prob
 from biharm.minimizer import (
@@ -222,11 +226,11 @@ def test_sphere_minimizer_2d(geom2d):
 
 
 def _fake_bb(energies):
-    """Stand-in for ``_bb_minimize``: converged at the given energies, in call order."""
+    """Stand-in for ``_bb_minimize``: converged at the given energies, in start order."""
     it = iter(energies)
 
-    def fake(problem, q, u0, opts, max_iter, **kwargs):
-        return u0, next(it), 0.0, 0.0, 1, True
+    def fake(problem, q, starts, opts, caps, **kwargs):
+        return [(u0, next(it), 0.0, 0.0, 1, True) for u0 in starts]
 
     return fake
 
@@ -254,3 +258,142 @@ def test_multistart_tie_goes_to_earlier_seed(bundled64, monkeypatch, solver, sec
         monkeypatch.setattr(mz, "_bb_minimize", _fake_bb([0.0] + energies))
         res = minimize_on_ball(bundled64, 3.0, 1.0, opts=opts)
     assert res.seed_tag == winner
+
+
+# ----------------------------------------------------------------------
+# the stacked (lockstep) BB iteration
+
+PROPERTY = settings(max_examples=4, deadline=None, database=None, derandomize=True)
+DIMS = pytest.mark.parametrize("dim", [1, 2])
+SOLVERS = pytest.mark.parametrize("solver", ["sphere", "ball"])
+
+
+def _setup(dim, solver, bundled64, plate2d):
+    """(problem, q, constraint keywords) of a small solve in 1-D or 2-D."""
+    problem, q = (bundled64, 2.5) if dim == 1 else (plate2d, 3.0)
+    kw = {"sphere_k": 2.0} if solver == "sphere" else {"ball_cap": 2.0}
+    return problem, q, kw
+
+
+def _random_starts(problem, seed, n):
+    rng = np.random.default_rng(seed)
+    return [problem.geometry.random_smooth(rng, decay=2.5) for _ in range(n)]
+
+
+def _assert_same_run(got, want):
+    u, F, lam, res, its, conv = got
+    u1, F1, lam1, res1, its1, conv1 = want
+    assert (F, lam, its, conv) == (F1, lam1, its1, conv1)
+    assert res == res1
+    assert np.max(np.abs(u.coeffs - u1.coeffs)) <= 1e-14 * np.max(np.abs(u1.coeffs))
+
+
+@DIMS
+@SOLVERS
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+def test_stack_matches_stacks_of_one(bundled64, plate2d, dim, solver, seed, n):
+    problem, q, kw = _setup(dim, solver, bundled64, plate2d)
+    opts = SolverOptions(seed=0)
+    starts = _random_starts(problem, seed, n)
+    caps = [40 + 15 * i for i in range(n)]
+    stacked = mz._bb_minimize(problem, q, starts, opts, caps, **kw)
+    assert len(stacked) == n
+    for s, cap, got in zip(starts, caps, stacked):
+        [alone] = mz._bb_minimize(problem, q, [s], opts, [cap], **kw)
+        _assert_same_run(got, alone)
+    # reversing the starts permutes the results and changes nothing else
+    backward = mz._bb_minimize(problem, q, starts[::-1], opts, caps[::-1], **kw)
+    for got, want in zip(backward[::-1], stacked):
+        assert got[1:] == want[1:]
+        assert np.array_equal(got[0].coeffs, want[0].coeffs)
+
+
+@DIMS
+@SOLVERS
+def test_mixed_caps_in_one_stack(bundled64, plate2d, dim, solver):
+    problem, q, kw = _setup(dim, solver, bundled64, plate2d)
+    opts = SolverOptions(seed=0)
+    [(u_star, *_)] = mz._bb_minimize(problem, q, _random_starts(problem, 1, 1), opts, [2000], **kw)
+    starts = _random_starts(problem, 2, 2) + [u_star]
+    caps = [3, 7, 50]
+    results = mz._bb_minimize(problem, q, starts, opts, caps, **kw)
+    assert [r[4] for r in results] == [3, 7, 1]
+    assert [r[5] for r in results] == [False, False, True]
+    for s, cap, got in zip(starts, caps, results):
+        [alone] = mz._bb_minimize(problem, q, [s], opts, [cap], **kw)
+        _assert_same_run(got, alone)
+
+
+@DIMS
+@SOLVERS
+def test_negated_start_runs_to_the_exact_mirror(bundled64, plate2d, dim, solver):
+    # why the battery has no negated seeds: F_q is even, negation exact
+    problem, q, kw = _setup(dim, solver, bundled64, plate2d)
+    g = problem.geometry
+    opts = SolverOptions(seed=0)
+    center = [0.25] * g.d_eff
+    seeds = [g.bump(center, width=0.08), g.mode((1,) * g.d_eff)] + _random_starts(problem, 3, 1)
+    caps = [200] * len(seeds)
+    plus = mz._bb_minimize(problem, q, seeds, opts, caps, **kw)
+    minus = mz._bb_minimize(problem, q, [geo.scale(s, -1.0) for s in seeds], opts, caps, **kw)
+    for p, m in zip(plus, minus):
+        assert m[1:] == p[1:]
+        assert np.array_equal(m[0].coeffs, -p[0].coeffs)
+
+
+def test_battery_has_no_mirrored_seeds(bundled64, opts):
+    tags = [tag for tag, _ in mz.default_seeds(bundled64, 2.5, 1.0, opts)]
+    assert tags == ["const", "bump+", "mode+", "rand0", "rand1", "rand2"]
+
+
+def test_curve_runs_one_battery_per_point(toy64, opts, monkeypatch):
+    batteries, solves = [], []
+    seeds, sphere = mz.default_seeds, mz.minimize_on_sphere
+
+    def counting_seeds(problem, q, k, o):
+        batteries.append(k)
+        return seeds(problem, q, k, o)
+
+    def counting_sphere(*args, **kwargs):
+        solves.append(args[2])
+        return sphere(*args, **kwargs)
+
+    monkeypatch.setattr(mz, "default_seeds", counting_seeds)
+    monkeypatch.setattr(mz, "minimize_on_sphere", counting_sphere)
+    n = 12
+    curve = trace_mu_curve(toy64, 4.0, 0.05, 500.0, n_points=n, opts=opts)
+    bisection = len(solves) - 2 * n
+    assert curve.annotations["shape"] == "neg-min/hump/neg-tail" and bisection > 0
+    assert len(batteries) == n + bisection
+    assert sorted(batteries[:n]) == sorted(float(k) for k in curve.ks)
+
+
+def test_battery_memo_entry_is_used_once(toy64, opts):
+    q, k = 4.0, 3.0
+    memo = {}
+    first = minimize_on_sphere(toy64, q, k, opts=opts, battery_memo=memo)
+    assert list(memo) == [k]
+    warm = mz._retract_sphere(toy64.geometry.constant(1.0), q, k)
+    second = minimize_on_sphere(toy64, q, k, init=warm, opts=opts, battery_memo=memo)
+    assert memo == {}
+    fresh = minimize_on_sphere(toy64, q, k, init=warm, opts=opts)
+    assert (second.mu, second.seed_tag, second.iterations) == (fresh.mu, fresh.seed_tag, fresh.iterations)
+    assert np.array_equal(second.v.coeffs, fresh.v.coeffs)
+    assert first.mu == minimize_on_sphere(toy64, q, k, opts=opts).mu
+
+
+def test_curve_with_reused_batteries_equals_recomputed(toy64, opts, monkeypatch):
+    q, n = 4.0, 10
+    reused = trace_mu_curve(toy64, q, 0.5, 40.0, n_points=n, opts=opts)
+    point = mz._curve_point
+    monkeypatch.setattr(
+        mz, "_curve_point",
+        lambda problem, q, k, warm, o, battery_memo=None: point(problem, q, k, warm, o),
+    )
+    recomputed = trace_mu_curve(toy64, q, 0.5, 40.0, n_points=n, opts=opts)
+    for name in ("mus", "lagranges", "residuals", "iterations"):
+        assert np.array_equal(getattr(reused, name), getattr(recomputed, name)), name
+    assert reused.flags == recomputed.flags
+    for a, b in zip(reused.minimizers, recomputed.minimizers):
+        assert np.array_equal(a.coeffs, b.coeffs)

@@ -5,6 +5,8 @@ is ``apply_operator`` with some zero-order weight, so these properties
 cover all of them, on one and two effective axes.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -104,3 +106,33 @@ def test_el_residual_matches_gradient_and_constraint(bundled64, geom64, rng):
     want = geo.l2_norm(geo.add(half, prob.constraint_direction(u, q), -lam))
     got = prob.el_residual(u, bundled64, q, lam)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@DIMS
+@PROPERTY
+@given(seed=SEEDS, q=st.floats(2.1, 4.5), n=st.integers(1, 4))
+def test_stacked_kernel_matches_single_fields_bitwise(bundled64, plate2d, dim, seed, q, n):
+    problem = _pick(dim, bundled64, plate2d)
+    fields = _fields(problem, seed, n)
+    u = geo.stack(fields)
+    w = problem.f_fine * np.abs(u.fine_values) ** (q - 2.0)
+    values, grad = prob.energy_and_grad(u, problem, q)
+    applied = prob.apply_operator(problem, u, w)
+    psi = prob.constraint_direction(u, q)
+    assert len(values) == n and all(isinstance(v, float) for v in values)
+    for i, f in enumerate(fields):
+        value, g_i = prob.energy_and_grad(f, problem, q)
+        assert values[i] == value
+        assert np.array_equal(grad.coeffs[i], g_i.coeffs)
+        assert np.array_equal(applied[i], prob.apply_operator(problem, f, w[i]))
+        assert np.array_equal(psi.coeffs[i], prob.constraint_direction(f, q).coeffs)
+
+
+def test_stacked_energy_returns_non_finite_values(bundled64):
+    g = bundled64.geometry
+    u = geo.stack([g.constant(1.0), g.constant(1e200)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, _ = prob.energy_and_grad(u, bundled64, 4.0)
+        assert math.isfinite(values[0]) and not math.isfinite(values[1])
+        with pytest.raises(ValueError):
+            prob.energy_and_grad(g.constant(1e200), bundled64, 4.0)
