@@ -32,7 +32,7 @@ from scipy.optimize import brentq
 from . import geometry as geo
 from . import problem as prob
 from .errors import BadSigma, InfeasibleConstraint, NonPositiveEps0
-from .geometry import TorusGeometry
+from .geometry import SpectralField, TorusGeometry
 from .minimizer import SolverOptions
 from .problem import ProblemData
 
@@ -439,32 +439,237 @@ def masked_grad_rayleigh(problem: ProblemData, opts: SolverOptions | None = None
 # moment-constrained Rayleigh quotient (band-limited space)
 
 
-def _moment_retract(problem, q, u, target, z_lo, z_hi):
-    """Rescale/mix u so that |u|_q^q = 1 and int f^- |u|^q = target."""
-    mass = geo.lp_mass(u, q)
-    if mass <= 0.0:
-        raise InfeasibleConstraint("zero field in moment retraction")
-    u = geo.scale(u, mass ** (-1.0 / q))
+class _MomentSet:
+    """The set {|u|_q^q = 1, int f^- |u|^q = eta int f^-} (or <=) and its retraction.
 
-    def defect(w):
-        return prob.f_minus_moment(w, problem, q) - target * geo.lp_mass(w, q)
+    The retraction mixes toward one of two unit-mass bumps, ``z_lo`` at
+    the minimum of f^- and ``z_hi`` at its maximum.  Raises
+    InfeasibleConstraint when the equality moment is out of reach of
+    ``z_hi``.
+    """
 
-    d0 = defect(u)
-    if abs(d0) <= 1e-14 * max(target, 1.0):
-        return u
-    z = z_lo if d0 > 0 else z_hi
+    def __init__(self, problem: ProblemData, eta: float, q: float, inequality: bool = False):
+        g = problem.geometry
+        self.problem, self.q, self.inequality = problem, q, inequality
+        self.target = eta * problem.int_f_minus
+        f_min_native = np.maximum(-problem.f.samples, 0.0)
+        idx_hi = np.unravel_index(int(np.argmax(f_min_native)), g.shape)
+        idx_lo = np.unravel_index(int(np.argmin(f_min_native)), g.shape)
+        z_hi = g.bump([i / g.grid_size for i in idx_hi], width=0.10)
+        z_lo = g.bump([i / g.grid_size for i in idx_lo], width=0.10)
+        self.z_hi = geo.scale(z_hi, geo.lp_mass(z_hi, q) ** (-1.0 / q))
+        self.z_lo = geo.scale(z_lo, geo.lp_mass(z_lo, q) ** (-1.0 / q))
+        if prob.f_minus_moment(self.z_hi, problem, q) < self.target - 1e-12 and not inequality:
+            raise InfeasibleConstraint(
+                f"moment eta*int(f-)={self.target} unreachable at unit q-mass"
+            )
 
-    def phi(t):
-        return defect(geo.add(geo.scale(u, 1.0 - t), z, t))
+    def retract(self, w: SpectralField) -> SpectralField:
+        """Scale w to unit q-mass, then mix it toward z_lo or z_hi to meet the moment.
 
-    try:
-        t_star = brentq(phi, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    except ValueError:
-        raise InfeasibleConstraint(
-            "moment retraction found no bracket; constraint set may be empty"
-        ) from None
-    w = geo.add(geo.scale(u, 1.0 - t_star), z, t_star)
-    return geo.scale(w, geo.lp_mass(w, q) ** (-1.0 / q))
+        The mixing weight t solves phi(t) = int f^- |v|^q - target
+        int |v|^q = 0 with v = (1-t) u + t z on the refined-grid values,
+        one array expression per brentq step; only the final mix is a
+        field, scaled back to unit mass.  Raises InfeasibleConstraint for
+        a zero field or when phi has no sign change on [0, 1].
+        """
+        problem, q, target = self.problem, self.q, self.target
+        g = problem.geometry
+        f_minus = problem.f_minus_fine
+        mass = geo.lp_mass(w, q)
+        if not mass > 0.0:
+            raise InfeasibleConstraint("zero field in moment retraction")
+        u = geo.scale(w, mass ** (-1.0 / q))
+        uf = u.fine_values
+        power = np.abs(uf) ** q
+        moment = g.integrate_fine(f_minus * power)
+        if self.inequality and moment <= target * (1.0 + 1e-12):
+            return u
+        d0 = moment - target * g.integrate_fine(power)
+        if abs(d0) <= 1e-14 * max(target, 1.0):
+            return u
+        z = self.z_lo if d0 > 0 else self.z_hi
+        zf = z.fine_values
+
+        def phi(t):
+            power = np.abs((1.0 - t) * uf + t * zf) ** q
+            return g.integrate_fine(f_minus * power) - target * g.integrate_fine(power)
+
+        try:
+            t_star = brentq(phi, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        except ValueError:
+            raise InfeasibleConstraint(
+                "moment retraction found no bracket; constraint set may be empty"
+            ) from None
+        v = geo.add(geo.scale(u, 1.0 - t_star), z, t_star)
+        return geo.scale(v, geo.lp_mass(v, q) ** (-1.0 / q))
+
+
+def _quotients(problem: ProblemData, fields):
+    """(|Delta w|^2 - int a |grad w|^2) / |w|^2 for each of the fields w.
+
+    Returns the quotients and |w|^2 as lists of floats, and the
+    refined-grid samples of every d_i w (component first, then field),
+    from which div(a grad w) is assembled without another transform.
+    """
+    g = problem.geometry
+    coeffs = np.stack([w.coeffs for w in fields])
+    du, grad_sq = prob.grad_samples_and_weighted_sq(problem, coeffs)
+    axes = tuple(range(1, coeffs.ndim))
+    power = np.abs(coeffs) ** 2
+    bilap = np.sum(g.lam_sq * power, axis=axes)
+    dens = [math.sqrt(max(float(m), 0.0)) ** 2 for m in np.sum(power, axis=axes)]
+    values = [(float(b) - float(s)) / den for b, s, den in zip(bilap, grad_sq, dens)]
+    return values, dens, du
+
+
+class _MomentRun:
+    """Per-start state of the lockstep descent in ``_moment_descent``.
+
+    ``u`` is the iterate, ``r_val`` its quotient, ``den`` = |u|^2 and
+    ``du`` the refined-grid samples of its d_i u.
+    """
+
+    def __init__(self, u, r_val, den, du):
+        self.u, self.r_val, self.den, self.du = u, r_val, den, du
+        self.tau = 1e-2
+        self.stall = 0
+        self.iterations = 0
+        self.moment_active = True
+        self.exit = None        # "stalled", "zero step" or "max_iter"
+
+    def accept(self, u, r_val, den, du, t):
+        self.u, self.r_val, self.den, self.du = u, r_val, den, du
+        self.tau = min(t * 1.6, 1e3)
+        self.stall = 0
+
+    def stalled(self):
+        self.stall += 1
+        self.tau = max(self.tau * 0.25, 1e-8)
+        if self.stall >= 4:
+            self.exit = "stalled"
+
+
+def _moment_descent(problem, q, mset: _MomentSet, starts, max_iter):
+    """Projected preconditioned descent of the quotient on ``mset``, starts in lockstep.
+
+    Each round transforms the stack of iterates still running once (so
+    refined values carried through the retraction never drift past one
+    round), applies Delta^2 + div(a grad) with the d_i u samples kept
+    from the quotient of the accepted trial, projects both constraint
+    gradients with one transform and takes the directions' refined
+    values with one more; every line-search trial carries them.  The
+    P-metric projection, the retraction, the step and the stall count
+    stay per start.  A start leaves after four stalled rounds, a zero
+    direction or ``max_iter`` rounds.  Returns one _MomentRun per start,
+    None where the start cannot be retracted.
+    """
+    g = problem.geometry
+    P = 1.0 / (1.0 + g.lam_sq)
+    feasible = []
+    for u0 in starts:
+        try:
+            feasible.append(mset.retract(u0))
+        except (InfeasibleConstraint, ValueError):
+            feasible.append(None)
+    kept = [i for i, u in enumerate(feasible) if u is not None]
+    runs = [None] * len(starts)
+    if kept:
+        values, dens, du = _quotients(problem, [feasible[i] for i in kept])
+        for row, i in enumerate(kept):
+            runs[i] = _MomentRun(feasible[i], values[row], dens[row], du[:, row])
+
+    def running(runs):
+        for run in runs:
+            if run.exit is None and run.iterations >= max_iter:
+                run.exit = "max_iter"
+        return [run for run in runs if run.exit is None]
+
+    active = running([run for run in runs if run is not None])
+
+    while active:
+        # refined values transformed afresh: carried ones never drift past one round
+        u = SpectralField(g, np.stack([run.u.coeffs for run in active]))
+        uf = u.fine_values
+        du = np.stack([run.du for run in active], axis=1)
+        Au = g.lam_sq * u.coeffs + g.div_from_grad_samples(problem.a_fine, du)
+        if mset.inequality:
+            moments = g.integrate_fine(problem.f_minus_fine * np.abs(uf) ** q)
+            for run, m in zip(active, moments):
+                run.moment_active = float(m) >= mset.target * (1.0 - 1e-10)
+        # rows P(|u|^(q-2) u), then rows P(f^- |u|^(q-2) u): both constraint gradients
+        power = prob.signed_power(uf, q - 1.0)
+        psi = g.fine_to_coeffs(np.concatenate([power, problem.f_minus_fine * power]))
+
+        stepping, D = [], []
+        for row, run in enumerate(active):
+            run.u = u[row]
+            run.iterations += 1
+            grad = (2.0 / run.den) * Au[row] + (-2.0 * run.r_val / run.den) * u.coeffs[row]
+            dirs = [psi[row]]
+            if run.moment_active:
+                dirs.append(psi[len(active) + row])
+            # remove P-metric components along the constraint gradients
+            d_coeffs = -(P * grad)
+            Pdirs = [P * b for b in dirs]
+            G = np.array([[float(np.vdot(a, Pb).real) for Pb in Pdirs] for a in dirs])
+            rhs = np.array([float(np.vdot(a, -d_coeffs).real) for a in dirs])
+            ridge = 1e-14 * max(float(np.trace(G)), _EPS)
+            try:
+                coef = np.linalg.solve(G + ridge * np.eye(len(dirs)), rhs)
+            except np.linalg.LinAlgError:
+                coef = np.zeros(len(dirs))
+            for c, Pa in zip(coef, Pdirs):
+                d_coeffs = d_coeffs + c * Pa
+            d = np.where(g.band_mask, d_coeffs, 0.0 + 0.0j)
+            nd = math.sqrt(max(float(np.sum(np.abs(d) ** 2)), 0.0))
+            if nd == 0.0:
+                run.exit = "zero step"
+                continue
+            stepping.append((run, nd))
+            D.append(d)
+
+        if stepping:
+            D = np.stack(D)
+            d = SpectralField(g, D, g.fine_samples(D))
+            _moment_line_search(problem, mset, stepping, d)
+        active = running(active)
+    return runs
+
+
+def _moment_line_search(problem, mset, stepping, d):
+    """Backtracking of every stepping start, one stacked quotient per round.
+
+    ``d`` stacks the directions (refined values cached) of the entries
+    (run, |d|) of ``stepping``.  A trial u + (t/|d|) d is retracted per
+    start; an infeasible one halves t.  A start that finds no decrease
+    in 25 rounds stalls, and four stalls in a row end it.
+    """
+    t = [run.tau for run, _ in stepping]
+    searching = list(range(len(stepping)))
+    for _ in range(25):
+        if not searching:
+            break
+        trials, still = [], []
+        for j in searching:
+            run, nd = stepping[j]
+            try:
+                trials.append((j, mset.retract(geo.add(run.u, d[j], t[j] / nd))))
+            except (InfeasibleConstraint, ValueError):
+                t[j] *= 0.5
+                still.append(j)
+        if trials:
+            values, dens, du = _quotients(problem, [w for _, w in trials])
+            for row, (j, w) in enumerate(trials):
+                run = stepping[j][0]
+                if values[row] < run.r_val - 1e-14 * (1.0 + abs(run.r_val)):
+                    run.accept(w, values[row], dens[row], du[:, row], t[j])
+                else:
+                    t[j] *= 0.5
+                    still.append(j)
+        searching = sorted(still)
+    for j in searching:
+        stepping[j][0].stalled()
 
 
 def moment_rayleigh(
@@ -482,119 +687,35 @@ def moment_rayleigh(
     variant) or <= (inequality variant).  Projected preconditioned
     descent with a two-constraint retraction: mass is restored by exact
     scaling and the moment by mixing toward a fixed low- or high-moment
-    profile, root-solved in the mixing weight.
+    profile, the mixing weight root-solved by brentq on the refined-grid
+    values (one array expression per step, no field).
+
+    The three starts (the mixed profile, the constant, a perturbed
+    constant) run as one lockstep stack, as the multistart sphere solves
+    do: each round transforms the iterates once and makes one stacked
+    gradient, one transform for both constraint gradients and one for
+    the search directions, and one stacked quotient per line-search
+    round, whose d_i u samples of the accepted trial then assemble
+    div(a grad u) without a second transform.  Step, stall count,
+    iteration count, the active-moment flag and the retraction stay per
+    start, with the arithmetic of a start run alone.  Returns the
+    minimum over the starts.
     """
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     opts = opts or SolverOptions()
     g = problem.geometry
-    target = eta * problem.int_f_minus
-
-    f_min_native = np.maximum(-problem.f.samples, 0.0)
-    idx_hi = np.unravel_index(int(np.argmax(f_min_native)), g.shape)
-    idx_lo = np.unravel_index(int(np.argmin(f_min_native)), g.shape)
-    z_hi = g.bump([i / g.grid_size for i in idx_hi], width=0.10)
-    z_lo = g.bump([i / g.grid_size for i in idx_lo], width=0.10)
-    z_hi = geo.scale(z_hi, geo.lp_mass(z_hi, q) ** (-1.0 / q))
-    z_lo = geo.scale(z_lo, geo.lp_mass(z_lo, q) ** (-1.0 / q))
-    if prob.f_minus_moment(z_hi, problem, q) <= target:
-        # cannot reach the required moment with a unit-mass profile
-        if prob.f_minus_moment(z_hi, problem, q) < target - 1e-12 and not inequality:
-            raise InfeasibleConstraint(
-                f"moment eta*int(f-)={target} unreachable at unit q-mass"
-            )
-
-    def feasible(w):
-        mass = geo.lp_mass(w, q)
-        w = geo.scale(w, mass ** (-1.0 / q))
-        if inequality:
-            if prob.f_minus_moment(w, problem, q) <= target * (1.0 + 1e-12):
-                return w
-        return _moment_retract(problem, q, w, target, z_lo, z_hi)
-
-    def quotient(w):
-        num = geo.bilap_energy(w) - prob._grad_weighted_sq(problem, w)
-        return num / geo.l2_norm(w) ** 2
-
-    P = 1.0 / (1.0 + g.lam_sq)
+    mset = _MomentSet(problem, eta, q, inequality)
     rng = opts.rng(stream=29)
     starts = [
-        geo.add(z_lo, z_hi, 0.5),
+        geo.add(mset.z_lo, mset.z_hi, 0.5),
         g.constant(1.0),
         geo.add(g.constant(1.0), g.random_smooth(rng, decay=2.5), 0.3),
     ]
     best = math.inf
-    for u0 in starts:
-        try:
-            u = feasible(u0)
-        except (InfeasibleConstraint, ValueError):
-            continue
-        r_val = quotient(u)
-        tau = 1e-2
-        stall = 0
-        for _ in range(max_iter):
-            den = geo.l2_norm(u) ** 2
-            Au = geo.add(geo.bilaplacian(u), geo.div_a_grad(problem.a, u))
-            grad = geo.combination([Au, u], [2.0 / den, -2.0 * r_val / den])
-            psi1 = prob.constraint_direction(u, q)
-            dirs = [psi1]
-            active_moment = (not inequality) or (
-                prob.f_minus_moment(u, problem, q) >= target * (1.0 - 1e-10)
-            )
-            if active_moment:
-                psi2 = g.fine_to_field(
-                    problem.f_minus_fine
-                    * prob.signed_power(u.fine_values, q - 1.0)
-                )
-                dirs.append(psi2)
-            # remove P-metric components along the constraint gradients
-            d_coeffs = -(P * grad.coeffs)
-            G = np.array(
-                [
-                    [
-                        float(np.vdot(a.coeffs, P * b.coeffs).real)
-                        for b in dirs
-                    ]
-                    for a in dirs
-                ]
-            )
-            rhs = np.array(
-                [float(np.vdot(a.coeffs, -d_coeffs).real) for a in dirs]
-            )
-            ridge = 1e-14 * max(float(np.trace(G)), _EPS)
-            try:
-                coef = np.linalg.solve(G + ridge * np.eye(len(dirs)), rhs)
-            except np.linalg.LinAlgError:
-                coef = np.zeros(len(dirs))
-            for c, a in zip(coef, dirs):
-                d_coeffs = d_coeffs + c * (P * a.coeffs)
-            d = g.field_from_coeffs(d_coeffs)
-            nd = geo.l2_norm(d)
-            if nd == 0.0:
-                break
-            improved = False
-            t = tau
-            for _ in range(25):
-                try:
-                    trial = feasible(geo.add(u, d, t / nd))
-                except (InfeasibleConstraint, ValueError):
-                    t *= 0.5
-                    continue
-                r_t = quotient(trial)
-                if r_t < r_val - 1e-14 * (1.0 + abs(r_val)):
-                    u, r_val = trial, r_t
-                    tau = min(t * 1.6, 1e3)
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
-                stall += 1
-                tau = max(tau * 0.25, 1e-8)
-                if stall >= 4:
-                    break
-            else:
-                stall = 0
-        best = min(best, r_val)
+    for run in _moment_descent(problem, q, mset, starts, max_iter):
+        if run is not None:
+            best = min(best, run.r_val)
     if not math.isfinite(best):
         raise InfeasibleConstraint("no feasible start for the moment constraint")
     return best

@@ -276,18 +276,32 @@ class TorusGeometry:
         """Project fine-grid point values back onto the native band."""
         return SpectralField(self, self.fine_to_coeffs(values))
 
-    def div_a_grad_coeffs(self, a_fine: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """Native-band coefficients of sum_i d_i P(a d_i u) for coefficients of u.
+    def grad_fine_samples(self, coeffs: np.ndarray) -> np.ndarray:
+        """Refined-grid samples of every d_i u for native-band coefficients of u.
 
-        ``a_fine`` holds the values of a on the refined grid.  Each product
-        a * d_i(u) is formed pointwise there and projected back onto the
-        band; this is the one place the divergence term is assembled.
+        Axis 0 is the component i; the rest is the refined shape of
+        ``coeffs`` (a stack included).  One transform serves every
+        component.
         """
-        out = np.zeros(coeffs.shape, dtype=np.complex128)
+        return self.fine_samples(np.stack([d * coeffs for d in self.deriv_mult]))
+
+    def div_from_grad_samples(self, a_fine: np.ndarray, du: np.ndarray) -> np.ndarray:
+        """Native-band coefficients of sum_i d_i P(a d_i u) from the samples of d_i u.
+
+        ``a_fine`` holds the values of a on the refined grid and ``du``
+        the output of ``grad_fine_samples``.  Each product a * d_i(u) is
+        formed pointwise there and projected back onto the band; this is
+        the one place the divergence term is assembled.
+        """
+        proj = self.fine_to_coeffs(a_fine * du)
+        out = np.zeros(proj.shape[1:], dtype=np.complex128)
         for i in range(self.d_eff):
-            du = self.fine_samples(self.deriv_mult[i] * coeffs)
-            out += self.deriv_mult[i] * self.fine_to_coeffs(a_fine * du)
+            out += self.deriv_mult[i] * proj[i]
         return out
+
+    def div_a_grad_coeffs(self, a_fine: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """Native-band coefficients of sum_i d_i P(a d_i u) for coefficients of u."""
+        return self.div_from_grad_samples(a_fine, self.grad_fine_samples(coeffs))
 
     def integrate_fine(self, values: np.ndarray):
         """Uniform-weight quadrature on the refined grid.
@@ -381,8 +395,7 @@ def bilaplacian(u: SpectralField) -> SpectralField:
 
 def grad_fine(u: SpectralField):
     """Fine-grid point values of every gradient component."""
-    g = u.geometry
-    return [g.fine_samples(g.deriv_mult[i] * u.coeffs) for i in range(g.d_eff)]
+    return list(u.geometry.grad_fine_samples(u.coeffs))
 
 
 def div_a_grad(a: SpectralField, u: SpectralField) -> SpectralField:

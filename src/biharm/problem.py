@@ -201,14 +201,25 @@ def apply_operator(
     return out
 
 
-def _grad_weighted_sq(problem: ProblemData, u: SpectralField) -> float:
-    """int a |grad u|^2 on the refined grid (exact for band-limited data)."""
+def grad_samples_and_weighted_sq(problem: ProblemData, coeffs: np.ndarray):
+    """Refined-grid samples of every d_i u and int a |grad u|^2, from coefficients of u.
+
+    For a stack the integral has one value per field, each the value the
+    field gets alone.  The samples (component first) let a caller
+    assemble div(a grad u) without transforming u again
+    (``TorusGeometry.div_from_grad_samples``).
+    """
     g = problem.geometry
+    du = g.grad_fine_samples(coeffs)
     total = 0.0
     for i in range(g.d_eff):
-        du = g.fine_samples(g.deriv_mult[i] * u.coeffs)
-        total += g.integrate_fine(problem.a_fine * du * du)
-    return total
+        total += g.integrate_fine(problem.a_fine * du[i] * du[i])
+    return du, total
+
+
+def _grad_weighted_sq(problem: ProblemData, u: SpectralField) -> float:
+    """int a |grad u|^2 on the refined grid (exact for band-limited data)."""
+    return grad_samples_and_weighted_sq(problem, u.coeffs)[1]
 
 
 def quadratic_part(u: SpectralField, problem: ProblemData) -> float:

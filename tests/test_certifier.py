@@ -16,8 +16,9 @@ from biharm.certifier import (
     moment_rayleigh,
     sharp_sobolev_constant,
 )
-from biharm.certifier import _MaskedForm
-from biharm.errors import BadSigma, NonPositiveEps0
+from biharm.certifier import _MaskedForm, _moment_descent, _MomentSet
+from biharm.errors import BadSigma, InfeasibleConstraint, NonPositiveEps0
+from biharm.geometry import TorusGeometry
 from biharm.problem import ProblemData
 
 TWO_PI = 2.0 * math.pi
@@ -223,6 +224,92 @@ def test_moment_rayleigh_feasibility(bundled64, opts):
         bundled64.geometry.constant(1.0), bundled64, 2.5
     )
     assert actual == pytest.approx(bundled64.int_f_minus_grid, rel=1e-12)
+
+
+def _moment_case(dim, bundled64, plate2d):
+    return (bundled64, 2.5) if dim == 1 else (plate2d, 3.0)
+
+
+def test_moment_retraction_of_a_zero_field_is_infeasible(bundled64):
+    mset = _MomentSet(bundled64, 0.5, 2.5)
+    with pytest.raises(InfeasibleConstraint):
+        mset.retract(bundled64.geometry.zero())
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("eta", [0.5, 0.1, 0.02])
+def test_moment_retraction_meets_both_constraints(bundled64, plate2d, dim, eta):
+    problem, q = _moment_case(dim, bundled64, plate2d)
+    g = problem.geometry
+    mset = _MomentSet(problem, eta, q)
+    target = eta * problem.int_f_minus
+    rng = np.random.default_rng(5)
+    fields = [
+        g.constant(1.0),                    # moment above the target
+        mset.z_lo,                          # moment below it
+        mset.z_hi,
+        geo.add(g.constant(1.0), g.random_smooth(rng, decay=2.5), 0.3),
+        g.random_smooth(rng, decay=2.0),
+    ]
+    for w in fields:
+        u = mset.retract(w)
+        # the carried refined values and a fresh transform of the coefficients
+        for v in (u, g.field_from_coeffs(u.coeffs)):
+            assert geo.lp_mass(v, q) == pytest.approx(1.0, rel=1e-12)
+            assert prob.f_minus_moment(v, problem, q) == pytest.approx(target, rel=1e-10)
+
+
+def _outcome(run):
+    return run.r_val, run.iterations, run.exit, run.stall, run.tau
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("inequality", [False, True])
+def test_moment_descent_rows_are_independent(bundled64, plate2d, dim, inequality):
+    # the lockstep stack, each start alone and the reversed stack agree bit for bit
+    problem, q = _moment_case(dim, bundled64, plate2d)
+    g = problem.geometry
+    mset = _MomentSet(problem, 0.5, q, inequality)
+    rng = np.random.default_rng(3)
+    starts = [
+        mset.z_lo,
+        g.constant(1.0),
+        geo.add(g.constant(1.0), g.random_smooth(rng, decay=2.5), 0.3),
+    ]
+    first = _moment_descent(problem, q, mset, starts, 1)
+    # z_lo starts below the moment: with the inequality its constraint is inactive
+    assert [run.moment_active for run in first] == [not inequality, True, True]
+    stacked = _moment_descent(problem, q, mset, starts, 150)
+    exits = {run.exit for run in stacked}
+    assert exits == ({"stalled", "max_iter"} if inequality else {"stalled"})
+    for start, got in zip(starts, stacked):
+        [alone] = _moment_descent(problem, q, mset, [start], 150)
+        assert _outcome(got) == _outcome(alone)
+        assert np.array_equal(got.u.coeffs, alone.u.coeffs)
+    backward = _moment_descent(problem, q, mset, starts[::-1], 150)
+    assert [_outcome(run) for run in backward[::-1]] == [_outcome(run) for run in stacked]
+
+
+def test_moment_descent_skips_an_infeasible_start(bundled64):
+    g = bundled64.geometry
+    mset = _MomentSet(bundled64, 0.5, 2.5)
+    runs = _moment_descent(bundled64, 2.5, mset, [g.zero(), g.constant(1.0)], 20)
+    assert runs[0] is None
+    [alone] = _moment_descent(bundled64, 2.5, mset, [g.constant(1.0)], 20)
+    assert _outcome(runs[1]) == _outcome(alone)
+
+
+def test_moment_rayleigh_transform_count(bundled64, opts, monkeypatch):
+    # the one-start loop made 1,277 transforms here (parent of the lockstep stack)
+    calls = []
+    for name in ("forward", "inverse"):
+        real = getattr(TorusGeometry, name)
+        monkeypatch.setattr(
+            TorusGeometry, name,
+            lambda self, *a, _real=real, **k: calls.append(1) or _real(self, *a, **k),
+        )
+    moment_rayleigh(bundled64, 0.5, 2.5, opts)
+    assert 0 < len(calls) <= 640
 
 
 # ----------------------------------------------------------------------

@@ -341,6 +341,26 @@ def test_stack_rows_match_single_fields_bitwise(dim, geom64, geom2d, seed, n, al
 
 
 @GEOMS
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(1, 4))
+def test_divergence_halves_compose_to_the_per_component_assembly(dim, geom64, geom2d, seed, n):
+    # reference: one transform pair per component, accumulated in component order
+    g = _geom(dim, geom64, geom2d)
+    rng = np.random.default_rng(seed)
+    u = geo.stack([g.random_smooth(rng, decay=2.5) for _ in range(n)])
+    a_fine = g.random_smooth(rng).fine_values
+    du = g.grad_fine_samples(u.coeffs)
+    assert du.shape == (g.d_eff, n) + g.fine_shape
+    want = np.zeros(u.coeffs.shape, dtype=np.complex128)
+    for i, d in enumerate(g.deriv_mult):
+        du_i = g.fine_samples(d * u.coeffs)
+        assert np.array_equal(du[i], du_i)
+        want += d * g.fine_to_coeffs(a_fine * du_i)
+    assert np.array_equal(g.div_from_grad_samples(a_fine, du), want)
+    assert np.array_equal(g.div_a_grad_coeffs(a_fine, u.coeffs), want)
+
+
+@GEOMS
 def test_stack_rows_are_fields_of_their_own(dim, geom64, geom2d, monkeypatch):
     g = _geom(dim, geom64, geom2d)
     fields = _cached_fields(g, 5, 3)

@@ -151,6 +151,24 @@ def test_lower_bound_inequality(bundled64, geom64, rng):
         assert F >= rhs - 1e-9 * (1.0 + abs(rhs))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grad_samples_and_weighted_sq_per_row(bundled64, plate2d, dim):
+    # each row: the per-component reference sum and the single-field value, bit for bit
+    problem = bundled64 if dim == 1 else plate2d
+    g = problem.geometry
+    rng = np.random.default_rng(11)
+    fields = [g.random_smooth(rng, decay=2.5) for _ in range(3)]
+    du, values = prob.grad_samples_and_weighted_sq(problem, geo.stack(fields).coeffs)
+    assert du.shape == (g.d_eff, 3) + g.fine_shape
+    for row, u in enumerate(fields):
+        want = 0.0
+        for i in range(g.d_eff):
+            du_i = g.fine_samples(g.deriv_mult[i] * u.coeffs)
+            assert np.array_equal(du[i, row], du_i)
+            want += g.integrate_fine(problem.a_fine * du_i * du_i)
+        assert values[row] == want == prob._grad_weighted_sq(problem, u)
+
+
 def test_el_residual_zero_field(bundled64, geom64):
     assert el_residual(geom64.zero(), bundled64, 2.5, 0.0) == 0.0
 
