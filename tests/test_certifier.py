@@ -300,7 +300,7 @@ def test_moment_descent_skips_an_infeasible_start(bundled64):
 
 
 def test_moment_rayleigh_transform_count(bundled64, opts, monkeypatch):
-    # the one-start loop made 1,277 transforms here (parent of the lockstep stack)
+    # the one-start loop the lockstep stack replaced made 1,277 transforms here
     calls = []
     for name in ("forward", "inverse"):
         real = getattr(TorusGeometry, name)
