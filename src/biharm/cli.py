@@ -22,7 +22,9 @@ mini-grammar)::
 
 Exit codes: 0 success (for ``certify``: conditions (1) and (2) hold),
 2 configuration/validation error, 3 numeric failure, 4 hypothesis gate
-failed, 5 non-convergence, 6 curve shape not found, 7 path collapse.
+failed, 5 non-convergence (for the mountain pass also a saddle whose
+Newton polish was not accepted), 6 curve shape not found, 7 path
+collapse.
 The environment variable BIHARM_THREADS is validated (a positive
 integer, else exit 2) and otherwise reserved: the solvers run on one
 thread and do not read it.
@@ -51,8 +53,8 @@ from .errors import (
     ShapeNotFound,
 )
 from .geometry import TorusGeometry
-from .minimizer import SolverOptions, first_solution, minimize_on_sphere, trace_mu_curve
-from .mountainpass import align_sign, find_mu_zeros, mountain_pass
+from .minimizer import SolverOptions, first_solution, trace_mu_curve
+from .mountainpass import second_solution
 from .problem import ProblemData
 
 _EXIT_CONFIG = 2
@@ -224,21 +226,9 @@ def _two_solutions(problem, q, cfg, args, opts):
     curve = _trace_curve(problem, q, cfg, args, opts, certificate)
     ser.curve_to_csv(curve, out / "mu.csv")
     ser.write_json(out / "annotations.json", ser.curve_annotations_dict(curve))
-    l1, l2, l_o = find_mu_zeros(curve)
-    end1 = minimize_on_sphere(problem, q, l1, opts=opts)
-    end2 = minimize_on_sphere(problem, q, l2, opts=opts)
-    seeds = [
-        (float(k), v)
-        for k, v in zip(curve.ks, curve.minimizers)
-        if l1 <= k <= l2
-    ]
-    # the energy is even: use the endpoint representative aligned with u1
-    u2 = align_sign(end2.v, end1.v)
-    mp = mountain_pass(
-        problem, q, end1.v, u2, opts=opts, interior_seeds=seeds,
-    )
+    zeros, _, mp = second_solution(problem, q, curve, opts)
     ser.path_profile_csv(mp.profile_rows, out / "path_profile.csv")
-    return certificate, curve, (l1, l2, l_o), mp
+    return certificate, curve, zeros, mp
 
 
 def cmd_mountain_pass(args) -> int:

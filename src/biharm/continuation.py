@@ -22,6 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from . import geometry as geo
 from . import problem as prob
+from .certifier import certify, grad_interp_constant, window_cap, window_edge
 from .errors import DivergingNorms, HypothesisViolated, NonConvergence
 from .geometry import SpectralField
 from .minimizer import CriticalPointReport, SolverOptions, first_solution
@@ -41,19 +42,6 @@ class ContinuationTrace:
     checks: dict = dataclass_field(default_factory=dict)
 
 
-def window_edge(problem: ProblemData, q: float, eta: float, sigma: float) -> float:
-    """Lower window edge l_q = [2 (sup|h| + 2 sup(a+) C(sigma)) / (eta int f^-)]^(q/(q-2))."""
-    from .certifier import grad_interp_constant
-
-    cap = problem.h_sup + 2.0 * problem.a_plus_sup * grad_interp_constant(
-        sigma, problem.geometry
-    )
-    if problem.int_f_minus <= 0.0:
-        return math.inf
-    base = 2.0 * cap / (eta * problem.int_f_minus)
-    return base ** (q / (q - 2.0))
-
-
 def critical_residual(u: SpectralField, problem: ProblemData) -> float:
     """Strong-form residual of the critical equation at the rescaled field u."""
     N = problem.geometry.critical_exponent
@@ -66,7 +54,6 @@ def continue_to_critical(
     certificate=None,
     force: bool = False,
     steps: int = 8,
-    retry_multistart: bool = True,
 ) -> ContinuationTrace:
     """Drive the negative-energy branch to the critical exponent.
 
@@ -84,8 +71,6 @@ def continue_to_critical(
     q0 = 0.5 * (2.0 + N)
     schedule = [N - (N - q0) * 2.0 ** (-j) for j in range(steps)] + [N]
 
-    from .certifier import certify, grad_interp_constant
-
     if certificate is None:
         certificate = certify(problem, q0, opts)
     if not force and not certificate.passed:
@@ -101,8 +86,7 @@ def continue_to_critical(
         else:
             raise HypothesisViolated("certificate carries no usable (eta, sigma)")
 
-    c_sigma = grad_interp_constant(sigma, g)
-    cap = problem.h_sup + 2.0 * problem.a_plus_sup * c_sigma
+    cap = window_cap(problem, grad_interp_constant(sigma, g))
     shrink = 1.0 - 2.0 * sigma * problem.a_plus_sup
 
     records = []
@@ -115,8 +99,6 @@ def continue_to_critical(
                 problem, q, opts, ball_cap=l_q, init=warm, force=True
             )
         except NonConvergence:
-            if not retry_multistart:
-                raise
             retry_opts = SolverOptions(
                 seed=opts.seed + 1,
                 max_iter=2 * opts.max_iter,

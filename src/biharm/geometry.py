@@ -137,12 +137,6 @@ class TorusGeometry:
         x = np.arange(M, dtype=np.float64) / M
         return np.meshgrid(*([x] * self.d_eff), indexing="ij")
 
-    def fine_coordinates(self):
-        """Node coordinates of the refined quadrature grid."""
-        Mf = self.fine_size
-        x = np.arange(Mf, dtype=np.float64) / Mf
-        return np.meshgrid(*([x] * self.d_eff), indexing="ij")
-
     def compatible(self, other: "TorusGeometry") -> bool:
         return (
             self.n_ambient == other.n_ambient

@@ -55,8 +55,6 @@ class SolverOptions:
     tol_scale: float = 1e-8        # gradient tolerance: tol_scale * (1 + |F|)
     battery_iter: int = 600        # iteration cap for multistart probes
     multistart: bool = True
-    n_random_starts: int = 3
-    memory: int = 12               # nonmonotone line-search window
 
     def rng(self, stream: int = 0) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, stream]))
@@ -302,7 +300,8 @@ def _bb_minimize(
                 run.tau = min(max(tau_bb, 1e-10), 1e12)
             run.prev_coeffs = run.u.coeffs
             run.prev_pg = -d_coeffs
-            stepping.append((run, d_sq, max(run.hist[-opts.memory:])))
+            # nonmonotone line search against the last 12 accepted energies
+            stepping.append((run, d_sq, max(run.hist[-12:])))
             rows.append(row)
             D.append(d)
 
@@ -326,7 +325,7 @@ def default_seeds(problem: ProblemData, q: float, k: float, opts: SolverOptions)
     """Deterministic multistart battery for the sphere of mass k.
 
     Constant, a smooth bump centered in the positivity set of f, the
-    lowest nonconstant mode, and fixed-seed random smooth fields; every
+    lowest nonconstant mode, and three fixed-seed random smooth fields; every
     seed is retracted onto the sphere.  Negated seeds are left out: F_q
     is even and negation is exact in floating point, so a start -s runs
     to exactly -u with the same energy, multiplier, residual and
@@ -339,7 +338,7 @@ def default_seeds(problem: ProblemData, q: float, k: float, opts: SolverOptions)
     seeds.append(("bump+", g.bump(center, width=0.08)))
     seeds.append(("mode+", g.mode((1,) * g.d_eff)))
     rng = opts.rng(stream=101)
-    for i in range(opts.n_random_starts):
+    for i in range(3):
         seeds.append((f"rand{i}", g.random_smooth(rng, decay=2.5)))
     return [(tag, _retract_sphere(s, q, k)) for tag, s in seeds]
 
@@ -632,10 +631,12 @@ def trace_mu_curve(
     return curve
 
 
-def _refine_zero(problem, q, k_lo, mu_lo, k_hi, warm, opts, rel_tol=1e-4):
-    """Bisect a sign change of mu(k); returns (k, mu_at_k)."""
+def _refine_zero(problem, q, k_lo, mu_lo, k_hi, warm, opts):
+    """Bisect a sign change of mu(k) to relative width 1e-4; returns (k, mu_at_k)."""
+    # the battery at every step stays: the mountain pass is sensitive to
+    # the endpoint masses, and warm-only steps move l1/l2 by ~1e-5 rel
     sign_lo = mu_lo > 0
-    while (k_hi - k_lo) / k_hi > rel_tol:
+    while (k_hi - k_lo) / k_hi > 1e-4:
         k_mid = math.sqrt(k_lo * k_hi)
         res = _curve_point(problem, q, k_mid, warm, opts)
         warm = res.v

@@ -36,6 +36,7 @@ from .minimizer import (
     MuCurve,
     SolverOptions,
     make_report,
+    minimize_on_sphere,
     _project_span,
     _retract_sphere,
 )
@@ -48,87 +49,17 @@ _EPS = np.finfo(np.float64).eps
 # locating the zeros of the energy curve
 
 
-def _quad_root(k0, m0, k1, m1, k2, m2, lo, hi):
-    """Root of the parabola through three samples, restricted to [lo, hi]."""
-    coeffs = np.polyfit([k0, k1, k2], [m0, m1, m2], 2)
-    roots = np.roots(coeffs)
-    roots = roots[np.isreal(roots)].real
-    roots = roots[(roots >= lo) & (roots <= hi)]
-    if roots.size:
-        return float(roots[0])
-    # fall back to the secant root of the bracketing pair
-    return float((lo * m2 - hi * m1) / (m2 - m1)) if m2 != m1 else float(lo)
+def find_mu_zeros(curve: MuCurve):
+    """Zero crossings (l1, l2) and hump maximizer l_o of a traced energy curve.
 
-
-def find_mu_zeros(curve: MuCurve, evaluator=None, rel_tol: float = 1e-4):
-    """Zero crossings (l1, l2) and hump maximizer l_o of an energy curve.
-
-    Uses the tracer's bisection-refined annotations when present.  With
-    an ``evaluator`` (a callable k -> mu) crossings are re-bisected to
-    the requested relative width; otherwise they are refined by local
-    quadratic interpolation of the samples, which is exact whenever the
-    curve is locally quadratic.  Raises ShapeNotFound if the sampled
-    curve has no negative/positive/negative pattern.
+    Returns the tracer's bisection-refined annotations; raises
+    ShapeNotFound unless the tracer found the negative minimum / positive
+    hump / negative tail shape.
     """
-    ann = curve.annotations or {}
-    if evaluator is None and {"l1", "l2", "l_o"} <= ann.keys():
-        return ann["l1"], ann["l2"], ann["l_o"]
-
-    ks = np.asarray(curve.ks, dtype=float)
-    mus = np.asarray(curve.mus, dtype=float)
-    pos = mus > 0.0
-    if not pos.any() or pos[0] or pos[-1]:
+    ann = curve.annotations
+    if ann.get("shape") != "neg-min/hump/neg-tail":
         raise ShapeNotFound("curve lacks the negative / positive / negative shape")
-    i1 = int(np.argmax(pos))                       # first positive sample
-    rest = np.nonzero(~pos[i1:])[0]
-    if rest.size == 0:
-        raise ShapeNotFound("curve never returns below zero after the hump")
-    i2 = i1 + int(rest[0])                         # first negative after hump
-
-    def refine(a, b):
-        if evaluator is not None:
-            ka, kb = ks[a], ks[b]
-            mu_a = mus[a]
-            sign_a = mu_a > 0
-            while (kb - ka) / kb > rel_tol:
-                km = math.sqrt(ka * kb)
-                if (evaluator(km) > 0) == sign_a:
-                    ka = km
-                else:
-                    kb = km
-            return math.sqrt(ka * kb)
-        c = max(a - 1, 0) if a - 1 >= 0 else a + 2
-        return _quad_root(
-            ks[c], mus[c], ks[a], mus[a], ks[b], mus[b], ks[a], ks[b]
-        )
-
-    l1 = refine(i1 - 1, i1)
-    l2 = refine(i2 - 1, i2)
-    hump = slice(i1, i2)
-    j = i1 + int(np.argmax(mus[hump]))
-    if 0 < j < len(ks) - 1:
-        # parabolic vertex through the argmax and neighbors
-        ka, kb, kc = ks[j - 1], ks[j], ks[j + 1]
-        ma, mb, mc = mus[j - 1], mus[j], mus[j + 1]
-        denom = (ka - kb) * (ka - kc) * (kb - kc)
-        if denom != 0.0:
-            A = (kc * (mb - ma) + kb * (ma - mc) + ka * (mc - mb)) / denom
-            B = (kc**2 * (ma - mb) + kb**2 * (mc - ma) + ka**2 * (mb - mc)) / denom
-            if A < 0.0:
-                vertex = -B / (2.0 * A)
-                if ks[j - 1] < vertex < ks[j + 1]:
-                    l_o = float(vertex)
-                else:
-                    l_o = float(kb)
-            else:
-                l_o = float(kb)
-        else:
-            l_o = float(kb)
-    else:
-        l_o = float(ks[j])
-    if not (l1 < l_o < l2):
-        l_o = float(ks[j])
-    return float(l1), float(l2), l_o
+    return ann["l1"], ann["l2"], ann["l_o"]
 
 
 # ----------------------------------------------------------------------
@@ -151,9 +82,6 @@ def refine_critical_point(
     problem: ProblemData,
     q: float,
     u0: SpectralField,
-    max_newton: int = 40,
-    tol_scale: float = 1e-13,
-    ok_scale: float = 1e-9,
     subspace=None,
 ) -> tuple[SpectralField, float, bool]:
     """Damped Newton iteration on the stationarity residual of F_q.
@@ -165,8 +93,8 @@ def refine_critical_point(
     eigenvalue through zero; translation quasi-symmetries leave a
     near-null direction that an undamped solve would overshoot.
 
-    Iterates toward ``tol_scale * (1 + |F|)`` (roughly the rounding
-    floor) but reports success at ``ok_scale * (1 + |F|)``.  Returns
+    Runs at most 40 Newton steps toward 1e-13 (1 + |F|) (roughly the
+    rounding floor) but reports success at 1e-9 (1 + |F|).  Returns
     (field, residual_norm, converged); dense solves for one-dimensional
     grids, Krylov otherwise, span-restricted when a subspace is given.
     """
@@ -228,8 +156,8 @@ def refine_critical_point(
         return g.field(vec.reshape(g.shape))
 
     use_dense = basis is not None or g.size <= 1024
-    for _ in range(max_newton):
-        if rn <= tol_scale * scale0:
+    for _ in range(40):
+        if rn <= 1e-13 * scale0:
             break
         if use_dense:
             H = assemble(u)
@@ -272,7 +200,7 @@ def refine_critical_point(
                 lm = 1e-12 if lm == 0.0 else lm * 16.0
                 if lm > 1e3:
                     break
-    return u, rn, rn <= ok_scale * scale0
+    return u, rn, rn <= 1e-9 * scale0
 
 
 # ----------------------------------------------------------------------
@@ -479,45 +407,41 @@ def mountain_pass(
     q: float,
     u1: SpectralField,
     u2: SpectralField,
-    opts: SolverOptions | None = None,
-    n_nodes: int = 41,
     max_iter: int = 3000,
     interior_seeds=None,
     subspace=None,
-    barrier_masses=None,
-    collapse_tol: float = 1e-8,
-    record_profile: bool = True,
 ) -> MountainPassResult:
-    """Deform a discrete path from u1 to u2 until its maximum stalls.
+    """Deform a discrete path of 41 nodes from u1 to u2 until its maximum stalls.
 
     ``interior_seeds`` may carry (mass, minimizer) pairs from a traced
     energy curve; the initial path then threads through the minimizer
-    family instead of plain linear interpolation.  ``barrier_masses``
-    (default: interior geometric masses between the endpoints, plus the
-    seed masses) pin segment samples wherever the path crosses those
-    masses, which bounds the measured level below by the sampled hump.
+    family instead of plain linear interpolation.  Barrier masses (11
+    interior geometric masses between the endpoints, plus the seed
+    masses) pin segment samples wherever the path crosses those masses,
+    which bounds the measured level below by the sampled hump.
     Callers should pass sign-aligned endpoint representatives (see
     ``align_sign``); the endpoints themselves are never modified.
-    Raises Collapse when the path maximum falls to the endpoint level
-    (no hump), NonConvergence when the iteration budget ends with a
-    moving maximum.  The returned ``nu`` is the stalled honest path
-    maximum; the report describes the Newton-polished critical point
-    seeded by the maximal node.
+    Raises Collapse when the path maximum falls to within 1e-8 of the
+    endpoint level (no hump), NonConvergence when the iteration budget
+    ends with a moving maximum.  The returned ``nu`` is the stalled
+    honest path maximum; the report describes the Newton-polished
+    critical point seeded by the maximal node, and ``profile_rows``
+    holds every node energy of every iteration.
     """
-    opts = opts or SolverOptions()
     g = problem.geometry
     problem.exponents(q)
 
     from .minimizer import _precond_shift
 
+    n_nodes = 41
+    collapse_tol = 1e-8
     k1 = geo.lp_mass(u1, q)
     k2 = geo.lp_mass(u2, q)
-    if barrier_masses is None:
-        barrier_masses = list(np.geomspace(k1, k2, 13)[1:-1])
-        if interior_seeds:
-            barrier_masses += [
-                m for m, _ in interior_seeds if min(k1, k2) < m < max(k1, k2)
-            ]
+    barrier_masses = list(np.geomspace(k1, k2, 13)[1:-1])
+    if interior_seeds:
+        barrier_masses += [
+            m for m, _ in interior_seeds if min(k1, k2) < m < max(k1, k2)
+        ]
     barriers = tuple(sorted(set(float(m) for m in barrier_masses)))
 
     path = _Path(
@@ -553,10 +477,9 @@ def mountain_pass(
                 max_nodes *= 2
         nu, jmax, _ = path.honest_max()
         history.append((it, nu, inserted))
-        if record_profile:
-            profile_rows.extend(
-                (it, j, float(path.e_nodes[j])) for j in range(len(path.nodes))
-            )
+        profile_rows.extend(
+            (it, j, float(path.e_nodes[j])) for j in range(len(path.nodes))
+        )
         if nu <= f_ends + collapse_tol:
             raise Collapse(f"path maximum {nu} fell to the endpoint level {f_ends}")
 
@@ -664,3 +587,30 @@ def mountain_pass(
             best=MountainPassResult(v, nu_path, report, state, profile_rows, it, False),
         )
     return MountainPassResult(v, nu_path, report, state, profile_rows, it, converged)
+
+
+# ----------------------------------------------------------------------
+# the curve-to-saddle pipeline
+
+
+def second_solution(problem: ProblemData, q: float, curve: MuCurve, opts: SolverOptions):
+    """Mountain pass between cold sphere minimizers at the curve's zeros l1, l2.
+
+    The curve minimizers in [l1, l2] seed the path.  Returns ((l1, l2,
+    l_o), (result at l1, sign-aligned field at l2), MountainPassResult);
+    a saddle whose Newton polish was not accepted raises NonConvergence
+    with the result as ``best``.
+    """
+    l1, l2, l_o = find_mu_zeros(curve)
+    end1 = minimize_on_sphere(problem, q, l1, opts=opts)
+    end2 = minimize_on_sphere(problem, q, l2, opts=opts)
+    seeds = [(float(k), v) for k, v in zip(curve.ks, curve.minimizers) if l1 <= k <= l2]
+    # the energy is even: use the endpoint representative aligned with u1
+    u2 = align_sign(end2.v, end1.v)
+    mp = mountain_pass(problem, q, end1.v, u2, interior_seeds=seeds)
+    if not mp.converged:
+        raise NonConvergence(
+            f"saddle polish not accepted (equation residual {mp.report.residual_equation})",
+            best=mp,
+        )
+    return (l1, l2, l_o), (end1, u2), mp

@@ -21,13 +21,8 @@ from biharm import problem as prob
 from biharm.certifier import certify, grad_interp_constant, sharp_sobolev_constant
 from biharm.continuation import continue_to_critical
 from biharm.geometry import TorusGeometry
-from biharm.minimizer import (
-    SolverOptions,
-    first_solution,
-    minimize_on_sphere,
-    trace_mu_curve,
-)
-from biharm.mountainpass import align_sign, find_mu_zeros, mountain_pass
+from biharm.minimizer import SolverOptions, first_solution, trace_mu_curve
+from biharm.mountainpass import mountain_pass, second_solution
 from biharm.problem import ProblemData
 
 TWO_PI = 2.0 * math.pi
@@ -243,18 +238,7 @@ def test_criterion_6_two_solutions(acc_problem, acc_opts):
     q = 2.5
     certificate = _get_certificate(acc_problem, acc_opts)
     acc_curve = _get_curve(acc_problem, acc_opts)
-    l1, l2, l_o = find_mu_zeros(acc_curve)
-    end1 = minimize_on_sphere(acc_problem, q, l1, opts=acc_opts)
-    end2 = minimize_on_sphere(acc_problem, q, l2, opts=acc_opts)
-    seeds = [
-        (float(k), v)
-        for k, v in zip(acc_curve.ks, acc_curve.minimizers)
-        if l1 <= k <= l2
-    ]
-    mp_res = mountain_pass(
-        acc_problem, q, end1.v, align_sign(end2.v, end1.v), opts=acc_opts,
-        interior_seeds=seeds, record_profile=False,
-    )
+    _, _, mp_res = second_solution(acc_problem, q, acc_curve, acc_opts)
     rep_min = first_solution(
         acc_problem, q, acc_opts, certificate=certificate, force=True
     )
@@ -363,9 +347,7 @@ def test_criterion_7_mountain_pass_oracle(acc_opts):
     e1 = g.field(s2 * np.cos(TWO_PI * g.coordinates()[0]))
     u1 = geo.combination([e0, e1], [a1, b1])
     u2 = geo.combination([e0, e1], [a2, b2])
-    mp_res = mountain_pass(
-        toy, q, u1, u2, opts=acc_opts, subspace=[e0, e1], record_profile=False
-    )
+    mp_res = mountain_pass(toy, q, u1, u2, subspace=[e0, e1])
     assert mp_res.nu == pytest.approx(nu_oracle, rel=1e-3)
     elapsed = time.time() - t0
     assert elapsed < 60.0

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -213,6 +215,7 @@ def test_mu_curve_gate_passes_without_force(tmp_path):
 
 def test_nonconvergence_error_keeps_best_iterate(tmp_path, monkeypatch):
     import biharm.cli as cli
+    import biharm.mountainpass as mountainpass
     from biharm import serialize as ser
     from biharm.errors import NonConvergence
     from biharm.minimizer import make_report
@@ -226,7 +229,7 @@ def test_nonconvergence_error_keeps_best_iterate(tmp_path, monkeypatch):
         best = MountainPassResult(u1, 1.25, report, None, [], 17, False)
         raise NonConvergence("path budget exhausted", best=best)
 
-    monkeypatch.setattr(cli, "mountain_pass", exhausted)
+    monkeypatch.setattr(mountainpass, "mountain_pass", exhausted)
     cfg = write_config(tmp_path, curve={"k_steps": 12})
     out = tmp_path / "o"
     code = cli.main(["mountain-pass", "--force", "--config", str(cfg), "--out", str(out)])
@@ -243,3 +246,39 @@ def test_nonconvergence_error_keeps_best_iterate(tmp_path, monkeypatch):
     }
     # a CriticalPointReport (the ball minimizer's best) has no level or count
     assert set(ser.best_iterate_dict(report)) == {"energy", "residual_equation", "converged"}
+
+
+@pytest.mark.parametrize("command", ["mountain-pass", "solve-sub"])
+def test_unaccepted_saddle_polish_exits_nonconvergence(tmp_path, monkeypatch, command):
+    import biharm.cli as cli
+    import biharm.mountainpass as mountainpass
+    from biharm.minimizer import make_report
+    from biharm.mountainpass import MountainPassResult
+
+    def unpolished(problem, q, u1, u2, **kwargs):
+        # the path stalled, but the Newton polish of its top node was rejected
+        report = make_report(problem, q, u1, 0.0, False, {"polish_rejected": True})
+        return MountainPassResult(u1, 1.25, report, None, [], 17, False)
+
+    monkeypatch.setattr(mountainpass, "mountain_pass", unpolished)
+    cfg = write_config(tmp_path, curve={"k_steps": 12})
+    out = tmp_path / "o"
+    code = cli.main([command, "--force", "--config", str(cfg), "--out", str(out)])
+    assert code == 5
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NonConvergence" and err["exit_code"] == 5
+    assert err["best"]["converged"] is False
+    assert err["best"]["nu"] == 1.25 and err["best"]["iterations"] == 17
+    assert not (out / "solution_mp.report.json").exists()
+
+
+def test_curve_without_negative_tail_exits_shape_not_found(tmp_path):
+    # the toy's l2 is near 46, so a curve ending at k = 20 has no tail
+    cfg = write_config(tmp_path, curve={"k_max": 20.0, "k_steps": 12})
+    out = tmp_path / "o"
+    res = run_cli("mountain-pass", "--force", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 6, res.stderr
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ShapeNotFound"
+    ann = json.loads((out / "annotations.json").read_text())["annotations"]
+    assert ann["shape"] == "incomplete" and "l1" in ann

@@ -9,10 +9,10 @@ from biharm import problem as prob
 from biharm.errors import Collapse, NonConvergence, ShapeNotFound
 from biharm.minimizer import MuCurve, SolverOptions, minimize_on_sphere, trace_mu_curve
 from biharm.mountainpass import (
-    align_sign,
     find_mu_zeros,
     mountain_pass,
     refine_critical_point,
+    second_solution,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -36,31 +36,12 @@ def _synthetic_curve(ks, mus):
     )
 
 
-def test_find_mu_zeros_synthetic_quadratic():
-    ks = np.linspace(0.2, 2.2, 41)
-    curve = _synthetic_curve(ks, -((ks - 1.0) ** 2) + 0.5)
-    l1, l2, l_o = find_mu_zeros(curve)
-    assert l1 == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-4)
-    assert l2 == pytest.approx(1.0 + math.sqrt(0.5), abs=1e-4)
-    assert l1 < l_o < l2
-    assert l_o == pytest.approx(1.0, abs=1e-4)
-
-
 def test_find_mu_zeros_requires_hump():
     ks = np.linspace(0.1, 5.0, 20)
     with pytest.raises(ShapeNotFound):
         find_mu_zeros(_synthetic_curve(ks, -np.ones_like(ks)))
     with pytest.raises(ShapeNotFound):
         find_mu_zeros(_synthetic_curve(ks, np.linspace(-1, 1, 20)))  # no tail
-
-
-def test_find_mu_zeros_with_evaluator():
-    ks = np.geomspace(0.1, 10.0, 25)
-    f = lambda k: -((math.log(k)) ** 2) + 1.0   # zeros at e^-1, e^1
-    curve = _synthetic_curve(ks, [f(k) for k in ks])
-    l1, l2, _ = find_mu_zeros(curve, evaluator=f, rel_tol=1e-6)
-    assert l1 == pytest.approx(math.exp(-1.0), rel=1e-5)
-    assert l2 == pytest.approx(math.exp(1.0), rel=1e-5)
 
 
 # ----------------------------------------------------------------------
@@ -202,9 +183,7 @@ def test_two_mode_toy_matches_grid_search_oracle(toy64, opts):
     # the deformation algorithm restricted to the same two-mode plane
     u1 = geo.combination([e0, e1], [a1, b1])
     u2 = geo.combination([e0, e1], [a2, b2])
-    mp = mountain_pass(
-        toy64, q, u1, u2, opts=opts, subspace=[e0, e1], record_profile=False
-    )
+    mp = mountain_pass(toy64, q, u1, u2, subspace=[e0, e1])
     assert mp.nu == pytest.approx(nu_oracle, rel=1e-3)
     assert mp.report.energy == pytest.approx(nu_oracle, rel=1e-3)
     # within the subspace only the projected stationarity vanishes
@@ -222,15 +201,8 @@ def toy_pipeline(toy64):
     opts = SolverOptions(seed=0)
     q = 4.0
     curve = trace_mu_curve(toy64, q, 0.05, 500.0, n_points=36, opts=opts)
-    l1, l2, l_o = find_mu_zeros(curve)
-    end1 = minimize_on_sphere(toy64, q, l1, opts=opts)
-    end2 = minimize_on_sphere(toy64, q, l2, opts=opts)
-    seeds = [
-        (float(k), v) for k, v in zip(curve.ks, curve.minimizers) if l1 <= k <= l2
-    ]
-    u2 = align_sign(end2.v, end1.v)
-    mp = mountain_pass(toy64, q, end1.v, u2, opts=opts, interior_seeds=seeds)
-    return curve, (l1, l2, l_o), (end1, u2), mp
+    zeros, ends, mp = second_solution(toy64, q, curve, opts)
+    return curve, zeros, ends, mp
 
 
 def test_level_exceeds_hump_samples(toy_pipeline):
@@ -277,11 +249,11 @@ def test_two_solutions_distinct(toy_pipeline, toy64, opts):
     assert gap > 0.1
 
 
-def test_budget_exhausted_raises_nonconvergence(toy_pipeline, toy64, opts):
+def test_budget_exhausted_raises_nonconvergence(toy_pipeline, toy64):
     # two iterations cannot flatten the level: the maximum is still moving
     _, _, (end1, u2), _ = toy_pipeline
     with pytest.raises(NonConvergence) as exc:
-        mountain_pass(toy64, 4.0, end1.v, u2, opts=opts, max_iter=2, record_profile=False)
+        mountain_pass(toy64, 4.0, end1.v, u2, max_iter=2)
     best = exc.value.best
     assert best.iterations == 2
     assert not best.converged
@@ -293,7 +265,7 @@ def test_collapse_detected(toy64, opts):
     r1 = minimize_on_sphere(toy64, q, 0.2, opts=opts)
     r2 = minimize_on_sphere(toy64, q, 0.3, opts=opts)
     with pytest.raises(Collapse):
-        mountain_pass(toy64, q, r1.v, r2.v, opts=opts, record_profile=False)
+        mountain_pass(toy64, q, r1.v, r2.v)
 
 
 def test_refine_critical_point_from_rough_seed(toy64):

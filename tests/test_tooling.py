@@ -1,10 +1,15 @@
 """Source-level rules of the package layout."""
 
+import argparse
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
+
+from biharm import cli
+from biharm.minimizer import SolverOptions
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "biharm"
 
@@ -44,3 +49,24 @@ def test_only_geometry_calls_the_fft(path):
         assert found, "geometry.py should hold the package's transforms"
     else:
         assert not found, f"{path.name} calls the FFT directly: {found}"
+
+
+def _other_value(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 7
+    if isinstance(value, float):
+        return value * 3.0
+    raise TypeError(f"no alternative for a {type(value).__name__} option")
+
+
+def test_every_solver_option_is_settable_from_the_config(monkeypatch):
+    """A SolverOptions field the config cannot set is a dead knob."""
+    monkeypatch.delenv("BIHARM_THREADS", raising=False)
+    wanted = {
+        f.name: _other_value(getattr(SolverOptions(), f.name))
+        for f in dataclasses.fields(SolverOptions)
+    }
+    opts = cli._solver_options({"solver": wanted}, argparse.Namespace(seed=None))
+    assert dataclasses.asdict(opts) == wanted
