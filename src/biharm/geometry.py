@@ -28,8 +28,9 @@ divergence helper and the refined-grid quadrature act on the last
 ``d_eff`` axes only, so each field of a stack gets the same arithmetic,
 bit for bit, as it would alone, and one transform call serves the whole
 stack.  ``scale`` and ``add`` take one weight per field of a stack;
-``lp_mass`` returns one value per field.  ``inner``, ``l2_norm``,
-``lp_norm`` and the other scalar functionals are for single fields.
+``lp_mass`` and ``bilap_energy`` return one value per field.
+``inner``, ``l2_norm``, ``lp_norm`` and the other scalar functionals are
+for single fields.
 
 Multiplier table (angular frequency w = 2 pi m, sign convention
 Delta = -div grad):
@@ -175,24 +176,25 @@ class TorusGeometry:
     # ------------------------------------------------------------------
     # field constructors
 
-    def field(self, samples) -> "SpectralField":
-        """Build a field from grid samples (projected onto the mode band)."""
-        samples = np.asarray(samples, dtype=np.float64)
-        if samples.shape != self.shape:
+    def _check_field_shape(self, array: np.ndarray, what: str):
+        """Raise unless the array holds one field or a stack of fields on this grid."""
+        if array.shape[array.ndim - self.d_eff:] != self.shape or array.ndim > self.d_eff + 1:
             raise GeometryMismatch(
-                f"sample shape {samples.shape} does not match grid {self.shape}"
+                f"{what} shape {array.shape} does not match grid {self.shape}"
             )
+
+    def field(self, samples) -> "SpectralField":
+        """Field (or stack of fields) from grid samples, projected onto the band."""
+        samples = np.asarray(samples, dtype=np.float64)
+        self._check_field_shape(samples, "sample")
         coeffs = self.forward(samples)
-        coeffs[self._off_band] = 0.0
+        coeffs[..., self._off_band] = 0.0
         return SpectralField(self, coeffs)
 
     def field_from_coeffs(self, coeffs) -> "SpectralField":
         """Field (or stack of fields) from coefficients, projected onto the band."""
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape[coeffs.ndim - self.d_eff:] != self.shape or coeffs.ndim > self.d_eff + 1:
-            raise GeometryMismatch(
-                f"coefficient shape {coeffs.shape} does not match grid {self.shape}"
-            )
+        self._check_field_shape(coeffs, "coefficient")
         return SpectralField(self, np.where(self.band_mask, coeffs, 0.0 + 0.0j))
 
     def constant(self, value: float) -> "SpectralField":
@@ -454,10 +456,11 @@ def grad_sq_integral(u: SpectralField) -> float:
     return float(np.sum(g.lam * np.abs(u.coeffs) ** 2))
 
 
-def bilap_energy(u: SpectralField) -> float:
-    """Integral of (Delta u)^2 via the multiplier |2 pi m|^4."""
+def bilap_energy(u: SpectralField):
+    """Integral of (Delta u)^2 via the multiplier |2 pi m|^4 (one value per field of a stack)."""
     g = u.geometry
-    return float(np.sum(g.lam_sq * np.abs(u.coeffs) ** 2))
+    total = np.add.reduce(g.lam_sq * np.abs(u.coeffs) ** 2, axis=g._axes)
+    return float(total) if total.ndim == 0 else total
 
 
 def hessian_sq_integral(u: SpectralField) -> float:

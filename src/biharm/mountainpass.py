@@ -43,6 +43,12 @@ from .minimizer import (
 from .problem import ProblemData
 
 _EPS = np.finfo(np.float64).eps
+_CHUNK = 128  # fields per stacked evaluation: bounds a sweep's memory
+
+
+def _chunks(n):
+    """Slices of range(n) of at most _CHUNK rows each."""
+    return [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
 
 # ----------------------------------------------------------------------
@@ -72,6 +78,22 @@ def _hessian_apply(problem, q, u, v):
     return problem.geometry.field_from_coeffs(prob.apply_operator(problem, v, w))
 
 
+def _dense_hessian(problem, q, u):
+    """Symmetrized matrix of ``_hessian_apply`` on grid samples.
+
+    Column j is the action on the band projection of the unit sample
+    e_j; the unit fields are applied as stacks of at most ``_CHUNK``.
+    """
+    g = problem.geometry
+    n = g.size
+    H = np.empty((n, n))
+    for cols in _chunks(n):
+        units = np.eye(cols.stop - cols.start, n, k=cols.start)
+        applied = _hessian_apply(problem, q, u, g.field(units.reshape((-1,) + g.shape)))
+        H[:, cols] = applied.samples.reshape(-1, n).T
+    return 0.5 * (H + H.T)
+
+
 def _residual_field(problem, q, u):
     """Half the gradient of F_q: the strong-form stationarity residual."""
     w = 0.5 * q * problem.f_fine * np.abs(u.fine_values) ** (q - 2.0)
@@ -95,8 +117,10 @@ def refine_critical_point(
 
     Runs at most 40 Newton steps toward 1e-13 (1 + |F|) (roughly the
     rounding floor) but reports success at 1e-9 (1 + |F|).  Returns
-    (field, residual_norm, converged); dense solves for one-dimensional
-    grids, Krylov otherwise, span-restricted when a subspace is given.
+    (field, residual_norm, converged).  The step is a dense solve when a
+    subspace is given (span-restricted) or the grid has at most 1024
+    points (1-D grids and 2-D grids up to 32^2), and ``lsqr`` on the
+    matrix-free Hessian otherwise.
     """
     g = problem.geometry
     u = u0
@@ -114,22 +138,14 @@ def refine_critical_point(
     lm = 0.0
 
     def assemble(u):
-        if basis is not None:
-            k = len(basis)
-            H = np.empty((k, k))
-            for j, ej in enumerate(basis):
-                Hej = _hessian_apply(problem, q, u, ej)
-                for i, ei in enumerate(basis):
-                    H[i, j] = geo.inner(ei, Hej)
-            return 0.5 * (H + H.T)
-        n = g.size
-        H = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            H[:, j] = _hessian_apply(
-                problem, q, u, g.field(e.reshape(g.shape))
-            ).samples.ravel()
+        if basis is None:
+            return _dense_hessian(problem, q, u)
+        k = len(basis)
+        H = np.empty((k, k))
+        for j, ej in enumerate(basis):
+            Hej = _hessian_apply(problem, q, u, ej)
+            for i, ei in enumerate(basis):
+                H[i, j] = geo.inner(ei, Hej)
         return 0.5 * (H + H.T)
 
     def solve_step(H, r_vec, lm):
@@ -315,6 +331,14 @@ class _Path:
     path between the endpoint masses crosses each intermediate mass, so
     with the hump masses as barriers the measured level is bounded below
     by the sampled hump values by construction, never by solver luck.
+
+    A sweep evaluates every segment that needs samples at once: one
+    lockstep bisection finds all barrier crossings on refined-grid
+    arrays, and the sample energies are stacks of at most ``_CHUNK``
+    fields.  Each sample gets the arithmetic ``_point`` gives it, so the
+    energies are those of the one-field-at-a-time evaluation, bit for
+    bit.  Nodes carry their refined-grid values (samples interpolate
+    them, as ``_point`` does).
     """
 
     SUB = (0.25, 0.5, 0.75)
@@ -323,64 +347,112 @@ class _Path:
         self.problem = problem
         self.q = q
         self.nodes = list(nodes)
-        self.e_nodes = [prob.eval_F(u, problem, q) for u in self.nodes]
+        # lp_mass caches each node's refined values; the stacks carry them
         self.m_nodes = [geo.lp_mass(u, q) for u in self.nodes]
+        self.e_nodes = []
+        for rows in _chunks(len(self.nodes)):
+            self.e_nodes += prob.eval_F(geo.stack(self.nodes[rows]), problem, q)
         self.barriers = tuple(sorted(barriers))
         self._seg: list = [None] * (len(self.nodes) - 1)
 
     def _point(self, j, t):
         return geo.add(geo.scale(self.nodes[j], 1.0 - t), self.nodes[j + 1], t)
 
-    def _crossing_ts(self, j):
-        """Interior parameters where the segment mass crosses a barrier."""
-        ma, mb = self.m_nodes[j], self.m_nodes[j + 1]
-        out = []
-        for kref in self.barriers:
-            if (ma - kref) * (mb - kref) >= 0.0:
-                continue
-            lo, hi = 0.0, 1.0
-            f_lo = ma - kref
+    def _crossing_ts(self, segs):
+        """Interior parameters where each segment's mass crosses a barrier.
+
+        One bisection runs over every (segment, barrier) pair in
+        lockstep: 40 halvings of [0, 1] on the refined-grid values
+        (1 - t) a + t b of the endpoints, the values ``_point`` carries.
+        Returns {segment: [t per crossed barrier, in barrier order]}.
+        """
+        out = {s: [] for s in segs}
+        pairs = [
+            (s, kref)
+            for s in segs
+            for kref in self.barriers
+            if not ((self.m_nodes[s] - kref) * (self.m_nodes[s + 1] - kref) >= 0.0)
+        ]
+        d = self.problem.geometry.d_eff
+        integrate = self.problem.geometry.integrate_fine
+        for rows in _chunks(len(pairs)):
+            part = pairs[rows]
+            a = np.stack([self.nodes[s].fine_values for s, _ in part])
+            b = np.stack([self.nodes[s + 1].fine_values for s, _ in part])
+            kref = np.array([k for _, k in part])
+            f_lo = np.array([self.m_nodes[s] for s, _ in part]) - kref
+            lo, hi = np.zeros(len(part)), np.ones(len(part))
             for _ in range(40):
                 mid = 0.5 * (lo + hi)
-                val = geo.lp_mass(self._point(j, mid), self.q) - kref
-                if (val > 0) == (f_lo > 0):
-                    lo = mid
-                else:
-                    hi = mid
-            out.append(0.5 * (lo + hi))
+                w = mid.reshape((-1,) + (1,) * d)
+                # lp_mass of the point's carried values
+                val = integrate(np.abs((1.0 - w) * a + w * b) ** self.q) - kref
+                keep = (val > 0) == (f_lo > 0)
+                lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
+            for (s, _), t in zip(part, 0.5 * (lo + hi)):
+                out[s].append(float(t))
         return out
 
-    def _segment(self, j, ts=None):
-        """Energies at interior samples of segment j (cached default set)."""
-        use_cache = ts is None
-        if use_cache and self._seg[j] is not None:
-            return self._seg[j]
-        t_list = list(self.SUB if ts is None else ts) + self._crossing_ts(j)
-        out = [
-            (t, prob.eval_F(self._point(j, t), self.problem, self.q))
-            for t in t_list
-        ]
-        if use_cache:
-            self._seg[j] = out
+    def _sample_energies(self, rows):
+        """eval_F at (1 - t) a + t b for (segment, t) rows, one stack per chunk."""
+        out = []
+        for chunk in _chunks(len(rows)):
+            part = rows[chunk]
+            a = geo.stack([self.nodes[s] for s, _ in part])
+            b = geo.stack([self.nodes[s + 1] for s, _ in part])
+            t = np.array([t for _, t in part])
+            points = geo.add(geo.scale(a, 1.0 - t), b, t)
+            out += prob.eval_F(points, self.problem, self.q)
         return out
+
+    def _samples(self, ts=None):
+        """(t, energy) interior samples of every segment.
+
+        The default set (``SUB`` plus crossings) is cached per segment
+        and only the segments without one are evaluated; a given ``ts``
+        evaluates every segment afresh and caches nothing.
+        """
+        if ts is None:
+            todo = [s for s, cached in enumerate(self._seg) if cached is None]
+            base = self.SUB
+        else:
+            todo = list(range(len(self.nodes) - 1))
+            base = ts
+        crossings = self._crossing_ts(todo)
+        rows = [(s, t) for s in todo for t in [*base, *crossings[s]]]
+        fresh = {s: [] for s in todo}
+        for (s, t), e in zip(rows, self._sample_energies(rows)):
+            fresh[s].append((t, e))
+        if ts is not None:
+            return [fresh[s] for s in todo]
+        for s in todo:
+            self._seg[s] = fresh[s]
+        return self._seg
 
     def invalidate(self, j):
         for s in (j - 1, j):
             if 0 <= s < len(self._seg):
                 self._seg[s] = None
 
-    def set_node(self, j, w):
-        self.nodes[j] = w
-        self.e_nodes[j] = prob.eval_F(w, self.problem, self.q)
-        self.m_nodes[j] = geo.lp_mass(w, self.q)
-        self.invalidate(j)
+    def set_nodes(self, new):
+        """Replace nodes {j: field}, evaluated as one stack."""
+        js = list(new)
+        fields = geo.stack([new[j] for j in js])
+        energies = prob.eval_F(fields, self.problem, self.q)
+        masses = geo.lp_mass(fields, self.q)
+        for i, j in enumerate(js):
+            # the row carries the refined values the energy transformed
+            self.nodes[j] = fields[i]
+            self.e_nodes[j] = energies[i]
+            self.m_nodes[j] = float(masses[i])
+            self.invalidate(j)
 
     def honest_max(self, ts=None):
         """(value, node_index, interior (t, seg) or None) of the path max."""
         jn = int(np.argmax(self.e_nodes))
         best = (self.e_nodes[jn], jn, None)
-        for s in range(len(self.nodes) - 1):
-            for t, e in self._segment(s, ts):
+        for s, samples in enumerate(self._samples(ts)):
+            for t, e in samples:
                 if e > best[0]:
                     best = (e, s, t)
         return best
@@ -491,9 +563,12 @@ def mountain_pass(
         ]
         if not window:
             raise Collapse("path maximum sits at an endpoint")
+        stacked = prob.grad_F(
+            geo.stack([path.nodes[j] for j, _ in window]), problem, q
+        )
         grads = {}
-        for j, _ in window:
-            gj = prob.grad_F(path.nodes[j], problem, q)
+        for i, (j, _) in enumerate(window):
+            gj = stacked[i]
             if subspace is not None:
                 gj = _project_span(gj, subspace)
             grads[j] = gj
@@ -532,8 +607,7 @@ def mountain_pass(
                 for s in (j - 1, j)
                 if 0 <= s < len(path._seg)
             }
-            for j, w in touched.items():
-                path.set_node(j, w)
+            path.set_nodes(touched)
             trial_nu, _, _ = path.honest_max()
             if trial_nu < nu - 1e-16 * (1.0 + abs(nu)):
                 tau = min(t * 1.5, 1e6)
@@ -553,12 +627,7 @@ def mountain_pass(
             tau = max(tau * 0.25, 1e-12)
 
     # final verification sweep with denser interior sampling
-    dense_ts = np.linspace(0.05, 0.95, 19)
-    for _ in range(6):
-        _, _, t_int = path.honest_max(ts=dense_ts)
-        if t_int is None:
-            break
-        path.promote_interior_maxima(ts=dense_ts)
+    path.promote_interior_maxima(limit=48, ts=np.linspace(0.05, 0.95, 19))
     nu_path, jmax, _ = path.honest_max()
     energies = np.array(path.e_nodes)
     state = PathState(

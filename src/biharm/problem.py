@@ -30,10 +30,11 @@ exactness gives F_q(u) = <u, L_w u> + (q/2 - 1) int f |u|^q by Parseval,
 which is how ``energy_and_grad`` shares one operator application
 between the value and the gradient.
 
-``apply_operator``, ``energy_and_grad`` and ``constraint_direction``
-take a stack of fields as well as a single one (see the geometry
-module): each field gets the arithmetic it would get alone, and the
-transforms are made once for the stack.
+``apply_operator``, ``eval_F``, ``grad_F``, ``energy_and_grad`` and
+``constraint_direction`` take a stack of fields as well as a single one
+(see the geometry module), and so do ``quadratic_part`` and
+``f_weighted_mass``: each field gets the arithmetic it would get alone,
+bit for bit, and the transforms are made once for the stack.
 
 The nonlinear power is evaluated as |u|^(q-2) u (or sign(u) |u|^(q-1)),
 which is continuous at u = 0 for every q > 2 and avoids fractional
@@ -222,8 +223,8 @@ def _grad_weighted_sq(problem: ProblemData, u: SpectralField) -> float:
     return grad_samples_and_weighted_sq(problem, u.coeffs)[1]
 
 
-def quadratic_part(u: SpectralField, problem: ProblemData) -> float:
-    """Q(u) = |Delta u|_2^2 - int a |grad u|^2 + int h u^2."""
+def quadratic_part(u: SpectralField, problem: ProblemData):
+    """Q(u) = |Delta u|_2^2 - int a |grad u|^2 + int h u^2 (one value per field of a stack)."""
     g = problem.geometry
     g.check_same(u.geometry)
     uf = u.fine_values
@@ -234,8 +235,8 @@ def quadratic_part(u: SpectralField, problem: ProblemData) -> float:
     )
 
 
-def f_weighted_mass(u: SpectralField, problem: ProblemData, q: float) -> float:
-    """int f |u|^q by refined-grid quadrature."""
+def f_weighted_mass(u: SpectralField, problem: ProblemData, q: float):
+    """int f |u|^q by refined-grid quadrature (one value per field of a stack)."""
     g = problem.geometry
     return g.integrate_fine(problem.f_fine * np.abs(u.fine_values) ** q)
 
@@ -252,10 +253,19 @@ def _finite(value: float) -> float:
     return value
 
 
-def eval_F(u: SpectralField, problem: ProblemData, q: float) -> float:
-    """Energy F_q(u); raises on a non-finite result."""
+def eval_F(u: SpectralField, problem: ProblemData, q: float):
+    """Energy F_q(u); raises on a non-finite result.
+
+    For a stack, a list with one float per field, each the value the
+    field gets alone; any non-finite one raises.  This is the quadrature
+    form of F, not the Parseval form of ``energy_and_grad``, whose
+    rounding differs.
+    """
     problem.exponents(q)
-    return _finite(quadratic_part(u, problem) - f_weighted_mass(u, problem, q))
+    value = quadratic_part(u, problem) - f_weighted_mass(u, problem, q)
+    if np.ndim(value) == 0:
+        return _finite(value)
+    return [_finite(float(v)) for v in value]
 
 
 def eval_G(u: SpectralField, problem: ProblemData, q: float) -> float:
@@ -268,7 +278,7 @@ def eval_G(u: SpectralField, problem: ProblemData, q: float) -> float:
 
 
 def grad_F(u: SpectralField, problem: ProblemData, q: float) -> SpectralField:
-    """Unconstrained L2 gradient of F_q (exact for the discrete quadratures)."""
+    """Unconstrained L2 gradient of F_q (exact for the discrete quadratures); a stack for a stack."""
     w = 0.5 * q * problem.f_fine * np.abs(u.fine_values) ** (q - 2.0)
     return problem.geometry.field_from_coeffs(2.0 * apply_operator(problem, u, w))
 

@@ -378,5 +378,11 @@ def test_stack_rows_are_fields_of_their_own(dim, geom64, geom2d, monkeypatch):
     assert calls == [1]                      # one transform for the stack
     with pytest.raises(GeometryMismatch):
         g.field_from_coeffs(np.zeros((2, 2) + g.shape))
+    samples = np.stack([f.samples for f in fields])
+    from_samples = g.field(samples)
+    for i, f in enumerate(fields):
+        assert np.array_equal(from_samples.coeffs[i], g.field(samples[i]).coeffs)
+    with pytest.raises(GeometryMismatch):
+        g.field(np.zeros((2, 2) + g.shape))
     with pytest.raises(TypeError):
         fields[0][0]

@@ -5,10 +5,15 @@ import pytest
 from scipy import ndimage
 
 from biharm import geometry as geo
+from biharm import mountainpass as mpass
 from biharm import problem as prob
 from biharm.errors import Collapse, NonConvergence, ShapeNotFound
+from biharm.geometry import TorusGeometry
 from biharm.minimizer import MuCurve, SolverOptions, minimize_on_sphere, trace_mu_curve
 from biharm.mountainpass import (
+    _dense_hessian,
+    _hessian_apply,
+    _Path,
     find_mu_zeros,
     mountain_pass,
     refine_critical_point,
@@ -287,3 +292,119 @@ def test_refine_critical_point_from_path_seed(toy_pipeline, toy64):
     _, _, _, mp = toy_pipeline
     assert mp.report.flags["polished"]
     assert mp.report.flags["polish_residual"] <= 1e-10 * (1.0 + mp.nu)
+
+
+# ----------------------------------------------------------------------
+# stacked path sweeps and Hessian assembly against the one-field forms
+
+
+def _toy_path(toy_pipeline, toy64):
+    """A path over the stalled toy nodes, barriers between the endpoint masses."""
+    _, _, _, mp = toy_pipeline
+    q = 4.0
+    nodes = mp.path.nodes
+    k1, k2 = geo.lp_mass(nodes[0], q), geo.lp_mass(nodes[-1], q)
+    return _Path(toy64, q, nodes, np.geomspace(k1, k2, 13)[1:-1])
+
+
+def _scalar_crossing_ts(path, j):
+    """The field-by-field bisection the lockstep crossings replaced."""
+    ma, mb = path.m_nodes[j], path.m_nodes[j + 1]
+    out = []
+    for kref in path.barriers:
+        if (ma - kref) * (mb - kref) >= 0.0:
+            continue
+        lo, hi = 0.0, 1.0
+        f_lo = ma - kref
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            val = geo.lp_mass(path._point(j, mid), path.q) - kref
+            if (val > 0) == (f_lo > 0):
+                lo = mid
+            else:
+                hi = mid
+        out.append(0.5 * (lo + hi))
+    return out
+
+
+def test_lockstep_crossings_match_scalar_bisection(toy_pipeline, toy64):
+    path = _toy_path(toy_pipeline, toy64)
+    segs = list(range(len(path.nodes) - 1))
+    got = path._crossing_ts(segs)
+    assert sum(len(ts) for ts in got.values()) >= 5
+    for j in segs:
+        assert got[j] == _scalar_crossing_ts(path, j)
+
+
+def test_path_energies_match_single_field_evaluation(toy_pipeline, toy64):
+    path = _toy_path(toy_pipeline, toy64)
+    q = path.q
+    assert path.e_nodes == [prob.eval_F(u, toy64, q) for u in path.nodes]
+    for ts in (None, np.linspace(0.05, 0.95, 19)):
+        for j, samples in enumerate(path._samples(ts)):
+            for t, e in samples:
+                assert e == prob.eval_F(path._point(j, t), toy64, q)
+
+
+def test_sweep_in_chunks_matches_one_stack(toy_pipeline, toy64, monkeypatch):
+    path = _toy_path(toy_pipeline, toy64)
+    rows = [(s, t) for s in range(len(path.nodes) - 1) for t in np.linspace(0.05, 0.95, 19)]
+    assert len(rows) > 2 * mpass._CHUNK
+    sizes = []
+    real = prob.eval_F
+
+    def counted(u, *a, **k):
+        sizes.append(u.coeffs.shape[0])
+        return real(u, *a, **k)
+
+    monkeypatch.setattr(prob, "eval_F", counted)
+    chunked = path._sample_energies(rows)
+    assert max(sizes) == mpass._CHUNK and len(sizes) == -(-len(rows) // mpass._CHUNK)
+    monkeypatch.setattr(mpass, "_CHUNK", len(rows))
+    assert path._sample_energies(rows) == chunked
+    assert sizes[-1] == len(rows)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_hessian_matches_column_assembly(toy64, plate2d, dim, monkeypatch):
+    problem = toy64 if dim == 1 else plate2d
+    g = problem.geometry
+    q = 3.0
+    u = g.random_smooth(np.random.default_rng(5), decay=2.5, amplitude=2.0)
+    n = g.size
+    H = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        H[:, j] = _hessian_apply(problem, q, u, g.field(e.reshape(g.shape))).samples.ravel()
+    want = 0.5 * (H + H.T)
+    if dim == 2:
+        monkeypatch.setattr(mpass, "_CHUNK", 100)     # 1024 columns: a short last chunk
+    assert np.array_equal(_dense_hessian(problem, q, u), want)
+
+
+def test_mountain_pass_transform_count(toy_pipeline, toy64, monkeypatch):
+    # the field-by-field path evaluation made 15,608 transforms and 5,261
+    # eval_F calls here
+    curve, (l1, l2, _), (end1, u2), mp = toy_pipeline
+    seeds = [(float(k), v) for k, v in zip(curve.ks, curve.minimizers) if l1 <= k <= l2]
+    calls = []
+    for name in ("forward", "inverse"):
+        real = getattr(TorusGeometry, name)
+        monkeypatch.setattr(
+            TorusGeometry, name,
+            lambda self, *a, _real=real, **k: calls.append(1) or _real(self, *a, **k),
+        )
+    rows = []
+    real_F = prob.eval_F
+
+    def counted(u, *a, **k):
+        rows.append(u.coeffs.shape[0] if u.coeffs.ndim > u.geometry.d_eff else 1)
+        return real_F(u, *a, **k)
+
+    monkeypatch.setattr(prob, "eval_F", counted)
+    again = mountain_pass(toy64, 4.0, end1.v, u2, interior_seeds=seeds)
+    assert again.iterations == mp.iterations and again.nu == mp.nu
+    assert 0 < len(calls) <= 2000
+    assert 0 < len(rows) <= 600
+    assert max(rows) <= mpass._CHUNK

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biharm import geometry as geo
 from biharm import problem as prob
@@ -167,6 +169,43 @@ def test_grad_samples_and_weighted_sq_per_row(bundled64, plate2d, dim):
             assert np.array_equal(du[i, row], du_i)
             want += g.integrate_fine(problem.a_fine * du_i * du_i)
         assert values[row] == want == prob._grad_weighted_sq(problem, u)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), q=st.floats(2.1, 4.5), n=st.integers(1, 5))
+def test_stacked_energy_rows_match_single_fields_bitwise(bundled64, plate2d, dim, seed, q, n):
+    # rows with and without carried refined-grid values, as the path sweep makes them
+    problem = bundled64 if dim == 1 else plate2d
+    g = problem.geometry
+    rng = np.random.default_rng(seed)
+    fields = [g.random_smooth(rng, decay=2.5, amplitude=rng.uniform(0.2, 3.0)) for _ in range(n)]
+    nodes = [g.field_from_coeffs(f.coeffs) for f in fields]
+    for f in nodes:
+        f.fine_values
+    t = rng.uniform(0.0, 1.0, size=n)
+    blends = geo.add(geo.scale(geo.stack(nodes), 1.0 - t), geo.stack(nodes[::-1]), t)
+    blend_rows = [geo.add(geo.scale(a, 1.0 - ti), b, ti) for a, b, ti in zip(nodes, nodes[::-1], t)]
+    for u, rows in ((geo.stack(fields), fields), (blends, blend_rows)):
+        energies = eval_F(u, problem, q)
+        quad = prob.quadratic_part(u, problem)
+        mass = prob.f_weighted_mass(u, problem, q)
+        bilap = geo.bilap_energy(u)
+        grads = grad_F(u, problem, q)
+        assert len(energies) == n and all(isinstance(e, float) for e in energies)
+        for i, f in enumerate(rows):
+            assert energies[i] == eval_F(f, problem, q)
+            assert quad[i] == prob.quadratic_part(f, problem)
+            assert mass[i] == prob.f_weighted_mass(f, problem, q)
+            assert bilap[i] == geo.bilap_energy(f)
+            assert np.array_equal(grads.coeffs[i], grad_F(f, problem, q).coeffs)
+
+
+def test_stacked_eval_F_raises_on_a_non_finite_row(bundled64):
+    g = bundled64.geometry
+    u = geo.stack([g.constant(1.0), g.constant(1e200)])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        eval_F(u, bundled64, 4.0)
 
 
 def test_el_residual_zero_field(bundled64, geom64):
