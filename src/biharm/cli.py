@@ -17,7 +17,7 @@ mini-grammar)::
       "exponent":     {"q": 2.5},
       "curve":        {"k_min": 1.0, "k_max": 1e15, "k_steps": 48},
       "solver":       {"seed": 0, "tol_scale": 1e-8, "max_iter": 5000,
-                       "battery_iter": 600, "multistart": true}
+                       "battery_iter": 600}
     }
 
 Exit codes: 0 success (for ``certify``: conditions (1) and (2) hold),
@@ -88,7 +88,7 @@ def _require(cfg: dict, section: str, keys) -> dict:
     return block
 
 
-def _build_problem(cfg: dict, require_f_minus: bool) -> tuple[ProblemData, dict]:
+def _build_problem(cfg: dict, require_f_minus: bool) -> ProblemData:
     gblock = _require(cfg, "geometry", ("n_ambient", "d_eff", "grid_size"))
     try:
         geometry = TorusGeometry(
@@ -107,7 +107,7 @@ def _build_problem(cfg: dict, require_f_minus: bool) -> tuple[ProblemData, dict]
         raise ConfigError("h must be negative at every grid node")
     if require_f_minus and not problem.f_minus_positive:
         raise ConfigError("this command requires int f^- > 0 (f must dip below zero)")
-    return problem, gblock
+    return problem
 
 
 def _solver_options(cfg: dict, args) -> SolverOptions:
@@ -117,7 +117,6 @@ def _solver_options(cfg: dict, args) -> SolverOptions:
         max_iter=int(block.get("max_iter", 5000)),
         tol_scale=float(block.get("tol_scale", 1e-8)),
         battery_iter=int(block.get("battery_iter", 600)),
-        multistart=bool(block.get("multistart", True)),
     )
     if getattr(args, "seed", None) is not None:
         opts.seed = args.seed
@@ -180,7 +179,7 @@ def _dump_solution(out: Path, stem: str, report) -> None:
 
 def cmd_certify(args) -> int:
     cfg = _load_config(args.config)
-    problem, _ = _build_problem(cfg, require_f_minus=False)
+    problem = _build_problem(cfg, require_f_minus=False)
     opts = _solver_options(cfg, args)
     q = _exponent(cfg, args)
     out = _out_dir(args)
@@ -198,7 +197,7 @@ def _trace_curve(problem, q, cfg, args, opts, certificate=None):
 
 def cmd_mu_curve(args) -> int:
     cfg = _load_config(args.config)
-    problem, _ = _build_problem(cfg, require_f_minus=True)
+    problem = _build_problem(cfg, require_f_minus=True)
     opts = _solver_options(cfg, args)
     q = _exponent(cfg, args)
     out = _out_dir(args)
@@ -233,7 +232,7 @@ def _two_solutions(problem, q, cfg, args, opts):
 
 def cmd_mountain_pass(args) -> int:
     cfg = _load_config(args.config)
-    problem, _ = _build_problem(cfg, require_f_minus=True)
+    problem = _build_problem(cfg, require_f_minus=True)
     opts = _solver_options(cfg, args)
     q = _exponent(cfg, args)
     out = _out_dir(args)
@@ -256,7 +255,7 @@ def cmd_mountain_pass(args) -> int:
 
 def cmd_solve_sub(args) -> int:
     cfg = _load_config(args.config)
-    problem, _ = _build_problem(cfg, require_f_minus=True)
+    problem = _build_problem(cfg, require_f_minus=True)
     opts = _solver_options(cfg, args)
     q = _exponent(cfg, args)
     out = _out_dir(args)
@@ -286,7 +285,7 @@ def cmd_solve_sub(args) -> int:
 
 def cmd_solve_critical(args) -> int:
     cfg = _load_config(args.config)
-    problem, _ = _build_problem(cfg, require_f_minus=True)
+    problem = _build_problem(cfg, require_f_minus=True)
     opts = _solver_options(cfg, args)
     out = _out_dir(args)
     N = problem.geometry.critical_exponent

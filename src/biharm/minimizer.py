@@ -54,7 +54,6 @@ class SolverOptions:
     max_iter: int = 5000
     tol_scale: float = 1e-8        # gradient tolerance: tol_scale * (1 + |F|)
     battery_iter: int = 600        # iteration cap for multistart probes
-    multistart: bool = True
 
     def rng(self, stream: int = 0) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, stream]))
@@ -127,6 +126,11 @@ def _precond_shift(problem: ProblemData, q: float, k: float) -> float:
     amp = max(k, _EPS) ** (1.0 / q)
     nl = q * (q - 1.0) * problem.f_sup * amp ** (q - 2.0)
     return max(1.0, problem.h_sup + nl)
+
+
+def _metric(problem: ProblemData, q: float, k: float) -> np.ndarray:
+    """Spectral descent metric at mass k: 1 / (shift + |2 pi m|^4) per mode."""
+    return 1.0 / (_precond_shift(problem, q, k) + problem.geometry.lam_sq)
 
 
 def _retract_sphere(u: SpectralField, q: float, k: float) -> SpectralField:
@@ -217,7 +221,7 @@ def _bb_minimize(
     g = problem.geometry
     tol = opts.tol_scale
     scale_k = sphere_k if sphere_k is not None else (ball_cap or 1.0)
-    P = 1.0 / (_precond_shift(problem, q, scale_k) + g.lam_sq)
+    P = _metric(problem, q, scale_k)
 
     def retract(w):
         if sphere_k is not None:
@@ -404,10 +408,9 @@ def minimize_on_sphere(
 ) -> SphereResult:
     """Minimize F_q over the sphere |u|_q^q = k.
 
-    Runs the warm start (if given) to full tolerance and, when
-    multistart is enabled, a capped battery of standard seeds, all as
-    one stack; a winner that did not converge is polished to full
-    tolerance.  The winner has the lowest energy; energies within
+    Runs the warm start (if given) to full tolerance and a capped
+    battery of standard seeds, all as one stack; a winner that did not
+    converge is polished to full tolerance.  The winner has the lowest energy; energies within
     1e-12 (1 + |F_min|) of it count as tied, and the earliest of the
     tied candidates (warm start first) wins.  The output always
     satisfies the constraint exactly by retraction.
@@ -425,11 +428,10 @@ def minimize_on_sphere(
 
     warm = [("warm", init, opts.max_iter)] if init is not None else []
     battery, seeds = None, []
-    if opts.multistart or init is None:
-        if battery_memo is not None:
-            battery = battery_memo.pop(k, None)
-        if battery is None:
-            seeds = [(tag, s, opts.battery_iter) for tag, s in default_seeds(problem, q, k, opts)]
+    if battery_memo is not None:
+        battery = battery_memo.pop(k, None)
+    if battery is None:
+        seeds = [(tag, s, opts.battery_iter) for tag, s in default_seeds(problem, q, k, opts)]
     solved = _solve_stack(problem, q, warm + seeds, opts, sphere_k=k)
     if seeds:
         battery = _battery_candidate(solved[len(warm):])
@@ -467,9 +469,8 @@ def minimize_on_ball(
     tagged = [("const-scan", g.constant(c_best), opts.max_iter)]
     if init is not None:
         tagged.insert(0, ("warm", init, opts.max_iter))
-    if opts.multistart:
-        seeds = default_seeds(problem, q, 0.05 * cap, opts)
-        tagged += [(tag, s, opts.battery_iter) for tag, s in seeds]
+    seeds = default_seeds(problem, q, 0.05 * cap, opts)
+    tagged += [(tag, s, opts.battery_iter) for tag, s in seeds]
     candidates = _solve_stack(problem, q, tagged, opts, ball_cap=cap)
     return _polish(problem, q, _earliest_lowest(candidates), opts, ball_cap=cap)
 

@@ -15,17 +15,21 @@ dominant interior points become nodes, and every segment is evaluated
 where its L^q mass crosses the hump masses, so the measured level
 dominates the sampled hump by construction rather than by solver luck.
 When the level stalls, the maximal node is polished into a genuine
-critical point by a damped Gauss-Newton solve on the stationarity
-residual; the reported ``nu`` is the stalled honest maximum and the
-report's energy is that of the polished critical point.
+critical point by damped Newton-Krylov steps on the stationarity
+residual: ``lsqr`` on the matrix-free Hessian action, preconditioned
+by the spectral descent metric of the path deformation.  The reported
+``nu`` is the stalled honest maximum and the report's energy is that
+of the polished critical point.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, lsqr
 
 from . import geometry as geo
 from . import problem as prob
@@ -37,6 +41,7 @@ from .minimizer import (
     SolverOptions,
     make_report,
     minimize_on_sphere,
+    _metric,
     _project_span,
     _retract_sphere,
 )
@@ -78,22 +83,6 @@ def _hessian_apply(problem, q, u, v):
     return problem.geometry.field_from_coeffs(prob.apply_operator(problem, v, w))
 
 
-def _dense_hessian(problem, q, u):
-    """Symmetrized matrix of ``_hessian_apply`` on grid samples.
-
-    Column j is the action on the band projection of the unit sample
-    e_j; the unit fields are applied as stacks of at most ``_CHUNK``.
-    """
-    g = problem.geometry
-    n = g.size
-    H = np.empty((n, n))
-    for cols in _chunks(n):
-        units = np.eye(cols.stop - cols.start, n, k=cols.start)
-        applied = _hessian_apply(problem, q, u, g.field(units.reshape((-1,) + g.shape)))
-        H[:, cols] = applied.samples.reshape(-1, n).T
-    return 0.5 * (H + H.T)
-
-
 def _residual_field(problem, q, u):
     """Half the gradient of F_q: the strong-form stationarity residual."""
     w = 0.5 * q * problem.f_fine * np.abs(u.fine_values) ** (q - 2.0)
@@ -106,116 +95,88 @@ def refine_critical_point(
     u0: SpectralField,
     subspace=None,
 ) -> tuple[SpectralField, float, bool]:
-    """Damped Newton iteration on the stationarity residual of F_q.
+    """Damped Newton-Krylov iteration on the stationarity residual of F_q.
 
     Converges to the critical point nearest the seed regardless of its
     Morse index, which makes it the right polish for saddle candidates.
-    The damping acts through the Gauss-Newton normal matrix, which stays
-    positive semidefinite at saddles, so it never sweeps a Hessian
-    eigenvalue through zero; translation quasi-symmetries leave a
-    near-null direction that an undamped solve would overshoot.
+    Each step solves min |H d + r|^2 + lm |d|^2 for the half Hessian H
+    and residual r with ``lsqr`` on the matrix-free Hessian action
+    (Jacobian-free Newton-Krylov, Knoll & Keyes 2004).  Least squares
+    stays well posed at saddles, where H is indefinite, and the damping
+    never sweeps a Hessian eigenvalue through zero; translation
+    quasi-symmetries leave a near-null direction that an undamped solve
+    would overshoot.  On the grid the step is right-preconditioned by
+    the descent metric ``_metric`` at the iterate's mass, which takes
+    the |2 pi m|^4 growth out of H; in a subspace the unknowns are the
+    basis coefficients and the step is unpreconditioned.
 
-    Runs at most 40 Newton steps toward 1e-13 (1 + |F|) (roughly the
-    rounding floor) but reports success at 1e-9 (1 + |F|).  Returns
-    (field, residual_norm, converged).  The step is a dense solve when a
-    subspace is given (span-restricted) or the grid has at most 1024
-    points (1-D grids and 2-D grids up to 32^2), and ``lsqr`` on the
-    matrix-free Hessian otherwise.
+    A step is taken only if it lowers the residual, else the damping lm
+    grows 16-fold (giving up above 1e3).  Runs at most 40 Newton steps
+    toward 1e-13 (1 + |F|) (roughly the rounding floor), stops early
+    once a step from a residual at or below 1e-9 (1 + |F|) fails to
+    halve it, and reports success at 1e-9 (1 + |F|).  Returns (field,
+    residual_norm, converged).
     """
     g = problem.geometry
-    u = u0
     basis = list(subspace) if subspace is not None else None
 
-    def res_norm(r):
-        # within a subspace only the projected stationarity can vanish
-        if basis is not None:
-            return math.sqrt(sum(geo.inner(e, r) ** 2 for e in basis))
-        return geo.l2_norm(r)
+    if basis is None:
+        res_norm = geo.l2_norm
 
+        def system(u, r):
+            P = _metric(problem, q, geo.lp_mass(u, q))
+
+            def step(x):
+                return g.field_from_coeffs(P * g.field(x.reshape(g.shape)).coeffs)
+
+            def matvec(x):
+                return _hessian_apply(problem, q, u, step(x)).samples.ravel()
+
+            def rmatvec(y):
+                Hy = _hessian_apply(problem, q, u, g.field(y.reshape(g.shape)))
+                return g.field_from_coeffs(P * Hy.coeffs).samples.ravel()
+
+            n = g.size
+            op = LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec, dtype=float)
+            return op, -r.samples.ravel(), step
+    else:
+
+        def project(r):
+            return np.array([geo.inner(e, r) for e in basis])
+
+        def res_norm(r):
+            # within a subspace only the projected stationarity can vanish
+            return float(np.linalg.norm(project(r)))
+
+        def system(u, r):
+            def matvec(c):
+                return project(_hessian_apply(problem, q, u, geo.combination(basis, c)))
+
+            k = len(basis)
+            op = LinearOperator((k, k), matvec=matvec, rmatvec=matvec, dtype=float)
+            return op, -project(r), lambda c: geo.combination(basis, c)
+
+    u = u0
     r = _residual_field(problem, q, u)
     rn = res_norm(r)
     scale0 = 1.0 + abs(prob.eval_F(u, problem, q))
     lm = 0.0
-
-    def assemble(u):
-        if basis is None:
-            return _dense_hessian(problem, q, u)
-        k = len(basis)
-        H = np.empty((k, k))
-        for j, ej in enumerate(basis):
-            Hej = _hessian_apply(problem, q, u, ej)
-            for i, ei in enumerate(basis):
-                H[i, j] = geo.inner(ei, Hej)
-        return 0.5 * (H + H.T)
-
-    def solve_step(H, r_vec, lm):
-        # damped Gauss-Newton on the stationarity system: the normal
-        # matrix stays positive semidefinite at saddles, so the damping
-        # never sweeps a Hessian eigenvalue through zero
-        HtH = H.T @ H
-        scale = max(float(np.max(np.diag(HtH))), _EPS)
-        rhs = -H.T @ r_vec
-        try:
-            return np.linalg.solve(HtH + lm * scale * np.eye(H.shape[0]), rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(H, -r_vec, rcond=None)
-            return sol
-
-    def residual_vec(r):
-        if basis is not None:
-            return np.array([geo.inner(ei, r) for ei in basis])
-        return r.samples.ravel()
-
-    def to_field(vec):
-        if basis is not None:
-            return geo.combination(basis, vec)
-        return g.field(vec.reshape(g.shape))
-
-    use_dense = basis is not None or g.size <= 1024
     for _ in range(40):
         if rn <= 1e-13 * scale0:
             break
-        if use_dense:
-            H = assemble(u)
-            r_vec = residual_vec(r)
-            improved = False
-            for _ in range(10):
-                delta = to_field(solve_step(H, r_vec, lm))
-                trial = geo.add(u, delta, 1.0)
-                rt = _residual_field(problem, q, trial)
-                rtn = res_norm(rt)
-                if rtn < rn:
-                    u, r, rn = trial, rt, rtn
-                    lm = lm / 16.0 if lm > 1e-15 else 0.0
-                    improved = True
-                    break
-                lm = 1e-12 if lm == 0.0 else lm * 16.0
-                if lm > 1e3:
-                    break
-            if not improved:
-                break
+        op, rhs, to_field = system(u, r)
+        x = lsqr(op, rhs, damp=math.sqrt(lm), atol=1e-13, btol=1e-13, iter_lim=800)[0]
+        trial = geo.add(u, to_field(x), 1.0)
+        rt = _residual_field(problem, q, trial)
+        rtn = res_norm(rt)
+        at_floor = rn <= 1e-9 * scale0 and not rtn <= 0.5 * rn
+        if rtn < rn:
+            u, r, rn = trial, rt, rtn
+            lm = lm / 16.0 if lm > 1e-15 else 0.0
         else:
-            from scipy.sparse.linalg import LinearOperator, lsqr
-
-            n = g.size
-
-            def matvec(x):
-                xf = g.field(x.reshape(g.shape))
-                return _hessian_apply(problem, q, u, xf).samples.ravel()
-
-            op = LinearOperator((n, n), matvec=matvec, rmatvec=matvec, dtype=float)
-            d = lsqr(op, -r.samples.ravel(), damp=math.sqrt(lm), atol=1e-13,
-                     btol=1e-13, iter_lim=800)[0]
-            trial = geo.add(u, g.field(d.reshape(g.shape)), 1.0)
-            rt = _residual_field(problem, q, trial)
-            rtn = res_norm(rt)
-            if rtn < rn:
-                u, r, rn = trial, rt, rtn
-                lm = lm / 16.0 if lm > 1e-15 else 0.0
-            else:
-                lm = 1e-12 if lm == 0.0 else lm * 16.0
-                if lm > 1e3:
-                    break
+            lm = 1e-12 if lm == 0.0 else lm * 16.0
+        if at_floor or lm > 1e3:
+            break
     return u, rn, rn <= 1e-9 * scale0
 
 
@@ -429,23 +390,28 @@ class _Path:
             self._seg[s] = fresh[s]
         return self._seg
 
-    def invalidate(self, j):
-        for s in (j - 1, j):
-            if 0 <= s < len(self._seg):
-                self._seg[s] = None
+    def with_nodes(self, new):
+        """A copy of the path with nodes {j: field} replaced, evaluated as one stack.
 
-    def set_nodes(self, new):
-        """Replace nodes {j: field}, evaluated as one stack."""
+        The copy keeps this path's samples of every segment whose ends
+        did not move; this path is left as it was.
+        """
+        trial = copy.copy(self)
+        trial.nodes, trial.e_nodes = list(self.nodes), list(self.e_nodes)
+        trial.m_nodes, trial._seg = list(self.m_nodes), list(self._seg)
         js = list(new)
         fields = geo.stack([new[j] for j in js])
         energies = prob.eval_F(fields, self.problem, self.q)
         masses = geo.lp_mass(fields, self.q)
         for i, j in enumerate(js):
             # the row carries the refined values the energy transformed
-            self.nodes[j] = fields[i]
-            self.e_nodes[j] = energies[i]
-            self.m_nodes[j] = float(masses[i])
-            self.invalidate(j)
+            trial.nodes[j] = fields[i]
+            trial.e_nodes[j] = energies[i]
+            trial.m_nodes[j] = float(masses[i])
+            for s in (j - 1, j):
+                if 0 <= s < len(trial._seg):
+                    trial._seg[s] = None
+        return trial
 
     def honest_max(self, ts=None):
         """(value, node_index, interior (t, seg) or None) of the path max."""
@@ -503,8 +469,6 @@ def mountain_pass(
     g = problem.geometry
     problem.exponents(q)
 
-    from .minimizer import _precond_shift
-
     n_nodes = 41
     collapse_tol = 1e-8
     k1 = geo.lp_mass(u1, q)
@@ -525,9 +489,6 @@ def mountain_pass(
     max_nodes = 6 * n_nodes
     profile_rows = []
     history = []
-
-    def precond(k_mass):
-        return 1.0 / (_precond_shift(problem, q, k_mass) + g.lam_sq)
 
     tau = 1e-2
     nu_window: list[float] = []
@@ -593,32 +554,18 @@ def mountain_pass(
         for _ in range(25):
             touched = {}
             for j, wgt in window:
-                Pj = precond(path.m_nodes[j])
+                Pj = _metric(problem, q, path.m_nodes[j])
                 d = g.field_from_coeffs(-Pj * grads[j].coeffs)
                 if subspace is not None:
                     d = _project_span(d, subspace)
                 touched[j] = geo.add(path.nodes[j], d, t * wgt)
-            saved_nodes = {j: path.nodes[j] for j in touched}
-            saved_e = {j: path.e_nodes[j] for j in touched}
-            saved_m = {j: path.m_nodes[j] for j in touched}
-            saved_seg = {
-                s: path._seg[s]
-                for j in touched
-                for s in (j - 1, j)
-                if 0 <= s < len(path._seg)
-            }
-            path.set_nodes(touched)
-            trial_nu, _, _ = path.honest_max()
+            trial = path.with_nodes(touched)
+            trial_nu, _, _ = trial.honest_max()
             if trial_nu < nu - 1e-16 * (1.0 + abs(nu)):
+                path = trial
                 tau = min(t * 1.5, 1e6)
                 accepted = True
                 break
-            for j in touched:
-                path.nodes[j] = saved_nodes[j]
-                path.e_nodes[j] = saved_e[j]
-                path.m_nodes[j] = saved_m[j]
-            for s, val in saved_seg.items():
-                path._seg[s] = val
             t *= 0.5
         if not accepted:
             if grad_max_norm <= 1e-6 * (1.0 + abs(nu)):

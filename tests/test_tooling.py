@@ -3,6 +3,7 @@
 import argparse
 import ast
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 from biharm import cli
 from biharm.minimizer import SolverOptions
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "biharm"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "biharm"
 
 # fft, ifft, fftn, ifftn, fft2, rfft, irfft, rfftn, irfftn, ... (not fftfreq)
 TRANSFORM = re.compile(r"^i?r?fft[n2]?$")
@@ -70,3 +72,13 @@ def test_every_solver_option_is_settable_from_the_config(monkeypatch):
     }
     opts = cli._solver_options({"solver": wanted}, argparse.Namespace(seed=None))
     assert dataclasses.asdict(opts) == wanted
+
+
+@pytest.mark.parametrize("schema", ["cli docstring", "README"])
+def test_config_schemas_list_every_solver_option(schema):
+    """The documented ``solver`` block names exactly the SolverOptions fields."""
+    text = cli.__doc__ if schema == "cli docstring" else (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r'"solver":\s*(\{[^}]*\})', text)
+    assert block, f"no solver block in the {schema} config schema"
+    documented = set(json.loads(block.group(1)))
+    assert documented == {f.name for f in dataclasses.fields(SolverOptions)}
