@@ -37,6 +37,8 @@ from .minimizer import SolverOptions
 from .problem import ProblemData
 
 _EPS = np.finfo(np.float64).eps
+_MASKED_MAX_ITER = 600        # iteration cap of each masked quotient start
+_MOMENT_MAX_ITER = 800        # round cap of each moment-constrained start
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +239,6 @@ def _unsigned_quotient_min(
     form: _MaskedForm,
     mask: np.ndarray,
     v0: np.ndarray,
-    max_iter: int,
     tol: float = 1e-13,
 ):
     """Locally optimal projected gradient (3-term Rayleigh-Ritz recurrence).
@@ -258,7 +259,7 @@ def _unsigned_quotient_min(
     v /= nrm
     r_val = _quotient(form, v)
     prev = None
-    for _ in range(max_iter):
+    for _ in range(_MASKED_MAX_ITER):
         resid = np.where(mask, form.apply(v) - r_val * v, 0.0)
         w = precondition(resid)
         nw = math.sqrt(float(np.sum(w * w)))
@@ -287,7 +288,6 @@ def _nonneg_quotient_min(
     form: _MaskedForm,
     mask: np.ndarray,
     v0: np.ndarray,
-    max_iter: int,
     tol: float = 1e-13,
 ):
     """Clamped projected-gradient descent on the quotient (u >= 0 on the mask)."""
@@ -304,7 +304,7 @@ def _nonneg_quotient_min(
     v /= nrm
     r_val = _quotient(form, v)
     tau = 1.0
-    for _ in range(max_iter):
+    for _ in range(_MASKED_MAX_ITER):
         resid = form.apply(v) - r_val * v
         d = feasible(v - g.inverse(P_mult * g.forward(resid))) - v
         nd = math.sqrt(float(np.sum(d * d)))
@@ -338,7 +338,6 @@ def _masked_quotient_min(
     mask: np.ndarray,
     nonneg: bool,
     seed: int,
-    max_iter: int = 600,
 ) -> tuple[float, float | None]:
     """Minimize quad(v)/|v|^2 over masked vectors, unsigned and nonnegative.
 
@@ -363,7 +362,7 @@ def _masked_quotient_min(
     best = math.inf
     minimizers = []
     for v0 in starts:
-        v, val = _unsigned_quotient_min(form, mask, np.asarray(v0, float), max_iter)
+        v, val = _unsigned_quotient_min(form, mask, np.asarray(v0, float))
         if v is not None:
             minimizers.append(v)
             best = min(best, val)
@@ -378,12 +377,12 @@ def _masked_quotient_min(
         nn_starts += [np.abs(v), np.maximum(v, 0.0), np.maximum(-v, 0.0)]
     nn_starts += starts
     for v0 in nn_starts:
-        _, val = _nonneg_quotient_min(form, mask, np.asarray(v0, float), max_iter)
+        _, val = _nonneg_quotient_min(form, mask, np.asarray(v0, float))
         best_nn = min(best_nn, val)
     return best, best_nn
 
 
-def _masked_minima(problem, opts, operator, nonneg, max_iter=600):
+def _masked_minima(problem, opts, operator, nonneg):
     """``_masked_quotient_min`` of a form on the mask {f^- <= tau}; (inf, inf) when empty."""
     opts = opts or SolverOptions()
     tau = 1e-12 * problem.f_sup
@@ -391,14 +390,13 @@ def _masked_minima(problem, opts, operator, nonneg, max_iter=600):
     if not mask.any():
         return math.inf, math.inf
     form = _MaskedForm(problem, operator=operator)
-    return _masked_quotient_min(form, mask, nonneg, opts.seed, max_iter=max_iter)
+    return _masked_quotient_min(form, mask, nonneg, opts.seed)
 
 
 def masked_rayleigh(
     problem: ProblemData,
     opts: SolverOptions | None = None,
     nonneg: bool = True,
-    max_iter: int = 600,
 ) -> float:
     """Infimum of (|Delta u|^2 - int a |grad u|^2) / |u|^2 on the mask.
 
@@ -410,19 +408,19 @@ def masked_rayleigh(
     reported by ``certify`` since their gap is not settled by theory
     (``masked_rayleigh_variants`` gives both from one pass).
     """
-    unsigned, nonneg_min = _masked_minima(problem, opts, "bilap-a", nonneg, max_iter)
+    unsigned, nonneg_min = _masked_minima(problem, opts, "bilap-a", nonneg)
     return nonneg_min if nonneg else unsigned
 
 
 def masked_rayleigh_variants(
-    problem: ProblemData, opts: SolverOptions | None = None, max_iter: int = 600
+    problem: ProblemData, opts: SolverOptions | None = None
 ) -> tuple[float, float]:
     """(nonneg, unsigned) ``masked_rayleigh`` values from one pass.
 
     The nonnegative variant starts from the unsigned minimizers, so the
     unsigned minimizations run once for both.
     """
-    unsigned, nonneg_min = _masked_minima(problem, opts, "bilap-a", True, max_iter)
+    unsigned, nonneg_min = _masked_minima(problem, opts, "bilap-a", True)
     return nonneg_min, unsigned
 
 
@@ -436,7 +434,7 @@ def masked_grad_rayleigh(problem: ProblemData, opts: SolverOptions | None = None
 
 
 class _MomentSet:
-    """The set {|u|_q^q = 1, int f^- |u|^q = eta int f^-} (or <=) and its retraction.
+    """The set {|u|_q^q = 1, int f^- |u|^q = eta int f^-} and its retraction.
 
     The retraction mixes toward one of two unit-mass bumps, ``z_lo`` at
     the minimum of f^- and ``z_hi`` at its maximum.  Raises
@@ -444,9 +442,9 @@ class _MomentSet:
     ``z_hi``.
     """
 
-    def __init__(self, problem: ProblemData, eta: float, q: float, inequality: bool = False):
+    def __init__(self, problem: ProblemData, eta: float, q: float):
         g = problem.geometry
-        self.problem, self.q, self.inequality = problem, q, inequality
+        self.problem, self.q = problem, q
         self.target = eta * problem.int_f_minus
         f_min_native = np.maximum(-problem.f.samples, 0.0)
         idx_hi = np.unravel_index(int(np.argmax(f_min_native)), g.shape)
@@ -455,7 +453,7 @@ class _MomentSet:
         z_lo = g.bump([i / g.grid_size for i in idx_lo], width=0.10)
         self.z_hi = geo.scale(z_hi, geo.lp_mass(z_hi, q) ** (-1.0 / q))
         self.z_lo = geo.scale(z_lo, geo.lp_mass(z_lo, q) ** (-1.0 / q))
-        if prob.f_minus_moment(self.z_hi, problem, q) < self.target - 1e-12 and not inequality:
+        if prob.f_minus_moment(self.z_hi, problem, q) < self.target - 1e-12:
             raise InfeasibleConstraint(
                 f"moment eta*int(f-)={self.target} unreachable at unit q-mass"
             )
@@ -478,10 +476,7 @@ class _MomentSet:
         u = geo.scale(w, mass ** (-1.0 / q))
         uf = u.fine_values
         power = np.abs(uf) ** q
-        moment = g.integrate_fine(f_minus * power)
-        if self.inequality and moment <= target * (1.0 + 1e-12):
-            return u
-        d0 = moment - target * g.integrate_fine(power)
+        d0 = g.integrate_fine(f_minus * power) - target * g.integrate_fine(power)
         if abs(d0) <= 1e-14 * max(target, 1.0):
             return u
         z = self.z_lo if d0 > 0 else self.z_hi
@@ -531,7 +526,6 @@ class _MomentRun:
         self.tau = 1e-2
         self.stall = 0
         self.iterations = 0
-        self.moment_active = True
         self.exit = None        # "stalled", "zero step" or "max_iter"
 
     def accept(self, u, r_val, den, du, t):
@@ -589,10 +583,6 @@ def _moment_descent(problem, q, mset: _MomentSet, starts, max_iter):
         uf = u.fine_values
         du = np.stack([run.du for run in active], axis=1)
         Au = g.lam_sq * u.coeffs + g.div_from_grad_samples(problem.a_fine, du)
-        if mset.inequality:
-            moments = g.integrate_fine(problem.f_minus_fine * np.abs(uf) ** q)
-            for run, m in zip(active, moments):
-                run.moment_active = float(m) >= mset.target * (1.0 - 1e-10)
         # rows P(|u|^(q-2) u), then rows P(f^- |u|^(q-2) u): both constraint gradients
         power = prob.signed_power(uf, q - 1.0)
         psi = g.fine_to_coeffs(np.concatenate([power, problem.f_minus_fine * power]))
@@ -602,9 +592,7 @@ def _moment_descent(problem, q, mset: _MomentSet, starts, max_iter):
             run.u = u[row]
             run.iterations += 1
             grad = (2.0 / run.den) * Au[row] + (-2.0 * run.r_val / run.den) * u.coeffs[row]
-            dirs = [psi[row]]
-            if run.moment_active:
-                dirs.append(psi[len(active) + row])
+            dirs = [psi[row], psi[len(active) + row]]
             # remove P-metric components along the constraint gradients
             d_coeffs = -(P * grad)
             Pdirs = [P * b for b in dirs]
@@ -673,18 +661,15 @@ def moment_rayleigh(
     eta: float,
     q: float,
     opts: SolverOptions | None = None,
-    inequality: bool = False,
-    max_iter: int = 800,
 ) -> float:
     """Constrained quotient infimum lambda(eta, q).
 
     Minimizes (|Delta u|^2 - int a |grad u|^2)/|u|^2 over band-limited
-    fields with |u|_q^q = 1 and int f^- |u|^q = eta int f^- (equality
-    variant) or <= (inequality variant).  Projected preconditioned
-    descent with a two-constraint retraction: mass is restored by exact
-    scaling and the moment by mixing toward a fixed low- or high-moment
-    profile, the mixing weight root-solved by brentq on the refined-grid
-    values (one array expression per step, no field).
+    fields with |u|_q^q = 1 and int f^- |u|^q = eta int f^-.  Projected
+    preconditioned descent with a two-constraint retraction: mass is
+    restored by exact scaling and the moment by mixing toward a fixed
+    low- or high-moment profile, the mixing weight root-solved by brentq
+    on the refined-grid values (one array expression per step, no field).
 
     The three starts (the mixed profile, the constant, a perturbed
     constant) run as one lockstep stack, as the multistart sphere solves
@@ -693,15 +678,15 @@ def moment_rayleigh(
     the search directions, and one stacked quotient per line-search
     round, whose d_i u samples of the accepted trial then assemble
     div(a grad u) without a second transform.  Step, stall count,
-    iteration count, the active-moment flag and the retraction stay per
-    start, with the arithmetic of a start run alone.  Returns the
-    minimum over the starts.
+    iteration count and the retraction stay per start, with the
+    arithmetic of a start run alone.  Returns the minimum over the
+    starts.
     """
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     opts = opts or SolverOptions()
     g = problem.geometry
-    mset = _MomentSet(problem, eta, q, inequality)
+    mset = _MomentSet(problem, eta, q)
     rng = opts.rng(stream=29)
     starts = [
         geo.add(mset.z_lo, mset.z_hi, 0.5),
@@ -709,7 +694,7 @@ def moment_rayleigh(
         geo.add(g.constant(1.0), g.random_smooth(rng, decay=2.5), 0.3),
     ]
     best = math.inf
-    for run in _moment_descent(problem, q, mset, starts, max_iter):
+    for run in _moment_descent(problem, q, mset, starts, _MOMENT_MAX_ITER):
         if run is not None:
             best = min(best, run.r_val)
     if not math.isfinite(best):

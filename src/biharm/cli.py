@@ -20,21 +20,25 @@ mini-grammar)::
                        "battery_iter": 600}
     }
 
+The hypothesis gate lives here and nowhere else: ``mu-curve``,
+``solve-sub`` and ``mountain-pass`` need conditions (1), (2) and (3) of
+the certificate at their exponent q, ``solve-critical`` needs (1) and
+(2) at q0 = (2 + N)/2.  A failed gate exits 4 (``mu-curve`` writes the
+certificate to ``report.json`` first); ``--force`` proceeds anyway,
+since the conditions are sufficient, not necessary.  The solvers take
+the certificate's numbers (window edge, eta, sigma) and check nothing.
+
 Exit codes: 0 success (for ``certify``: conditions (1) and (2) hold),
 2 configuration/validation error, 3 numeric failure, 4 hypothesis gate
 failed, 5 non-convergence (for the mountain pass also a saddle whose
 Newton polish was not accepted), 6 curve shape not found, 7 path
 collapse.
-The environment variable BIHARM_THREADS is validated (a positive
-integer, else exit 2) and otherwise reserved: the solvers run on one
-thread and do not read it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -120,14 +124,6 @@ def _solver_options(cfg: dict, args) -> SolverOptions:
     )
     if getattr(args, "seed", None) is not None:
         opts.seed = args.seed
-    threads = os.environ.get("BIHARM_THREADS")
-    if threads is not None:
-        try:
-            cap = int(threads)
-        except ValueError:
-            raise ConfigError(f"BIHARM_THREADS must be an integer, got {threads!r}")
-        if cap < 1:
-            raise ConfigError("BIHARM_THREADS must be >= 1")
     return opts
 
 
@@ -153,16 +149,28 @@ def _k_range(cfg: dict, args) -> tuple[float, float, int]:
     return k_min, k_max, k_steps
 
 
-def _out_dir(args) -> Path:
+def _setup(args, require_f_minus: bool = True):
+    """Config, problem, solver options and output directory of a command."""
+    cfg = _load_config(args.config)
+    problem = _build_problem(cfg, require_f_minus)
+    opts = _solver_options(cfg, args)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return cfg, problem, opts, out
 
 
-def _gate(problem, q, opts, force: bool, subcritical: bool):
+def _gate(problem, q, opts, force: bool, subcritical: bool = True, report_path=None):
+    """Certificate at q; HypothesisViolated when its conditions fail and not ``force``.
+
+    The two-solution commands (``subcritical``) need conditions (1)-(3),
+    the critical continuation (1)-(2).  A failing certificate is written
+    to ``report_path`` first when one is given.
+    """
     report = certify(problem, q, opts)
     ok = report.passed_subcritical if subcritical else report.passed
     if not ok and not force:
+        if report_path is not None:
+            ser.write_json(report_path, ser.hypothesis_report_dict(report))
         raise HypothesisViolated(
             "certificate conditions fail "
             f"(spectral={report.cond_spectral}, ratio={report.cond_ratio}, "
@@ -178,38 +186,28 @@ def _dump_solution(out: Path, stem: str, report) -> None:
 
 
 def cmd_certify(args) -> int:
-    cfg = _load_config(args.config)
-    problem = _build_problem(cfg, require_f_minus=False)
-    opts = _solver_options(cfg, args)
-    q = _exponent(cfg, args)
-    out = _out_dir(args)
-    report = certify(problem, q, opts)
+    cfg, problem, opts, out = _setup(args, require_f_minus=False)
+    report = certify(problem, _exponent(cfg, args), opts)
     ser.write_json(out / "report.json", ser.hypothesis_report_dict(report))
     return 0 if report.passed else _EXIT_HYPOTHESIS
 
 
-def _trace_curve(problem, q, cfg, args, opts, certificate=None):
+def _curve(problem, q, cfg, args, opts, certificate, out):
+    """Trace the mu-curve and write ``mu.csv`` and ``annotations.json``."""
     k_min, k_max, k_steps = _k_range(cfg, args)
-    return trace_mu_curve(
+    curve = trace_mu_curve(
         problem, q, k_min, k_max, n_points=k_steps, opts=opts, certificate=certificate
     )
+    ser.curve_to_csv(curve, out / "mu.csv")
+    ser.write_json(out / "annotations.json", ser.curve_annotations_dict(curve))
+    return curve
 
 
 def cmd_mu_curve(args) -> int:
-    cfg = _load_config(args.config)
-    problem = _build_problem(cfg, require_f_minus=True)
-    opts = _solver_options(cfg, args)
+    cfg, problem, opts, out = _setup(args)
     q = _exponent(cfg, args)
-    out = _out_dir(args)
-    certificate = certify(problem, q, opts)
-    if not certificate.passed_subcritical and not args.force:
-        ser.write_json(out / "report.json", ser.hypothesis_report_dict(certificate))
-        raise HypothesisViolated(
-            "certificate conditions fail; report.json written; use --force to trace anyway"
-        )
-    curve = _trace_curve(problem, q, cfg, args, opts, certificate)
-    ser.curve_to_csv(curve, out / "mu.csv")
-    ser.write_json(out / "annotations.json", ser.curve_annotations_dict(curve))
+    certificate = _gate(problem, q, opts, args.force, report_path=out / "report.json")
+    _curve(problem, q, cfg, args, opts, certificate, out)
     (out / "mu.gp").write_text(
         ser.gnuplot_script("mu.csv", f"constrained energy infimum, q={q}"),
         encoding="utf-8",
@@ -217,27 +215,17 @@ def cmd_mu_curve(args) -> int:
     return 0
 
 
-def _two_solutions(problem, q, cfg, args, opts):
-    """Shared pipeline: gate, curve, ball minimum, mountain pass."""
-    out = _out_dir(args)
-    certificate = _gate(problem, q, opts, args.force, subcritical=True)
+def _two_solutions(problem, q, cfg, args, opts, out):
+    """Shared pipeline: gate, curve, mountain pass.
+
+    Returns the certificate, the mountain-pass result and the summary
+    keys that ``mountain-pass`` and ``solve-sub`` both write.
+    """
+    certificate = _gate(problem, q, opts, args.force)
     ser.write_json(out / "certificate.json", ser.hypothesis_report_dict(certificate))
-    curve = _trace_curve(problem, q, cfg, args, opts, certificate)
-    ser.curve_to_csv(curve, out / "mu.csv")
-    ser.write_json(out / "annotations.json", ser.curve_annotations_dict(curve))
-    zeros, _, mp = second_solution(problem, q, curve, opts)
+    curve = _curve(problem, q, cfg, args, opts, certificate, out)
+    (l1, l2, l_o), _, mp = second_solution(problem, q, curve, opts)
     ser.path_profile_csv(mp.profile_rows, out / "path_profile.csv")
-    return certificate, curve, zeros, mp
-
-
-def cmd_mountain_pass(args) -> int:
-    cfg = _load_config(args.config)
-    problem = _build_problem(cfg, require_f_minus=True)
-    opts = _solver_options(cfg, args)
-    q = _exponent(cfg, args)
-    out = _out_dir(args)
-    _, curve, (l1, l2, l_o), mp = _two_solutions(problem, q, cfg, args, opts)
-    _dump_solution(out, "solution_mp", mp.report)
     summary = {
         "schema_version": 1,
         "q": q,
@@ -246,37 +234,29 @@ def cmd_mountain_pass(args) -> int:
         "l_o": l_o,
         "nu": mp.nu,
         "mu_lo": curve.annotations.get("mu_lo"),
-        "iterations": mp.iterations,
-        "converged": mp.converged,
     }
+    return certificate, mp, summary
+
+
+def cmd_mountain_pass(args) -> int:
+    cfg, problem, opts, out = _setup(args)
+    q = _exponent(cfg, args)
+    _, mp, summary = _two_solutions(problem, q, cfg, args, opts, out)
+    _dump_solution(out, "solution_mp", mp.report)
+    summary.update(iterations=mp.iterations, converged=mp.converged)
     ser.write_json(out / "mountain_pass.json", summary)
     return 0
 
 
 def cmd_solve_sub(args) -> int:
-    cfg = _load_config(args.config)
-    problem = _build_problem(cfg, require_f_minus=True)
-    opts = _solver_options(cfg, args)
+    cfg, problem, opts, out = _setup(args)
     q = _exponent(cfg, args)
-    out = _out_dir(args)
-    certificate, curve, (l1, l2, l_o), mp = _two_solutions(problem, q, cfg, args, opts)
-    rep_min = first_solution(
-        problem, q, opts, certificate=certificate, force=args.force
-    )
+    certificate, mp, summary = _two_solutions(problem, q, cfg, args, opts, out)
+    rep_min = first_solution(problem, q, certificate.k_low, opts)
     _dump_solution(out, "solution_min", rep_min)
     _dump_solution(out, "solution_mp", mp.report)
     ordering_ok = rep_min.energy < 0.0 < mp.report.energy
-    summary = {
-        "schema_version": 1,
-        "q": q,
-        "l1": l1,
-        "l2": l2,
-        "l_o": l_o,
-        "nu": mp.nu,
-        "mu_lo": curve.annotations.get("mu_lo"),
-        "energies": [rep_min.energy, mp.report.energy],
-        "energy_ordering_ok": ordering_ok,
-    }
+    summary.update(energies=[rep_min.energy, mp.report.energy], energy_ordering_ok=ordering_ok)
     ser.write_json(out / "solve_sub.json", summary)
     if not ordering_ok:
         raise NonConvergence("energy ordering F(min) < 0 < F(mp) failed")
@@ -284,16 +264,11 @@ def cmd_solve_sub(args) -> int:
 
 
 def cmd_solve_critical(args) -> int:
-    cfg = _load_config(args.config)
-    problem = _build_problem(cfg, require_f_minus=True)
-    opts = _solver_options(cfg, args)
-    out = _out_dir(args)
+    _, problem, opts, out = _setup(args)
     N = problem.geometry.critical_exponent
     certificate = _gate(problem, 0.5 * (2.0 + N), opts, args.force, subcritical=False)
     ser.write_json(out / "certificate.json", ser.hypothesis_report_dict(certificate))
-    trace = continue_to_critical(
-        problem, opts, certificate=certificate, force=args.force
-    )
+    trace = continue_to_critical(problem, certificate, opts)
     ser.write_json(out / "continuation.json", ser.continuation_trace_dict(trace))
     _dump_solution(out, "solution_critical", trace.final)
     return 0

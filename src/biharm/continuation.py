@@ -17,13 +17,14 @@ certificate so the bounds are comparable across the schedule.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 from . import geometry as geo
 from . import problem as prob
-from .certifier import certify, grad_interp_constant, window_cap, window_edge
-from .errors import DivergingNorms, HypothesisViolated, NonConvergence
+from .certifier import HypothesisReport, grad_interp_constant, window_cap, window_edge
+from .errors import DivergingNorms, NonConvergence
 from .geometry import SpectralField
 from .minimizer import CriticalPointReport, SolverOptions, first_solution
 from .problem import ProblemData
@@ -50,12 +51,16 @@ def critical_residual(u: SpectralField, problem: ProblemData) -> float:
 
 def continue_to_critical(
     problem: ProblemData,
+    certificate: HypothesisReport,
     opts: SolverOptions | None = None,
-    certificate=None,
-    force: bool = False,
     steps: int = 8,
 ) -> ContinuationTrace:
     """Drive the negative-energy branch to the critical exponent.
+
+    ``certificate`` is the hypothesis report at q0 = (2 + N)/2; its
+    (eta, sigma) set the ball radius l_q at every step.  Whether the
+    hypotheses hold is the caller's decision; a certificate with no
+    admissible eta (it fails condition (2)) falls back to eta = 0.5.
 
     Aborts with DivergingNorms when the explicit bilaplacian bound
 
@@ -70,22 +75,8 @@ def continue_to_critical(
     N = g.critical_exponent
     q0 = 0.5 * (2.0 + N)
     schedule = [N - (N - q0) * 2.0 ** (-j) for j in range(steps)] + [N]
-
-    if certificate is None:
-        certificate = certify(problem, q0, opts)
-    if not force and not certificate.passed:
-        raise HypothesisViolated(
-            "certificate conditions (1)-(2) fail; pass force=True to override"
-        )
-    eta, sigma = certificate.eta, certificate.sigma
-    if not (math.isfinite(eta) and math.isfinite(sigma)):
-        if force:
-            eta, sigma = 0.5, (
-                0.25 / problem.a_plus_sup if problem.a_plus_sup > 0 else 1.0
-            )
-        else:
-            raise HypothesisViolated("certificate carries no usable (eta, sigma)")
-
+    eta = certificate.eta if math.isfinite(certificate.eta) else 0.5
+    sigma = certificate.sigma
     cap = window_cap(problem, grad_interp_constant(sigma, g))
     shrink = 1.0 - 2.0 * sigma * problem.a_plus_sup
 
@@ -95,19 +86,15 @@ def continue_to_critical(
     for q in schedule:
         l_q = window_edge(problem, q, eta, sigma)
         try:
-            rep = first_solution(
-                problem, q, opts, ball_cap=l_q, init=warm, force=True
-            )
+            rep = first_solution(problem, q, l_q, opts, init=warm)
         except NonConvergence:
-            retry_opts = SolverOptions(
+            retry_opts = dataclasses.replace(
+                opts,
                 seed=opts.seed + 1,
                 max_iter=2 * opts.max_iter,
-                tol_scale=opts.tol_scale,
                 battery_iter=2 * opts.battery_iter,
             )
-            rep = first_solution(
-                problem, q, retry_opts, ball_cap=l_q, init=None, force=True
-            )
+            rep = first_solution(problem, q, l_q, retry_opts)
         v = rep.variational
         mass = rep.mass
         delta_sq = geo.bilap_energy(v)

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import problem as prob
-from .errors import HypothesisViolated, NonConvergence
+from .errors import NonConvergence
 from .geometry import SpectralField
 from .problem import ProblemData
 
@@ -510,32 +510,20 @@ def make_report(
 def first_solution(
     problem: ProblemData,
     q: float,
+    ball_cap: float,
     opts: SolverOptions | None = None,
-    certificate=None,
-    force: bool = False,
-    ball_cap: float | None = None,
     init: SpectralField | None = None,
 ) -> CriticalPointReport:
     """Negative-energy solution from minimization over the ball |u|_q^q <= l_q.
 
-    The ball radius l_q comes from the certificate's coercivity window
-    (its lower edge) unless given explicitly.  Unless ``force`` is set,
-    the certificate's spectral and ratio conditions must hold.  The
-    minimum is expected in the interior (so the candidate is a free
-    critical point); a boundary-active minimum is flagged as degenerate.
+    ``ball_cap`` is l_q, the lower edge of the coercivity window
+    (``HypothesisReport.k_low`` at the certificate's exponent,
+    ``certifier.window_edge`` at others); whether the hypotheses hold is
+    the caller's decision.  The minimum is expected in the interior (so
+    the candidate is a free critical point); a boundary-active minimum
+    is flagged as degenerate.
     """
     opts = opts or SolverOptions()
-    if ball_cap is None or (certificate is None and not force):
-        from .certifier import certify
-
-        if certificate is None:
-            certificate = certify(problem, q, opts)
-        if not force and not (certificate.cond_spectral and certificate.cond_ratio):
-            raise HypothesisViolated(
-                "certificate conditions (1)-(2) fail; pass force=True to override"
-            )
-        if ball_cap is None:
-            ball_cap = certificate.k_low
     res = minimize_on_ball(problem, q, ball_cap, init=init, opts=opts)
     v = res.v
     if init is not None and geo.inner(v, init) < 0.0:

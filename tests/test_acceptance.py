@@ -239,9 +239,7 @@ def test_criterion_6_two_solutions(acc_problem, acc_opts):
     certificate = _get_certificate(acc_problem, acc_opts)
     acc_curve = _get_curve(acc_problem, acc_opts)
     _, _, mp_res = second_solution(acc_problem, q, acc_curve, acc_opts)
-    rep_min = first_solution(
-        acc_problem, q, acc_opts, certificate=certificate, force=True
-    )
+    rep_min = first_solution(acc_problem, q, certificate.k_low, acc_opts)
 
     assert rep_min.energy < 0.0 < mp_res.report.energy
     for rep in (rep_min, mp_res.report):
@@ -360,9 +358,7 @@ def test_criterion_7_mountain_pass_oracle(acc_opts):
 def test_criterion_8_critical_continuation(acc_problem, acc_opts):
     t0 = time.time()
     certificate = _get_certificate(acc_problem, acc_opts)
-    trace = continue_to_critical(
-        acc_problem, acc_opts, certificate=certificate, force=True
-    )
+    trace = continue_to_critical(acc_problem, certificate, acc_opts)
     assert len(trace.schedule) == 9
     for rec in trace.records:
         assert rec["mass"] <= rec["l_q"] + 1e-8
@@ -374,9 +370,7 @@ def test_criterion_8_critical_continuation(acc_problem, acc_opts):
     g256 = TorusGeometry(6, 1, 256)
     p256 = ProblemData.from_expressions(g256, "0.2", "-1", "cos(2*pi*x1) - 0.25")
     cert256 = certify(p256, 4.0, acc_opts)
-    trace256 = continue_to_critical(
-        p256, acc_opts, certificate=cert256, force=True
-    )
+    trace256 = continue_to_critical(p256, cert256, acc_opts)
     rel = abs(trace256.final.energy - trace.final.energy) / abs(trace.final.energy)
     assert rel < 0.02
     elapsed = time.time() - t0

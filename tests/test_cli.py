@@ -165,20 +165,6 @@ def test_cli_q_override(tmp_path):
     assert report["q"] == 3.0
 
 
-def test_bad_thread_env_rejected(tmp_path, monkeypatch):
-    import os
-    import subprocess
-
-    cfg = write_config(tmp_path)
-    env = dict(os.environ, BIHARM_THREADS="zero")
-    res = subprocess.run(
-        [sys.executable, "-m", "biharm.cli", "certify", "--config", str(cfg),
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env,
-    )
-    assert res.returncode == 2
-
-
 def test_solve_sub_bundled_energy_ordering(tmp_path):
     """The shipped example produces the (negative, positive) energy pair."""
     out = tmp_path / "out"
@@ -193,6 +179,19 @@ def test_solve_sub_bundled_energy_ordering(tmp_path):
     e_min, e_mp = summary["energies"]
     assert e_min < 0.0 < e_mp
     assert summary["nu"] >= summary["mu_lo"] - 1e-8
+
+
+@pytest.mark.parametrize("command", ["solve-sub", "mountain-pass", "solve-critical"])
+def test_solver_commands_stop_at_the_gate_without_force(tmp_path, command):
+    # the toy problem fails the ratio condition at q = 4 = (2 + N)/2
+    import biharm.cli as cli
+
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "HypothesisViolated" and err["exit_code"] == 4
+    assert not list(out.glob("solution_*"))
 
 
 def test_mu_curve_gate_passes_without_force(tmp_path):

@@ -5,22 +5,27 @@ import pytest
 
 from biharm import geometry as geo
 from biharm import problem as prob
+from biharm.certifier import certify
 from biharm.continuation import (
     continue_to_critical,
     critical_residual,
     window_edge,
 )
-from biharm.errors import HypothesisViolated
 from biharm.minimizer import SolverOptions
 from biharm.problem import ProblemData
 
 TWO_PI = 2.0 * math.pi
 
 
+def _certificate(problem, opts):
+    """The certificate at q0 = (2 + N)/2 that the critical continuation starts from."""
+    return certify(problem, 0.5 * (2.0 + problem.geometry.critical_exponent), opts)
+
+
 @pytest.fixture(scope="module")
 def trace64(bundled64):
     opts = SolverOptions(seed=0)
-    return continue_to_critical(bundled64, opts, force=True)
+    return continue_to_critical(bundled64, _certificate(bundled64, opts), opts)
 
 
 def test_schedule_geometry(trace64, bundled64):
@@ -85,16 +90,12 @@ def test_weak_limit_proxy(trace64):
 def test_energy_floor_with_nonpositive_a(geom64):
     # dropping the a-term is valid when a <= 0: the floor must hold
     p = ProblemData.from_expressions(geom64, "-0.1", "-1", "cos(2*pi*x1) - 0.25")
-    trace = continue_to_critical(p, SolverOptions(seed=0), force=True)
+    opts = SolverOptions(seed=0)
+    trace = continue_to_critical(p, _certificate(p, opts), opts)
     for rec in trace.records:
         assert "energy_floor" in rec
         assert rec["energy_floor_ok"]
         assert rec["energy"] >= rec["energy_floor"] - 1e-9
-
-
-def test_gate_requires_certificate(bundled64):
-    with pytest.raises(HypothesisViolated):
-        continue_to_critical(bundled64, SolverOptions(seed=0))
 
 
 def test_critical_residual_manufactured(geom64):
@@ -118,8 +119,9 @@ def test_critical_residual_manufactured(geom64):
 def test_schedule_refinement_continuity(bundled64):
     # doubling the schedule depth shrinks the warm-start energy jumps
     opts = SolverOptions(seed=0)
-    t8 = continue_to_critical(bundled64, opts, force=True, steps=8)
-    t16 = continue_to_critical(bundled64, opts, force=True, steps=16)
+    certificate = _certificate(bundled64, opts)
+    t8 = continue_to_critical(bundled64, certificate, opts, steps=8)
+    t16 = continue_to_critical(bundled64, certificate, opts, steps=16)
 
     def last_jump(trace):
         e = [r["energy"] for r in trace.records]

@@ -172,7 +172,7 @@ def test_small_ball_energy_negative(toy64, geom64):
 
 def test_first_solution_toy(toy64, opts):
     q = 4.0
-    rep = first_solution(toy64, q, opts, force=True, ball_cap=1.3)
+    rep = first_solution(toy64, q, 1.3, opts)
     assert rep.energy < 0.0
     assert rep.mass < 1.3 * (1.0 - 1e-9)          # interior minimum
     assert rep.identity_gap_rel <= 1e-6
@@ -183,18 +183,11 @@ def test_first_solution_toy(toy64, opts):
     assert geo.lp_mass(rep.field, q) <= (0.5 * q) ** (q / (q - 2.0)) * 1.3 + 1e-9
 
 
-def test_first_solution_gate(bundled64, opts):
-    from biharm.errors import HypothesisViolated
-
-    with pytest.raises(HypothesisViolated):
-        first_solution(bundled64, 2.5, opts)      # bundled fails the ratio cond
-
-
 def test_first_solution_degenerate_f_zero(geom64, opts):
     # with f = 0 the f-term vanishes and the minimum sits on the ball
     # boundary at the constant that minimizes the h-term: flagged
     p = ProblemData.from_expressions(geom64, "0", "-1", "0")
-    rep = first_solution(p, 2.5, opts, force=True, ball_cap=1.0)
+    rep = first_solution(p, 2.5, 1.0, opts)
     assert rep.energy < 0.0
     assert rep.flags.get("degenerate_boundary", False)
     assert rep.mass == pytest.approx(1.0, rel=1e-9)

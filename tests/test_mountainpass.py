@@ -247,7 +247,7 @@ def test_two_solutions_distinct(toy_pipeline, toy64, opts):
     from biharm.minimizer import first_solution
 
     _, (l1, _, _), _, mp = toy_pipeline
-    rep_min = first_solution(toy64, 4.0, opts, force=True, ball_cap=float(l1))
+    rep_min = first_solution(toy64, 4.0, float(l1), opts)
     assert rep_min.energy < 0.0 < mp.report.energy
     gap = geo.l2_norm(geo.add(mp.report.field, rep_min.field, -1.0))
     assert gap > 0.1

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import dataclasses
+import graphlib
 import json
 import re
 from pathlib import Path
@@ -63,9 +64,8 @@ def _other_value(value):
     raise TypeError(f"no alternative for a {type(value).__name__} option")
 
 
-def test_every_solver_option_is_settable_from_the_config(monkeypatch):
+def test_every_solver_option_is_settable_from_the_config():
     """A SolverOptions field the config cannot set is a dead knob."""
-    monkeypatch.delenv("BIHARM_THREADS", raising=False)
     wanted = {
         f.name: _other_value(getattr(SolverOptions(), f.name))
         for f in dataclasses.fields(SolverOptions)
@@ -82,3 +82,31 @@ def test_config_schemas_list_every_solver_option(schema):
     assert block, f"no solver block in the {schema} config schema"
     documented = set(json.loads(block.group(1)))
     assert documented == {f.name for f in dataclasses.fields(SolverOptions)}
+
+
+def _package_imports(path, modules):
+    """Package modules that a module imports anywhere, function bodies included."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            # from .minimizer import x; from . import geometry as geo
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("biharm"):
+            # from biharm.minimizer import x; from biharm import geometry
+            found.add(node.module.partition(".")[2])
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            # import biharm.minimizer
+            found.update(a.name.partition(".")[2] for a in node.names)
+    return found & modules
+
+
+def test_package_imports_form_no_cycle():
+    """The module import graph of ``biharm`` is acyclic, lazy imports included."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    modules = {p.stem for p in paths} - {"__init__"}
+    graph = {p.stem: _package_imports(p, modules) for p in paths}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
