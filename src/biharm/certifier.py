@@ -10,21 +10,25 @@ Everything the existence theory needs as a number is computed here:
 - a probe-set surrogate for the embedding remainder A(eps) (a lower
   bound on the true constant, and labeled as such),
 - the masked Rayleigh infimum lambda over nonnegative fields vanishing
-  on the support of f^-, plus its moment-constrained relaxations
-  lambda(eta, q),
+  on the support of f^- (``masked_rayleigh``, with its unsigned
+  variant), plus its moment-constrained relaxations lambda(eta, q)
+  (``moment_rayleigh``),
 - the coercivity window [k1, k2] with its floor mu such that the energy
   satisfies F_q >= mu/2 * k^(2/q) there, and the resulting admissible
-  ratio threshold C.
+  ratio threshold C (``coercivity_constants``, from a given lambda(eta, q)
+  and remainder; it solves nothing itself).
 
 ``certify`` searches a small (eta, sigma, eps) grid for the weakest
 passing configuration and emits a HypothesisReport with every constant
-and margin; failures are reported as flags, never raised.
+and margin; failures are reported as flags, never raised.  Every
+randomized start is drawn from a generator seeded by the integer
+``seed``, so the module needs nothing of the solvers but that number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -33,11 +37,11 @@ from . import geometry as geo
 from . import problem as prob
 from .errors import BadSigma, InfeasibleConstraint, NonPositiveEps0
 from .geometry import SpectralField, TorusGeometry
-from .minimizer import SolverOptions
 from .problem import ProblemData
 
 _EPS = np.finfo(np.float64).eps
 _MASKED_MAX_ITER = 600        # iteration cap of each masked quotient start
+_MASKED_TOL = 1e-13           # masked quotient starts stop below this relative gain
 _MOMENT_MAX_ITER = 800        # round cap of each moment-constrained start
 
 
@@ -78,8 +82,8 @@ def grad_interp_constant(sigma: float, geometry: TorusGeometry) -> float:
 def embedding_remainder(
     geometry: TorusGeometry,
     eps: float,
+    seed: int,
     n_probe: int = 1000,
-    seed: int = 0,
 ) -> float:
     """Discrete surrogate for the embedding remainder A(eps).
 
@@ -166,7 +170,7 @@ def embedding_remainder(
 
 
 class _MaskedForm:
-    def __init__(self, problem: ProblemData, operator: str = "bilap-a"):
+    def __init__(self, problem: ProblemData, operator: str):
         g = problem.geometry
         self.g = g
         self.operator = operator
@@ -211,10 +215,13 @@ def _quotient(form: _MaskedForm, v: np.ndarray) -> float:
     return form.quad(v) / (form.g.weight * float(np.sum(v * v)))
 
 
-def _ritz_step(form: _MaskedForm, basis):
-    """Quotient minimizer within span(basis); returns (vector, value)."""
+def _ritz_step(form: _MaskedForm, basis, Av: np.ndarray):
+    """Quotient minimizer within span(basis); returns (vector, value).
+
+    ``Av`` is form.apply(basis[0]), which the caller has already made.
+    """
     g = form.g
-    A_cols = [form.apply(b) for b in basis]
+    A_cols = [Av] + [form.apply(b) for b in basis[1:]]
     k = len(basis)
     A = np.empty((k, k))
     B = np.empty((k, k))
@@ -235,12 +242,7 @@ def _ritz_step(form: _MaskedForm, basis):
     return w, float(vals[0])
 
 
-def _unsigned_quotient_min(
-    form: _MaskedForm,
-    mask: np.ndarray,
-    v0: np.ndarray,
-    tol: float = 1e-13,
-):
+def _unsigned_quotient_min(form: _MaskedForm, mask: np.ndarray, v0: np.ndarray):
     """Locally optimal projected gradient (3-term Rayleigh-Ritz recurrence).
 
     Each step minimizes the quotient exactly over span{v, masked
@@ -260,7 +262,8 @@ def _unsigned_quotient_min(
     r_val = _quotient(form, v)
     prev = None
     for _ in range(_MASKED_MAX_ITER):
-        resid = np.where(mask, form.apply(v) - r_val * v, 0.0)
+        Av = form.apply(v)
+        resid = np.where(mask, Av - r_val * v, 0.0)
         w = precondition(resid)
         nw = math.sqrt(float(np.sum(w * w)))
         if nw == 0.0:
@@ -270,7 +273,7 @@ def _unsigned_quotient_min(
             npv = math.sqrt(float(np.sum(prev * prev)))
             if npv > 0.0:
                 basis.append(prev / npv)
-        cand, new_val = _ritz_step(form, basis)
+        cand, new_val = _ritz_step(form, basis, Av)
         cand = np.where(mask, cand, 0.0)
         nc = math.sqrt(float(np.sum(cand * cand)))
         if nc == 0.0:
@@ -279,17 +282,12 @@ def _unsigned_quotient_min(
         prev = cand - v * float(np.sum(cand * v))
         improve = r_val - new_val
         v, r_val = cand, _quotient(form, cand)
-        if improve <= tol * (1.0 + abs(r_val)):
+        if improve <= _MASKED_TOL * (1.0 + abs(r_val)):
             break
     return v, r_val
 
 
-def _nonneg_quotient_min(
-    form: _MaskedForm,
-    mask: np.ndarray,
-    v0: np.ndarray,
-    tol: float = 1e-13,
-):
+def _nonneg_quotient_min(form: _MaskedForm, mask: np.ndarray, v0: np.ndarray):
     """Clamped projected-gradient descent on the quotient (u >= 0 on the mask)."""
     g = form.g
     P_mult = 1.0 / (1.0 + form.lam_sq_full)
@@ -328,26 +326,34 @@ def _nonneg_quotient_min(
             t *= 0.5
         if not improved:
             break
-        if improve <= tol * (1.0 + abs(r_val)):
+        if improve <= _MASKED_TOL * (1.0 + abs(r_val)):
             break
     return v, r_val
 
 
-def _masked_quotient_min(
-    form: _MaskedForm,
-    mask: np.ndarray,
-    nonneg: bool,
-    seed: int,
-) -> tuple[float, float | None]:
-    """Minimize quad(v)/|v|^2 over masked vectors, unsigned and nonnegative.
+def masked_rayleigh(problem: ProblemData, operator: str, seed: int) -> tuple[float, float]:
+    """(nonnegative, unsigned) infimum of quad(u)/|u|^2 on the mask.
+
+    quad is |Delta u|^2 - int a |grad u|^2 for ``operator`` "bilap-a"
+    and |grad u|^2 (squared form, the measure criterion's) for "grad".
+    The admissible set is the discrete version of {u >= 0, u != 0,
+    int f^- u = 0}: sample vectors supported on the node mask
+    {f^- <= tau} with tau = 1e-12 * sup|f| (grid-sampled f^- is rarely
+    exactly zero); the unsigned value drops the sign constraint.  Both
+    are reported by ``certify`` since their gap is not settled by
+    theory.  Returns (inf, inf) when the mask is empty.
 
     Deterministic multistart (flat profile on the mask, a bump at the
-    mask center, a fixed-seed random vector); the minimum over the
-    fixed-order starts is taken.  The nonnegative variant additionally
-    starts from |v*| of the unsigned minimizer, which is the exact answer
-    whenever the ground state is one-signed.  Returns (unsigned minimum,
-    nonnegative minimum); the second is None unless ``nonneg``.
+    mask center, a random vector drawn from ``seed``); the minimum over
+    the fixed-order starts is taken.  The nonnegative variant starts
+    from |v|, v+ and v- of each unsigned minimizer v, which is the exact
+    answer whenever the ground state is one-signed or a degenerate +/-
+    pair, and then from the unsigned starts.
     """
+    mask = np.maximum(-problem.f.samples, 0.0) <= 1e-12 * problem.f_sup
+    if not mask.any():
+        return math.inf, math.inf
+    form = _MaskedForm(problem, operator)
     g = form.g
     rng = np.random.default_rng(np.random.SeedSequence([seed, 13]))
     idx_center = np.unravel_index(int(np.argmax(mask.astype(float))), mask.shape)
@@ -359,74 +365,18 @@ def _masked_quotient_min(
     )
     starts = [flat, np.exp(-dist / 0.02) * flat, rng.standard_normal(mask.shape) * flat]
 
-    best = math.inf
-    minimizers = []
+    unsigned = math.inf
+    nn_starts = []
     for v0 in starts:
         v, val = _unsigned_quotient_min(form, mask, np.asarray(v0, float))
         if v is not None:
-            minimizers.append(v)
-            best = min(best, val)
-    if not nonneg:
-        return best, None
-
-    best_nn = math.inf
-    nn_starts = []
-    for v in minimizers:
-        # one-signed pieces of the unsigned minimizer are the exact answer
-        # whenever the ground state is one-signed or a degenerate +/- pair
-        nn_starts += [np.abs(v), np.maximum(v, 0.0), np.maximum(-v, 0.0)]
-    nn_starts += starts
-    for v0 in nn_starts:
+            nn_starts += [np.abs(v), np.maximum(v, 0.0), np.maximum(-v, 0.0)]
+            unsigned = min(unsigned, val)
+    nonneg = math.inf
+    for v0 in nn_starts + starts:
         _, val = _nonneg_quotient_min(form, mask, np.asarray(v0, float))
-        best_nn = min(best_nn, val)
-    return best, best_nn
-
-
-def _masked_minima(problem, opts, operator, nonneg):
-    """``_masked_quotient_min`` of a form on the mask {f^- <= tau}; (inf, inf) when empty."""
-    opts = opts or SolverOptions()
-    tau = 1e-12 * problem.f_sup
-    mask = np.maximum(-problem.f.samples, 0.0) <= tau
-    if not mask.any():
-        return math.inf, math.inf
-    form = _MaskedForm(problem, operator=operator)
-    return _masked_quotient_min(form, mask, nonneg, opts.seed)
-
-
-def masked_rayleigh(
-    problem: ProblemData,
-    opts: SolverOptions | None = None,
-    nonneg: bool = True,
-) -> float:
-    """Infimum of (|Delta u|^2 - int a |grad u|^2) / |u|^2 on the mask.
-
-    The admissible set is the discrete version of {u >= 0, u != 0,
-    int f^- u = 0}: sample vectors supported on the node mask
-    {f^- <= tau} with tau = 1e-12 * sup|f| (grid-sampled f^- is rarely
-    exactly zero).  Returns +inf when the mask is empty.  With
-    ``nonneg=False`` the sign constraint is dropped; both variants are
-    reported by ``certify`` since their gap is not settled by theory
-    (``masked_rayleigh_variants`` gives both from one pass).
-    """
-    unsigned, nonneg_min = _masked_minima(problem, opts, "bilap-a", nonneg)
-    return nonneg_min if nonneg else unsigned
-
-
-def masked_rayleigh_variants(
-    problem: ProblemData, opts: SolverOptions | None = None
-) -> tuple[float, float]:
-    """(nonneg, unsigned) ``masked_rayleigh`` values from one pass.
-
-    The nonnegative variant starts from the unsigned minimizers, so the
-    unsigned minimizations run once for both.
-    """
-    unsigned, nonneg_min = _masked_minima(problem, opts, "bilap-a", True)
-    return nonneg_min, unsigned
-
-
-def masked_grad_rayleigh(problem: ProblemData, opts: SolverOptions | None = None) -> float:
-    """Infimum of |grad u|^2 / |u|^2 over the same masked set (squared form)."""
-    return _masked_minima(problem, opts, "grad", True)[1]
+        nonneg = min(nonneg, val)
+    return nonneg, unsigned
 
 
 # ----------------------------------------------------------------------
@@ -660,7 +610,7 @@ def moment_rayleigh(
     problem: ProblemData,
     eta: float,
     q: float,
-    opts: SolverOptions | None = None,
+    seed: int,
 ) -> float:
     """Constrained quotient infimum lambda(eta, q).
 
@@ -679,15 +629,14 @@ def moment_rayleigh(
     round, whose d_i u samples of the accepted trial then assemble
     div(a grad u) without a second transform.  Step, stall count,
     iteration count and the retraction stay per start, with the
-    arithmetic of a start run alone.  Returns the minimum over the
-    starts.
+    arithmetic of a start run alone.  The perturbation of the third
+    start is drawn from ``seed``.  Returns the minimum over the starts.
     """
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    opts = opts or SolverOptions()
     g = problem.geometry
     mset = _MomentSet(problem, eta, q)
-    rng = opts.rng(stream=29)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 29]))
     starts = [
         geo.add(mset.z_lo, mset.z_hi, 0.5),
         g.constant(1.0),
@@ -721,11 +670,14 @@ def window_edge(problem: ProblemData, q: float, eta: float, sigma: float) -> flo
 
 @dataclass
 class CoercivityConstants:
-    """Constants of the energy floor F_q >= mu/2 * k^(2/q) on [k1, k2]."""
+    """Constants of the energy floor F_q >= mu/2 * k^(2/q) on [k1, k2].
+
+    The field names are those of the HypothesisReport that carries them.
+    """
 
     eps0: float
     b: float
-    mu: float
+    mu_floor: float
     k_low: float
     k_high: float
     k_high_certified: float
@@ -743,35 +695,27 @@ def coercivity_constants(
     eta: float,
     sigma: float,
     eps: float,
-    lam_eta_q: float | None = None,
-    remainder: float | None = None,
-    opts: SolverOptions | None = None,
+    lam_eta_q: float,
+    remainder: float,
 ) -> CoercivityConstants:
     """Window [k1, k2] and floor mu of the coercivity bound at (eta, sigma, eps).
 
-    Requires eps0 = lambda(eta, q) - sup|h| > 0 and
+    ``lam_eta_q`` is lambda(eta, q) (``moment_rayleigh``, +inf over an
+    empty constraint set) and ``remainder`` the embedding remainder at
+    eps.  Requires eps0 = lambda(eta, q) - sup|h| > 0 and
     1 - 2 sigma sup(a+) > 0.  The certified upper edge additionally caps
     k2 at (mu / (2 sup f))^(q/(q-2)) when sup f > 0: beyond it the
     f+ term may defeat the floor.
     """
-    opts = opts or SolverOptions()
     g = problem.geometry
     a_plus = problem.a_plus_sup
     if 1.0 - 2.0 * sigma * a_plus <= 0.0:
         raise BadSigma(f"need 1 - 2*sigma*sup(a+) > 0, got sigma={sigma}")
-    if lam_eta_q is None:
-        try:
-            lam_eta_q = moment_rayleigh(problem, eta, q, opts=opts)
-        except InfeasibleConstraint:
-            # infimum over an empty set: the +infinity convention
-            lam_eta_q = math.inf
     eps0 = lam_eta_q - problem.h_sup
     if eps0 <= 0.0:
         raise NonPositiveEps0(
             f"lambda(eta={eta}, q={q}) = {lam_eta_q} <= sup|h| = {problem.h_sup}"
         )
-    if remainder is None:
-        remainder = embedding_remainder(g, eps, seed=opts.seed)
     k2_sq = sharp_sobolev_constant(g.n_ambient) ** 2
     c_sigma = grad_interp_constant(sigma, g)
     cap = window_cap(problem, c_sigma)
@@ -793,7 +737,7 @@ def coercivity_constants(
     return CoercivityConstants(
         eps0=eps0,
         b=b,
-        mu=mu,
+        mu_floor=mu,
         k_low=k_low,
         k_high=k_high,
         k_high_certified=k_high_cert,
@@ -881,21 +825,20 @@ _NOTE_GRAD_EXPONENT = (
 def certify(
     problem: ProblemData,
     q: float,
-    opts: SolverOptions | None = None,
+    seed: int,
 ) -> HypothesisReport:
     """Hypothesis report at exponent q, searching (eta, sigma, eps).
 
     sigma is fixed by 2 sigma sup(a+) = 1/2 when sup(a+) > 0 (else a
     harmless default); eta ranges over (0.5, 0.1, 0.02) and eps over
     (0.1, 0.01), and the configuration with the largest admissible ratio
-    threshold C wins.
+    threshold C wins.  ``seed`` seeds every randomized start.
     All conditions are reported with margins; nothing raises on failure.
     """
-    opts = opts or SolverOptions()
     g = problem.geometry
     problem.exponents(q)
 
-    lam_nonneg, lam_unsigned = masked_rayleigh_variants(problem, opts=opts)
+    lam_nonneg, lam_unsigned = masked_rayleigh(problem, "bilap-a", seed)
     gap = (
         lam_nonneg - lam_unsigned
         if math.isfinite(lam_nonneg) and math.isfinite(lam_unsigned)
@@ -912,14 +855,14 @@ def certify(
     def remainder(eps: float) -> float:
         """embedding_remainder at eps, computed on first use only."""
         if eps not in remainders:
-            remainders[eps] = embedding_remainder(g, eps, seed=opts.seed)
+            remainders[eps] = embedding_remainder(g, eps, seed=seed)
         return remainders[eps]
 
     best: CoercivityConstants | None = None
     moment_values = {}
     for eta in (0.5, 0.1, 0.02):
         try:
-            lam_eq = moment_rayleigh(problem, eta, q, opts=opts)
+            lam_eq = moment_rayleigh(problem, eta, q, seed)
         except InfeasibleConstraint:
             lam_eq = math.inf       # infimum over an empty constraint set
         moment_values[eta] = lam_eq
@@ -929,7 +872,7 @@ def certify(
             try:
                 cc = coercivity_constants(
                     problem, q, eta, sigma, eps, lam_eta_q=lam_eq,
-                    remainder=remainder(eps), opts=opts,
+                    remainder=remainder(eps),
                 )
             except (NonPositiveEps0, BadSigma):
                 continue
@@ -943,7 +886,7 @@ def certify(
     )
     if best is None:
         best = CoercivityConstants(
-            eps0=math.nan, b=math.nan, mu=math.nan,
+            eps0=math.nan, b=math.nan, mu_floor=math.nan,
             k_low=math.nan, k_high=math.nan, k_high_certified=math.nan,
             c_threshold=0.0, eta=math.nan, sigma=sigma, eps=math.nan,
             remainder=math.nan, c_sigma=grad_interp_constant(sigma, g),
@@ -957,7 +900,7 @@ def certify(
     if meas > 0.0 and math.isfinite(lam_nonneg):
         eps_m = best.eps if math.isfinite(best.eps) else 0.1
         rem_m = remainder(eps_m)
-        mu_grad = masked_grad_rayleigh(problem, opts=opts)
+        mu_grad = masked_rayleigh(problem, "grad", seed)[0]
         k2_sq = sharp_sobolev_constant(n) ** 2
         rhs = (meas ** (-4.0 / n) - rem_m - mu_grad * problem.a_sup) / (
             k2_sq * (1.0 + eps_m)
@@ -981,27 +924,16 @@ def certify(
         cond_spectral=cond1,
         spectral_margin=margin1,
         ratio_plus_minus=ratio,
-        c_threshold=best.c_threshold,
         cond_ratio=cond2,
         ratio_margin=best.c_threshold - ratio,
         f_max=problem.f_max,
         cond_positive=cond3,
-        eta=best.eta,
-        sigma=best.sigma,
-        eps=best.eps,
-        eps0=best.eps0,
-        b=best.b,
-        mu_floor=best.mu,
-        k_low=best.k_low,
-        k_high=best.k_high,
-        k_high_certified=best.k_high_certified,
-        remainder=best.remainder,
         sobolev_constant=sharp_sobolev_constant(n),
-        c_sigma=best.c_sigma,
         int_f_minus=problem.int_f_minus,
         positivity_measure=meas,
         measure_lower_bound=measure_bound,
         measure_bound_ok=measure_ok,
         moment_values=moment_values,
         notes=[_NOTE_LIMIT_EXPONENT, _NOTE_REMAINDER, _NOTE_GRAD_EXPONENT],
+        **asdict(best),
     )

@@ -166,7 +166,7 @@ def _gate(problem, q, opts, force: bool, subcritical: bool = True, report_path=N
     the critical continuation (1)-(2).  A failing certificate is written
     to ``report_path`` first when one is given.
     """
-    report = certify(problem, q, opts)
+    report = certify(problem, q, opts.seed)
     ok = report.passed_subcritical if subcritical else report.passed
     if not ok and not force:
         if report_path is not None:
@@ -187,7 +187,7 @@ def _dump_solution(out: Path, stem: str, report) -> None:
 
 def cmd_certify(args) -> int:
     cfg, problem, opts, out = _setup(args, require_f_minus=False)
-    report = certify(problem, _exponent(cfg, args), opts)
+    report = certify(problem, _exponent(cfg, args), opts.seed)
     ser.write_json(out / "report.json", ser.hypothesis_report_dict(report))
     return 0 if report.passed else _EXIT_HYPOTHESIS
 

@@ -205,14 +205,13 @@ class TorusGeometry:
     def zero(self) -> "SpectralField":
         return self.constant(0.0)
 
-    def mode(self, m, amplitude: float = 1.0, phase: float = 0.0) -> "SpectralField":
-        """Real single-mode field  amplitude * cos(2 pi m.x + phase)."""
+    def mode(self, m) -> "SpectralField":
+        """Real single-mode field  cos(2 pi m.x)."""
         m = tuple(int(v) for v in np.atleast_1d(m))
         if len(m) != self.d_eff:
             raise ValueError("mode index must have one entry per effective axis")
         x = self.coordinates()
-        arg = sum(TWO_PI * mi * xi for mi, xi in zip(m, x)) + phase
-        return self.field(amplitude * np.cos(arg))
+        return self.field(np.cos(sum(TWO_PI * mi * xi for mi, xi in zip(m, x))))
 
     def random_smooth(
         self, rng: np.random.Generator, decay: float = 2.0, amplitude: float = 1.0

@@ -216,10 +216,10 @@ class MountainPassResult:
     converged: bool
 
 
-def _reparameterize(nodes, n_out=None):
-    """Resample the polyline by L2 arc length (endpoints pinned)."""
+def _reparameterize(nodes, n_out):
+    """Resample the polyline by L2 arc length to n_out nodes (endpoints pinned)."""
     n = len(nodes)
-    n_out = n if n_out is None else max(int(n_out), 3)
+    n_out = max(int(n_out), 3)
     seg = [geo.l2_norm(geo.add(nodes[i + 1], nodes[i], -1.0)) for i in range(n - 1)]
     total = sum(seg)
     if total <= 0.0:
@@ -304,7 +304,7 @@ class _Path:
 
     SUB = (0.25, 0.5, 0.75)
 
-    def __init__(self, problem, q, nodes, barriers=()):
+    def __init__(self, problem, q, nodes, barriers):
         self.problem = problem
         self.q = q
         self.nodes = list(nodes)

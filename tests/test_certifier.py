@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,12 @@ from scipy.linalg import eigh
 from biharm import geometry as geo
 from biharm import problem as prob
 from biharm.certifier import (
+    CoercivityConstants,
     certify,
     coercivity_constants,
     embedding_remainder,
     grad_interp_constant,
     masked_rayleigh,
-    masked_rayleigh_variants,
     moment_rayleigh,
     sharp_sobolev_constant,
 )
@@ -117,7 +118,7 @@ def test_embedding_remainder_covers_probes(geom64, rng):
 def _dense_masked_oracle(problem):
     """Assemble the masked quadratic form and eigensolve it densely."""
     g = problem.geometry
-    form = _MaskedForm(problem)
+    form = _MaskedForm(problem, "bilap-a")
     mask = np.maximum(-problem.f.samples, 0.0) <= 1e-12 * problem.f_sup
     idx = np.nonzero(mask.ravel())[0]
     n = g.size
@@ -143,42 +144,41 @@ def _dense_masked_oracle(problem):
 def test_masked_rayleigh_matches_dense_oracle(geom64, a_expr, f_expr, opts):
     p = ProblemData.from_expressions(geom64, a_expr, "-1", f_expr)
     oracle = _dense_masked_oracle(p)
-    lam_u = masked_rayleigh(p, opts, nonneg=False)
+    lam_n, lam_u = masked_rayleigh(p, "bilap-a", opts.seed)
     assert lam_u == pytest.approx(oracle, rel=1e-4)
-    lam_n = masked_rayleigh(p, opts, nonneg=True)
     assert lam_n >= lam_u - 1e-9 * abs(lam_u)   # sign constraint can only raise
 
 
 def test_masked_rayleigh_empty_mask(geom64, opts):
     p = ProblemData.from_expressions(geom64, "0", "-1", "-1")
-    assert masked_rayleigh(p, opts) == math.inf
+    assert masked_rayleigh(p, "bilap-a", opts.seed)[0] == math.inf
 
 
 def test_masked_rayleigh_positive_f(geom64, opts):
     p = ProblemData.from_expressions(geom64, "0", "-1", "1 + 0.5*cos(2*pi*x1)")
-    assert masked_rayleigh(p, opts) == pytest.approx(0.0, abs=1e-10)
+    assert masked_rayleigh(p, "bilap-a", opts.seed)[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_masked_rayleigh_scale_invariance(geom64, bundled64, opts):
-    lam1 = masked_rayleigh(bundled64, opts)
+    lam1 = masked_rayleigh(bundled64, "bilap-a", opts.seed)[0]
     p2 = ProblemData.from_fields(
         geom64,
         bundled64.a,
         bundled64.h,
         geom64.field(2.0 * bundled64.f.samples),
     )
-    lam2 = masked_rayleigh(p2, opts)
+    lam2 = masked_rayleigh(p2, "bilap-a", opts.seed)[0]
     assert lam2 == pytest.approx(lam1, rel=1e-9)
 
 
 def test_masked_rayleigh_monotone_in_a(geom64, opts):
     f = "cos(2*pi*x1) - 0.25"
     lam_small = masked_rayleigh(
-        ProblemData.from_expressions(geom64, "0.1", "-1", f), opts
-    )
+        ProblemData.from_expressions(geom64, "0.1", "-1", f), "bilap-a", opts.seed
+    )[0]
     lam_big = masked_rayleigh(
-        ProblemData.from_expressions(geom64, "0.4", "-1", f), opts
-    )
+        ProblemData.from_expressions(geom64, "0.4", "-1", f), "bilap-a", opts.seed
+    )[0]
     assert lam_big <= lam_small + 1e-6 * abs(lam_small)
 
 
@@ -187,7 +187,7 @@ def test_measure_criterion_trend(geom64, opts):
     values = []
     for c in (0.25, 0.6, 0.9):
         p = ProblemData.from_expressions(geom64, "0", "-1", f"cos(2*pi*x1) - {c}")
-        values.append(masked_rayleigh(p, opts))
+        values.append(masked_rayleigh(p, "bilap-a", opts.seed)[0])
     assert values[0] < values[1] < values[2]
 
 
@@ -197,8 +197,8 @@ def test_measure_criterion_trend(geom64, opts):
 
 def test_moment_rayleigh_monotone_and_bounded(bundled64, opts):
     q = 2.5
-    lam_af = masked_rayleigh(bundled64, opts)
-    vals = [moment_rayleigh(bundled64, eta, q, opts) for eta in (0.5, 0.1, 0.02)]
+    lam_af = masked_rayleigh(bundled64, "bilap-a", opts.seed)[0]
+    vals = [moment_rayleigh(bundled64, eta, q, opts.seed) for eta in (0.5, 0.1, 0.02)]
     tol = 1e-6 * (1.0 + abs(vals[0]))
     assert vals[0] <= vals[1] + tol
     assert vals[1] <= vals[2] + tol
@@ -207,7 +207,7 @@ def test_moment_rayleigh_monotone_and_bounded(bundled64, opts):
 
 def test_moment_rayleigh_limit_trend(bundled64, opts):
     q = 2.5
-    vals = [moment_rayleigh(bundled64, eta, q, opts) for eta in (1e-1, 1e-2, 1e-3)]
+    vals = [moment_rayleigh(bundled64, eta, q, opts.seed) for eta in (1e-1, 1e-2, 1e-3)]
     assert vals[0] < vals[1] < vals[2]
 
 
@@ -295,7 +295,7 @@ def test_moment_rayleigh_transform_count(bundled64, opts, monkeypatch):
             TorusGeometry, name,
             lambda self, *a, _real=real, **k: calls.append(1) or _real(self, *a, **k),
         )
-    moment_rayleigh(bundled64, 0.5, 2.5, opts)
+    moment_rayleigh(bundled64, 0.5, 2.5, opts.seed)
     assert 0 < len(calls) <= 640
 
 
@@ -305,7 +305,11 @@ def test_moment_rayleigh_transform_count(bundled64, opts, monkeypatch):
 
 def test_window_ratio_exact(bundled64, opts):
     # k2/k1 = 2^(q/(q-2)): equals 4 at q = 4
-    cc = coercivity_constants(bundled64, 4.0, 0.5, 1.25, 0.1, opts=opts)
+    cc = coercivity_constants(
+        bundled64, 4.0, 0.5, 1.25, 0.1,
+        lam_eta_q=moment_rayleigh(bundled64, 0.5, 4.0, opts.seed),
+        remainder=embedding_remainder(bundled64.geometry, 0.1, seed=opts.seed),
+    )
     assert cc.k_high / cc.k_low == pytest.approx(4.0, rel=1e-12)
 
 
@@ -322,8 +326,11 @@ def test_coercivity_b_formula_symbolic(geom64, opts):
 
     p = ProblemData.from_expressions(geom64, "0", "-1", "cos(2*pi*x1) - 0.25")
     eta, sigma, eps = 0.5, 1.0, 0.1
-    lam = moment_rayleigh(p, eta, 2.5, opts)
-    cc = coercivity_constants(p, 2.5, eta, sigma, eps, lam_eta_q=lam, opts=opts)
+    lam = moment_rayleigh(p, eta, 2.5, opts.seed)
+    cc = coercivity_constants(
+        p, 2.5, eta, sigma, eps, lam_eta_q=lam,
+        remainder=embedding_remainder(geom64, eps, seed=opts.seed),
+    )
     e0, H, A2, K2, AP, CS, SG, EP = sp.symbols("e0 H A2 K2 AP CS SG EP")
     b_expr = ((1 - 2 * SG * AP) * e0) / (
         (e0 + H + 2 * AP * CS) * K2**2 * (1 + EP) + (1 - 2 * SG * AP) * A2
@@ -339,15 +346,19 @@ def test_coercivity_b_formula_symbolic(geom64, opts):
         EP: eps,
     }
     assert cc.b == pytest.approx(float(b_expr.subs(subs)), rel=1e-12)
-    assert cc.mu == min(cc.b, p.h_sup)
+    assert cc.mu_floor == min(cc.b, p.h_sup)
 
 
 def test_coercivity_raises(bundled64, opts):
+    lam = moment_rayleigh(bundled64, 0.5, 2.5, opts.seed)
+    remainder = embedding_remainder(bundled64.geometry, 0.1, seed=opts.seed)
     with pytest.raises(BadSigma):
-        coercivity_constants(bundled64, 2.5, 0.5, 10.0, 0.1, opts=opts)
+        coercivity_constants(
+            bundled64, 2.5, 0.5, 10.0, 0.1, lam_eta_q=lam, remainder=remainder
+        )
     with pytest.raises(NonPositiveEps0):
         coercivity_constants(
-            bundled64, 2.5, 0.5, 1.25, 0.1, lam_eta_q=0.5, opts=opts
+            bundled64, 2.5, 0.5, 1.25, 0.1, lam_eta_q=0.5, remainder=remainder
         )
 
 
@@ -356,7 +367,7 @@ def test_coercivity_raises(bundled64, opts):
 
 
 def test_certify_bundled(bundled64, opts):
-    rep = certify(bundled64, 2.5, opts)
+    rep = certify(bundled64, 2.5, opts.seed)
     assert rep.cond_spectral           # huge spectral margin
     assert rep.cond_positive
     assert not rep.cond_ratio          # ratio 1.65 far above the threshold
@@ -368,7 +379,7 @@ def test_certify_bundled(bundled64, opts):
 
 def test_certify_all_negative_f(geom64, opts):
     p = ProblemData.from_expressions(geom64, "0", "-1", "-1")
-    rep = certify(p, 2.5, opts)
+    rep = certify(p, 2.5, opts.seed)
     assert rep.rayleigh_masked == math.inf
     assert rep.cond_spectral
     assert rep.cond_ratio              # ratio 0 below any positive threshold
@@ -378,7 +389,7 @@ def test_certify_all_negative_f(geom64, opts):
 
 def test_certify_ratio_passing_problem(geom64, opts):
     p = ProblemData.from_expressions(geom64, "0", "-1", "cos(2*pi*x1) - 0.999")
-    rep = certify(p, 2.5, opts)
+    rep = certify(p, 2.5, opts.seed)
     assert rep.passed_subcritical
     assert rep.ratio_plus_minus < rep.c_threshold
     assert rep.k_low < rep.k_high_certified    # nonempty certified window
@@ -386,7 +397,7 @@ def test_certify_ratio_passing_problem(geom64, opts):
 
 def test_certify_nonpositive_f_blocks_cond3(geom64, opts):
     p = ProblemData.from_expressions(geom64, "0", "-1", "-0.5 - 0.2*cos(2*pi*x1)")
-    rep = certify(p, 2.5, opts)
+    rep = certify(p, 2.5, opts.seed)
     assert not rep.cond_positive
     assert rep.cond_spectral
 
@@ -394,7 +405,7 @@ def test_certify_nonpositive_f_blocks_cond3(geom64, opts):
 def test_certify_quantitative_measure_bound(geom64, opts):
     # lambda >= (meas^(-4/n) - A2 - mu |a|) / (K2^2 (1+eps)) when evaluable
     p = ProblemData.from_expressions(geom64, "0.1", "-1", "cos(2*pi*x1) - 0.6")
-    rep = certify(p, 2.5, opts)
+    rep = certify(p, 2.5, opts.seed)
     assert rep.measure_bound_ok
     assert rep.rayleigh_masked >= rep.measure_lower_bound - 1e-9
 
@@ -403,7 +414,7 @@ def test_certify_2d_smoke(geom2d, opts):
     p = ProblemData.from_expressions(
         geom2d, "0.1", "-1", "cos(2*pi*x1)*cos(2*pi*x2) - 0.25"
     )
-    rep = certify(p, 3.0, opts)
+    rep = certify(p, 3.0, opts.seed)
     assert rep.d_eff == 2
     assert math.isfinite(rep.ratio_plus_minus)
     assert rep.cond_spectral            # tiny h against a clamped-patch quotient
@@ -435,7 +446,7 @@ def test_certify_computes_each_remainder_once(
     from biharm import serialize as ser
 
     calls = _count_remainder_calls(monkeypatch)
-    rep = certify(bundled128, 2.5, opts)        # configs/bundled.json
+    rep = certify(bundled128, 2.5, opts.seed)        # configs/bundled.json
     assert sorted(calls) == [0.01, 0.1]
     ser.write_json(tmp_path / "report.json", ser.hypothesis_report_dict(rep))
     assert_golden_certificate(json.loads((tmp_path / "report.json").read_text()))
@@ -446,7 +457,7 @@ def test_certify_remainder_is_lazy(geom64, opts, monkeypatch):
     # only the measure criterion asks for a remainder, at its default eps
     p = ProblemData.from_expressions(geom64, "0", "-1e6", "cos(2*pi*x1) - 0.25")
     calls = _count_remainder_calls(monkeypatch)
-    rep = certify(p, 2.5, opts)
+    rep = certify(p, 2.5, opts.seed)
     assert math.isnan(rep.eps)
     assert calls == [0.1]
 
@@ -468,13 +479,42 @@ def test_certify_runs_the_unsigned_masked_minimizations_once(
         return real(form, *args, **kwargs)
 
     monkeypatch.setattr(cert, "_unsigned_quotient_min", counted)
-    rep = certify(bundled128, 2.5, opts)        # configs/bundled.json
+    rep = certify(bundled128, 2.5, opts.seed)        # configs/bundled.json
     assert calls == ["bilap-a"] * 3 + ["grad"] * 3
     ser.write_json(tmp_path / "report.json", ser.hypothesis_report_dict(rep))
     assert_golden_certificate(json.loads((tmp_path / "report.json").read_text()))
 
 
-def test_masked_rayleigh_variants_match_the_single_variants(bundled64, opts):
-    lam_n, lam_u = masked_rayleigh_variants(bundled64, opts)
-    assert lam_n == masked_rayleigh(bundled64, opts, nonneg=True)
-    assert lam_u == masked_rayleigh(bundled64, opts, nonneg=False)
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize(
+    "h_expr,f_expr",
+    [
+        ("-1", "cos(2*pi*x1) - 0.999"),     # passes every condition
+        ("-1", "-1"),                       # every moment set empty: eps0 = inf
+        ("-1e6", "cos(2*pi*x1) - 0.25"),    # no admissible eta: the NaN fallback
+    ],
+)
+def test_report_carries_every_window_constant(geom64, opts, h_expr, f_expr):
+    p = ProblemData.from_expressions(geom64, "0", h_expr, f_expr)
+    q = 2.5
+    rep = certify(p, q, opts.seed)
+    if math.isnan(rep.eta):
+        sigma = 1.0                         # sup(a+) = 0
+        want = CoercivityConstants(
+            eps0=math.nan, b=math.nan, mu_floor=math.nan,
+            k_low=math.nan, k_high=math.nan, k_high_certified=math.nan,
+            c_threshold=0.0, eta=math.nan, sigma=sigma, eps=math.nan,
+            remainder=math.nan, c_sigma=grad_interp_constant(sigma, geom64),
+        )
+    else:
+        want = coercivity_constants(
+            p, q, rep.eta, rep.sigma, rep.eps,
+            lam_eta_q=rep.moment_values[rep.eta],
+            remainder=embedding_remainder(geom64, rep.eps, seed=opts.seed),
+        )
+    for name, value in dataclasses.asdict(want).items():
+        assert _same(getattr(rep, name), value), name

@@ -19,7 +19,7 @@ TWO_PI = 2.0 * math.pi
 
 def _certificate(problem, opts):
     """The certificate at q0 = (2 + N)/2 that the critical continuation starts from."""
-    return certify(problem, 0.5 * (2.0 + problem.geometry.critical_exponent), opts)
+    return certify(problem, 0.5 * (2.0 + problem.geometry.critical_exponent), opts.seed)
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +65,13 @@ def test_window_edge_decreases_toward_critical(bundled64):
     qs = np.linspace(4.0, 6.0, 9)
     edges = [window_edge(bundled64, q, eta, sigma) for q in qs]
     assert all(a > b for a, b in zip(edges, edges[1:]))
-    from biharm.certifier import coercivity_constants
+    from biharm.certifier import coercivity_constants, embedding_remainder, moment_rayleigh
 
-    cc = coercivity_constants(bundled64, 4.0, eta, sigma, 0.1)
+    cc = coercivity_constants(
+        bundled64, 4.0, eta, sigma, 0.1,
+        lam_eta_q=moment_rayleigh(bundled64, eta, 4.0, 0),
+        remainder=embedding_remainder(bundled64.geometry, 0.1, seed=0),
+    )
     assert cc.k_low == pytest.approx(window_edge(bundled64, 4.0, eta, sigma), rel=1e-12)
 
 

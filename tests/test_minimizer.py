@@ -146,7 +146,7 @@ def test_certified_window_bound(geom64, opts):
 
     p = ProblemData.from_expressions(geom64, "0", "-1", "cos(2*pi*x1) - 0.999")
     q = 2.5
-    rep = certify(p, q, opts)
+    rep = certify(p, q, opts.seed)
     assert rep.passed_subcritical and rep.k_low < rep.k_high_certified
     curve = trace_mu_curve(
         p, q, rep.k_low * 0.5, rep.k_high_certified * 2.0, n_points=14,

@@ -110,3 +110,9 @@ def test_package_imports_form_no_cycle():
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+def test_certifier_imports_only_the_numeric_core():
+    """The certifier takes numbers, not solver options: no solver module is imported."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert _package_imports(PACKAGE / "certifier.py", modules) == {"errors", "geometry", "problem"}
