@@ -224,7 +224,7 @@ def _two_solutions(problem, q, cfg, args, opts, out):
     certificate = _gate(problem, q, opts, args.force)
     ser.write_json(out / "certificate.json", ser.hypothesis_report_dict(certificate))
     curve = _curve(problem, q, cfg, args, opts, certificate, out)
-    (l1, l2, l_o), _, mp = second_solution(problem, q, curve, opts)
+    (l1, l2, l_o), _, mp = second_solution(problem, q, curve)
     ser.path_profile_csv(mp.profile_rows, out / "path_profile.csv")
     summary = {
         "schema_version": 1,

@@ -23,11 +23,12 @@ The BB step, the line search, convergence and the best iterate stay per
 start, with the arithmetic of a start run alone, so each start returns
 exactly what it would return alone; single solves are stacks of one.
 
-``trace_mu_curve`` sweeps a geometric k-grid in both directions with
-warm starts plus a fixed multistart battery per point, run once per
-point and shared by the two sweeps, and annotates the curve with the
-negative minimum, bisection-refined zero crossings and the certified
-coercivity window when a certificate is supplied.
+``trace_mu_curve`` sweeps a geometric k-grid upward once, each point
+warm-started from its neighbor's minimizer plus a fixed multistart
+battery, and annotates the curve with the negative minimum,
+bisection-refined zero crossings and the certified coercivity window
+when a certificate is supplied.  The sphere minimizers at the two
+refined zeros stay on the curve as the mountain pass's endpoints.
 """
 
 from __future__ import annotations
@@ -101,7 +102,12 @@ class CriticalPointReport:
 
 @dataclass
 class MuCurve:
-    """Sampled map k -> inf of F_q on the sphere |u|_q^q = k."""
+    """Sampled map k -> inf of F_q on the sphere |u|_q^q = k.
+
+    ``zero_minimizers`` holds the sphere minimizers (``SphereResult``) at
+    the refined zeros l1 and l2, in that order, when the tracer found
+    them; it is not serialized.
+    """
 
     q: float
     ks: np.ndarray
@@ -112,6 +118,7 @@ class MuCurve:
     flags: list
     minimizers: list
     annotations: dict = dataclass_field(default_factory=dict)
+    zero_minimizers: list = dataclass_field(default_factory=list)
 
     def ok(self) -> np.ndarray:
         return np.array([f == "ok" for f in self.flags])
@@ -359,17 +366,6 @@ def _earliest_lowest(candidates):
     return next(res for F, res in candidates if F <= F_min + tol)
 
 
-def _battery_candidate(candidates):
-    """The battery as one candidate: its winner, entered at its lowest energy.
-
-    ``_earliest_lowest`` picks the same result from the warm candidate
-    followed by this one as from the warm candidate followed by the whole
-    battery: the lowest energy, hence the tie tolerance, is the same, and
-    when the warm start does not tie the battery's own winner does.
-    """
-    return min(F for F, _ in candidates), _earliest_lowest(candidates)
-
-
 def _solve_stack(problem, q, tagged, opts, sphere_k=None, ball_cap=None):
     """Run tagged starts (tag, field, cap) as one stack; (F, SphereResult) per start."""
     if not tagged:
@@ -404,7 +400,6 @@ def minimize_on_sphere(
     k: float,
     init: SpectralField | None = None,
     opts: SolverOptions | None = None,
-    battery_memo: dict | None = None,
 ) -> SphereResult:
     """Minimize F_q over the sphere |u|_q^q = k.
 
@@ -414,30 +409,15 @@ def minimize_on_sphere(
     1e-12 (1 + |F_min|) of it count as tied, and the earliest of the
     tied candidates (warm start first) wins.  The output always
     satisfies the constraint exactly by retraction.
-
-    ``battery_memo`` lets one caller solve the same mass twice with one
-    battery: a solve at a k that is not in the dict leaves its battery's
-    outcome there under k, and a solve at a k that is takes it out
-    instead of running the battery again.  The outcome depends only on
-    (problem, q, k, opts), so the result is the same either way.
     """
     if k <= 0.0:
         raise ValueError(f"sphere mass k must be positive, got {k}")
     opts = opts or SolverOptions()
     problem.exponents(q)
 
-    warm = [("warm", init, opts.max_iter)] if init is not None else []
-    battery, seeds = None, []
-    if battery_memo is not None:
-        battery = battery_memo.pop(k, None)
-    if battery is None:
-        seeds = [(tag, s, opts.battery_iter) for tag, s in default_seeds(problem, q, k, opts)]
-    solved = _solve_stack(problem, q, warm + seeds, opts, sphere_k=k)
-    if seeds:
-        battery = _battery_candidate(solved[len(warm):])
-        if battery_memo is not None:
-            battery_memo[k] = battery
-    candidates = solved[: len(warm)] + ([battery] if battery is not None else [])
+    tagged = [("warm", init, opts.max_iter)] if init is not None else []
+    tagged += [(tag, s, opts.battery_iter) for tag, s in default_seeds(problem, q, k, opts)]
+    candidates = _solve_stack(problem, q, tagged, opts, sphere_k=k)
     return _polish(problem, q, _earliest_lowest(candidates), opts, sphere_k=k)
 
 
@@ -554,10 +534,10 @@ def first_solution(
 # the mu-curve tracer
 
 
-def _curve_point(problem, q, k, warm, opts, battery_memo=None):
+def _curve_point(problem, q, k, warm, opts):
     """Best sphere minimization at one mass, warm start plus battery."""
     init = _retract_sphere(warm, q, k) if warm is not None else None
-    return minimize_on_sphere(problem, q, k, init=init, opts=opts, battery_memo=battery_memo)
+    return minimize_on_sphere(problem, q, k, init=init, opts=opts)
 
 
 def trace_mu_curve(
@@ -569,15 +549,12 @@ def trace_mu_curve(
     opts: SolverOptions | None = None,
     certificate=None,
 ) -> MuCurve:
-    """Sample k -> mu_k over a geometric grid with warm-started sweeps.
+    """Sample k -> mu_k over a geometric grid with one warm-started sweep.
 
-    Two sweeps (upward and downward in k) are run with warm starts from
-    the neighbor's minimizer plus the multistart battery at every point;
-    the pointwise minimum is kept.  The battery at a grid point does not
-    depend on the warm start, so it runs once per point: the upward
-    sweep leaves its outcome in a memo private to this call and the
-    downward sweep takes it out again.  Non-converged points are flagged and
-    skipped by the annotation pass, never fatal.  Annotations:
+    One upward sweep in k solves every point once, warm-started from the
+    previous point's minimizer, with the multistart battery at every
+    point.  Non-converged points are flagged and skipped by the
+    annotation pass, never fatal.  Annotations:
 
     - ``k_neg_min`` / ``mu_neg_min``: the interior negative minimum
       (argmin over the leading negative segment),
@@ -586,25 +563,19 @@ def trace_mu_curve(
     - ``l_o`` / ``mu_lo``: the in-between maximum,
     - ``certified_window`` and ``certified_bound_ok`` when a certificate
       with a nonempty coercivity window is supplied.
+
+    The sphere minimizers at l1 and l2 (the final solves of the
+    bisection) are kept on ``zero_minimizers``.
     """
     if not (0.0 < k_min < k_max):
         raise ValueError("need 0 < k_min < k_max")
     opts = opts or SolverOptions()
     ks = np.geomspace(k_min, k_max, n_points)
-    results: list[SphereResult | None] = [None] * n_points
-
-    battery_memo: dict = {}
+    results: list[SphereResult] = []
     warm = None
-    for i in range(n_points):
-        res = _curve_point(problem, q, ks[i], warm, opts, battery_memo)
-        results[i] = res
-        warm = res.v
-    warm = None
-    for i in range(n_points - 1, -1, -1):
-        res = _curve_point(problem, q, ks[i], warm, opts, battery_memo)
-        if res.mu < results[i].mu:
-            results[i] = res
-        warm = results[i].v
+    for k in ks:
+        results.append(_curve_point(problem, q, k, warm, opts))
+        warm = results[-1].v
 
     curve = MuCurve(
         q=q,
@@ -621,7 +592,7 @@ def trace_mu_curve(
 
 
 def _refine_zero(problem, q, k_lo, mu_lo, k_hi, warm, opts):
-    """Bisect a sign change of mu(k) to relative width 1e-4; returns (k, mu_at_k)."""
+    """Bisect a sign change of mu(k) to relative width 1e-4; returns (k, SphereResult at k)."""
     # the battery at every step stays: the mountain pass is sensitive to
     # the endpoint masses, and warm-only steps move l1/l2 by ~1e-5 rel
     sign_lo = mu_lo > 0
@@ -634,8 +605,7 @@ def _refine_zero(problem, q, k_lo, mu_lo, k_hi, warm, opts):
         else:
             k_hi = k_mid
     k_star = math.sqrt(k_lo * k_hi)
-    res = _curve_point(problem, q, k_star, warm, opts)
-    return k_star, res.mu
+    return k_star, _curve_point(problem, q, k_star, warm, opts)
 
 
 def _annotate(curve: MuCurve, problem, q, opts, certificate):
@@ -653,20 +623,21 @@ def _annotate(curve: MuCurve, problem, q, opts, certificate):
         ann["mu_neg_min"] = float(mus[i_min])
         # zero crossing l1 between the leading run and the hump
         warm = curve.minimizers[first_pos - 1]
-        l1, mu_l1 = _refine_zero(
+        l1, end1 = _refine_zero(
             problem, q, ks[first_pos - 1], mus[first_pos - 1], ks[first_pos], warm, opts
         )
         ann["l1"] = l1
-        ann["mu_at_l1"] = mu_l1
+        ann["mu_at_l1"] = end1.mu
         after = np.nonzero(~pos[first_pos:])[0]
         if after.size:
             j = first_pos + int(after[0])
             warm = curve.minimizers[j - 1]
-            l2, mu_l2 = _refine_zero(
+            l2, end2 = _refine_zero(
                 problem, q, ks[j - 1], mus[j - 1], ks[j], warm, opts
             )
             ann["l2"] = l2
-            ann["mu_at_l2"] = mu_l2
+            ann["mu_at_l2"] = end2.mu
+            curve.zero_minimizers = [end1, end2]
             hump = slice(first_pos, j)
             i_max = first_pos + int(np.argmax(mus[hump]))
             ann["l_o"] = float(ks[i_max])

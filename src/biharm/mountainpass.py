@@ -17,9 +17,10 @@ dominates the sampled hump by construction rather than by solver luck.
 When the level stalls, the maximal node is polished into a genuine
 critical point by damped Newton-Krylov steps on the stationarity
 residual: ``lsqr`` on the matrix-free Hessian action, preconditioned
-by the spectral descent metric of the path deformation.  The reported
-``nu`` is the stalled honest maximum and the report's energy is that
-of the polished critical point.
+by the spectral descent metric of the path deformation.  The report's
+energy is that of the polished critical point; the reported ``nu`` is
+the stalled honest maximum, raised to that energy when the polish is
+accepted (a path threaded through the saddle attains it).
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ from .geometry import SpectralField
 from .minimizer import (
     CriticalPointReport,
     MuCurve,
-    SolverOptions,
     make_report,
-    minimize_on_sphere,
     _metric,
     _project_span,
     _retract_sphere,
@@ -89,6 +88,19 @@ def _residual_field(problem, q, u):
     return problem.geometry.field_from_coeffs(prob.apply_operator(problem, u, w))
 
 
+def _real_part(u: SpectralField) -> SpectralField:
+    """The real field nearest u: each c[m] averaged with conj(c[-m]).
+
+    A forward transform of real samples leaves an anti-Hermitian rounding
+    part in the coefficients, the coefficients of no real field; the
+    bilaplacian amplifies it in the residual norm, where no Newton step
+    built from real samples could remove it.
+    """
+    axes = tuple(range(u.coeffs.ndim))
+    mirror = np.conj(np.roll(np.flip(u.coeffs, axis=axes), 1, axis=axes))
+    return u.geometry.field_from_coeffs(0.5 * (u.coeffs + mirror))
+
+
 def refine_critical_point(
     problem: ProblemData,
     q: float,
@@ -108,7 +120,9 @@ def refine_critical_point(
     would overshoot.  On the grid the step is right-preconditioned by
     the descent metric ``_metric`` at the iterate's mass, which takes
     the |2 pi m|^4 growth out of H; in a subspace the unknowns are the
-    basis coefficients and the step is unpreconditioned.
+    basis coefficients and the step is unpreconditioned.  On the grid
+    the seed and every step are replaced by their real-field part
+    (``_real_part``), so the residual can fall to the rounding floor.
 
     A step is taken only if it lowers the residual, else the damping lm
     grows 16-fold (giving up above 1e3).  Runs at most 40 Newton steps
@@ -127,7 +141,7 @@ def refine_critical_point(
             P = _metric(problem, q, geo.lp_mass(u, q))
 
             def step(x):
-                return g.field_from_coeffs(P * g.field(x.reshape(g.shape)).coeffs)
+                return _real_part(g.field_from_coeffs(P * g.field(x.reshape(g.shape)).coeffs))
 
             def matvec(x):
                 return _hessian_apply(problem, q, u, step(x)).samples.ravel()
@@ -156,7 +170,7 @@ def refine_critical_point(
             op = LinearOperator((k, k), matvec=matvec, rmatvec=matvec, dtype=float)
             return op, -project(r), lambda c: geo.combination(basis, c)
 
-    u = u0
+    u = u0 if basis is not None else _real_part(u0)
     r = _residual_field(problem, q, u)
     rn = res_norm(r)
     scale0 = 1.0 + abs(prob.eval_F(u, problem, q))
@@ -461,10 +475,12 @@ def mountain_pass(
     ``align_sign``); the endpoints themselves are never modified.
     Raises Collapse when the path maximum falls to within 1e-8 of the
     endpoint level (no hump), NonConvergence when the iteration budget
-    ends with a moving maximum.  The returned ``nu`` is the stalled
-    honest path maximum; the report describes the Newton-polished
-    critical point seeded by the maximal node, and ``profile_rows``
-    holds every node energy of every iteration.
+    ends with a moving maximum.  The report describes the Newton-polished
+    critical point seeded by the maximal node.  The returned ``nu`` is
+    the stalled honest path maximum after a denser final sweep, or the
+    polished point's energy F(v) when the polish is accepted and F(v)
+    is higher; ``profile_rows`` holds every node energy of every
+    iteration.
     """
     g = problem.geometry
     problem.exponents(q)
@@ -609,17 +625,18 @@ def mountain_pass(
 # the curve-to-saddle pipeline
 
 
-def second_solution(problem: ProblemData, q: float, curve: MuCurve, opts: SolverOptions):
-    """Mountain pass between cold sphere minimizers at the curve's zeros l1, l2.
+def second_solution(problem: ProblemData, q: float, curve: MuCurve):
+    """Mountain pass between the curve's sphere minimizers at its zeros l1, l2.
 
+    The endpoints are the tracer's ``zero_minimizers``, the final solves
+    of its bisection at l1 and l2; nothing is solved on a sphere here.
     The curve minimizers in [l1, l2] seed the path.  Returns ((l1, l2,
     l_o), (result at l1, sign-aligned field at l2), MountainPassResult);
     a saddle whose Newton polish was not accepted raises NonConvergence
     with the result as ``best``.
     """
     l1, l2, l_o = find_mu_zeros(curve)
-    end1 = minimize_on_sphere(problem, q, l1, opts=opts)
-    end2 = minimize_on_sphere(problem, q, l2, opts=opts)
+    end1, end2 = curve.zero_minimizers
     seeds = [(float(k), v) for k, v in zip(curve.ks, curve.minimizers) if l1 <= k <= l2]
     # the energy is even: use the endpoint representative aligned with u1
     u2 = align_sign(end2.v, end1.v)

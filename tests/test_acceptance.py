@@ -238,7 +238,7 @@ def test_criterion_6_two_solutions(acc_problem, acc_opts):
     q = 2.5
     certificate = _get_certificate(acc_problem, acc_opts)
     acc_curve = _get_curve(acc_problem, acc_opts)
-    _, _, mp_res = second_solution(acc_problem, q, acc_curve, acc_opts)
+    _, _, mp_res = second_solution(acc_problem, q, acc_curve)
     rep_min = first_solution(acc_problem, q, certificate.k_low, acc_opts)
 
     assert rep_min.energy < 0.0 < mp_res.report.energy

@@ -356,37 +356,23 @@ def test_curve_runs_one_battery_per_point(toy64, opts, monkeypatch):
     monkeypatch.setattr(mz, "minimize_on_sphere", counting_sphere)
     n = 12
     curve = trace_mu_curve(toy64, 4.0, 0.05, 500.0, n_points=n, opts=opts)
-    bisection = len(solves) - 2 * n
+    grid = [float(k) for k in curve.ks]
+    assert solves[:n] == grid                  # one upward sweep
+    assert sorted(k for k in solves if k in grid) == grid
+    bisection = sum(k not in grid for k in solves)
     assert curve.annotations["shape"] == "neg-min/hump/neg-tail" and bisection > 0
-    assert len(batteries) == n + bisection
-    assert sorted(batteries[:n]) == sorted(float(k) for k in curve.ks)
+    assert len(batteries) == len(solves) == n + bisection
 
 
-def test_battery_memo_entry_is_used_once(toy64, opts):
-    q, k = 4.0, 3.0
-    memo = {}
-    first = minimize_on_sphere(toy64, q, k, opts=opts, battery_memo=memo)
-    assert list(memo) == [k]
-    warm = mz._retract_sphere(toy64.geometry.constant(1.0), q, k)
-    second = minimize_on_sphere(toy64, q, k, init=warm, opts=opts, battery_memo=memo)
-    assert memo == {}
-    fresh = minimize_on_sphere(toy64, q, k, init=warm, opts=opts)
-    assert (second.mu, second.seed_tag, second.iterations) == (fresh.mu, fresh.seed_tag, fresh.iterations)
-    assert np.array_equal(second.v.coeffs, fresh.v.coeffs)
-    assert first.mu == minimize_on_sphere(toy64, q, k, opts=opts).mu
-
-
-def test_curve_with_reused_batteries_equals_recomputed(toy64, opts, monkeypatch):
-    q, n = 4.0, 10
-    reused = trace_mu_curve(toy64, q, 0.5, 40.0, n_points=n, opts=opts)
-    point = mz._curve_point
-    monkeypatch.setattr(
-        mz, "_curve_point",
-        lambda problem, q, k, warm, o, battery_memo=None: point(problem, q, k, warm, o),
-    )
-    recomputed = trace_mu_curve(toy64, q, 0.5, 40.0, n_points=n, opts=opts)
-    for name in ("mus", "lagranges", "residuals", "iterations"):
-        assert np.array_equal(getattr(reused, name), getattr(recomputed, name)), name
-    assert reused.flags == recomputed.flags
-    for a, b in zip(reused.minimizers, recomputed.minimizers):
-        assert np.array_equal(a.coeffs, b.coeffs)
+def test_downward_warm_resolve_lowers_no_curve_point(toy64, opts):
+    # oracle for the single upward sweep: solving every point again,
+    # warm-started downward from the better neighbor, finds nothing lower
+    q = 4.0
+    curve = trace_mu_curve(toy64, q, 0.05, 500.0, n_points=36, opts=opts)
+    warm = curve.minimizers[-1]
+    for i in range(len(curve.ks) - 2, -1, -1):
+        k, mu = float(curve.ks[i]), float(curve.mus[i])
+        start = mz._retract_sphere(warm, q, k)
+        [(v, F, *_)] = mz._bb_minimize(toy64, q, [start], opts, [opts.max_iter], sphere_k=k)
+        assert F >= mu - 1e-10 * (1.0 + abs(mu)), k
+        warm = v if F < mu else curve.minimizers[i]

@@ -5,6 +5,7 @@ import pytest
 from scipy import ndimage
 
 from biharm import geometry as geo
+from biharm import minimizer as mz
 from biharm import mountainpass as mpass
 from biharm import problem as prob
 from biharm.errors import Collapse, NonConvergence, ShapeNotFound
@@ -205,8 +206,24 @@ def toy_pipeline(toy64):
     opts = SolverOptions(seed=0)
     q = 4.0
     curve = trace_mu_curve(toy64, q, 0.05, 500.0, n_points=36, opts=opts)
-    zeros, ends, mp = second_solution(toy64, q, curve, opts)
+    zeros, ends, mp = second_solution(toy64, q, curve)
     return curve, zeros, ends, mp
+
+
+def test_second_solution_takes_the_zero_minimizers(toy_pipeline, toy64, monkeypatch):
+    curve, (l1, l2, _), _, _ = toy_pipeline
+
+    def no_sphere_solve(*args, **kwargs):
+        raise AssertionError("second_solution solved a sphere problem")
+
+    monkeypatch.setattr(mz, "minimize_on_sphere", no_sphere_solve)
+    monkeypatch.setattr(mz, "_bb_minimize", no_sphere_solve)
+    _, (end1, u2), _ = second_solution(toy64, 4.0, curve)
+    z1, z2 = curve.zero_minimizers
+    assert end1 is z1
+    assert np.array_equal(u2.coeffs, z2.v.coeffs) or np.array_equal(u2.coeffs, -z2.v.coeffs)
+    assert geo.lp_mass(end1.v, 4.0) == pytest.approx(l1, rel=1e-12)
+    assert geo.lp_mass(u2, 4.0) == pytest.approx(l2, rel=1e-12)
 
 
 def test_level_exceeds_hump_samples(toy_pipeline):
@@ -275,10 +292,7 @@ def test_collapse_detected(toy64, opts):
 @pytest.mark.parametrize(
     "d, grid, bound",
     [
-        # from far away the 1-D residual floors near 1e-8: the seed's
-        # anti-Hermitian rounding at the top modes, times |2 pi m|^4, is
-        # no real field's and so no Newton step can remove it
-        pytest.param(1, 64, 1e-6, id="1d-64"),
+        pytest.param(1, 64, 1e-10, id="1d-64"),
         pytest.param(2, 16, 1e-10, id="2d-16"),
         pytest.param(2, 32, 1e-10, id="2d-32"),
     ],

@@ -116,3 +116,23 @@ def test_certifier_imports_only_the_numeric_core():
     """The certifier takes numbers, not solver options: no solver module is imported."""
     modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
     assert _package_imports(PACKAGE / "certifier.py", modules) == {"errors", "geometry", "problem"}
+
+
+OPTIONAL_PARAMETER_CEILING = 44
+
+
+def _optional_parameters(path):
+    """Named parameters with a default, over every ``def`` of a module (self/cls excluded)."""
+    count = 0
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            # self and cls never carry a default
+            count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    return count
+
+
+def test_optional_parameter_ceiling():
+    """A new knob raises this ceiling in its own diff, or removes another."""
+    total = sum(_optional_parameters(p) for p in PACKAGE.glob("*.py"))
+    assert total <= OPTIONAL_PARAMETER_CEILING
