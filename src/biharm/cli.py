@@ -16,9 +16,12 @@ mini-grammar)::
       "coefficients": {"a": "0.2", "h": "-1", "f": "cos(2*pi*x1) - 0.25"},
       "exponent":     {"q": 2.5},
       "curve":        {"k_min": 1.0, "k_max": 1e15, "k_steps": 48},
-      "solver":       {"seed": 0, "tol_scale": 1e-8, "max_iter": 5000,
-                       "battery_iter": 600}
+      "solver":       {"seed": 0}
     }
+
+``solver.seed`` (overridden by ``--seed``) is a non-negative integer;
+the solver block takes no other key.  ``q`` (``exponent.q`` or ``--q``)
+must lie in (2, N], N = 2n/(n-4) the critical exponent.
 
 The hypothesis gate lives here and nowhere else: ``mu-curve``,
 ``solve-sub`` and ``mountain-pass`` need conditions (1), (2) and (3) of
@@ -57,7 +60,7 @@ from .errors import (
     ShapeNotFound,
 )
 from .geometry import TorusGeometry
-from .minimizer import SolverOptions, first_solution, trace_mu_curve
+from .minimizer import first_solution, trace_mu_curve
 from .mountainpass import second_solution
 from .problem import ProblemData
 
@@ -114,26 +117,35 @@ def _build_problem(cfg: dict, require_f_minus: bool) -> ProblemData:
     return problem
 
 
-def _solver_options(cfg: dict, args) -> SolverOptions:
+def _seed(cfg: dict, args) -> int:
+    """The solver seed: ``--seed``, else ``solver.seed``, else 0."""
     block = cfg.get("solver", {}) or {}
-    opts = SolverOptions(
-        seed=int(block.get("seed", 0)),
-        max_iter=int(block.get("max_iter", 5000)),
-        tol_scale=float(block.get("tol_scale", 1e-8)),
-        battery_iter=int(block.get("battery_iter", 600)),
-    )
-    if getattr(args, "seed", None) is not None:
-        opts.seed = args.seed
-    return opts
+    if not isinstance(block, dict):
+        raise ConfigError("config section 'solver' must be an object")
+    unknown = sorted(set(block) - {"seed"})
+    if unknown:
+        raise ConfigError(f"unknown solver setting {', '.join(unknown)}: only seed is accepted")
+    seed = args.seed if getattr(args, "seed", None) is not None else block.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
-def _exponent(cfg: dict, args) -> float:
+def _exponent(cfg: dict, args, problem: ProblemData) -> float:
+    """The exponent: ``--q``, else ``exponent.q``; it must lie in (2, N]."""
     if getattr(args, "q", None) is not None:
-        return float(args.q)
-    block = cfg.get("exponent", {}) or {}
-    if "q" not in block:
-        raise ConfigError("exponent q missing: set exponent.q or pass --q")
-    return float(block["q"])
+        q = args.q
+    else:
+        block = cfg.get("exponent", {}) or {}
+        if "q" not in block:
+            raise ConfigError("exponent q missing: set exponent.q or pass --q")
+        q = block["q"]
+    try:
+        q = float(q)
+        problem.exponents(q)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"exponent: {exc}")
+    return q
 
 
 def _k_range(cfg: dict, args) -> tuple[float, float, int]:
@@ -150,23 +162,23 @@ def _k_range(cfg: dict, args) -> tuple[float, float, int]:
 
 
 def _setup(args, require_f_minus: bool = True):
-    """Config, problem, solver options and output directory of a command."""
+    """Config, problem, solver seed and output directory of a command."""
     cfg = _load_config(args.config)
     problem = _build_problem(cfg, require_f_minus)
-    opts = _solver_options(cfg, args)
+    seed = _seed(cfg, args)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    return cfg, problem, opts, out
+    return cfg, problem, seed, out
 
 
-def _gate(problem, q, opts, force: bool, subcritical: bool = True, report_path=None):
+def _gate(problem, q, seed: int, force: bool, subcritical: bool = True, report_path=None):
     """Certificate at q; HypothesisViolated when its conditions fail and not ``force``.
 
     The two-solution commands (``subcritical``) need conditions (1)-(3),
     the critical continuation (1)-(2).  A failing certificate is written
     to ``report_path`` first when one is given.
     """
-    report = certify(problem, q, opts.seed)
+    report = certify(problem, q, seed)
     ok = report.passed_subcritical if subcritical else report.passed
     if not ok and not force:
         if report_path is not None:
@@ -186,28 +198,26 @@ def _dump_solution(out: Path, stem: str, report) -> None:
 
 
 def cmd_certify(args) -> int:
-    cfg, problem, opts, out = _setup(args, require_f_minus=False)
-    report = certify(problem, _exponent(cfg, args), opts.seed)
+    cfg, problem, seed, out = _setup(args, require_f_minus=False)
+    report = certify(problem, _exponent(cfg, args, problem), seed)
     ser.write_json(out / "report.json", ser.hypothesis_report_dict(report))
     return 0 if report.passed else _EXIT_HYPOTHESIS
 
 
-def _curve(problem, q, cfg, args, opts, certificate, out):
+def _curve(problem, q, cfg, args, seed, certificate, out):
     """Trace the mu-curve and write ``mu.csv`` and ``annotations.json``."""
     k_min, k_max, k_steps = _k_range(cfg, args)
-    curve = trace_mu_curve(
-        problem, q, k_min, k_max, n_points=k_steps, opts=opts, certificate=certificate
-    )
+    curve = trace_mu_curve(problem, q, k_min, k_max, k_steps, seed, certificate=certificate)
     ser.curve_to_csv(curve, out / "mu.csv")
     ser.write_json(out / "annotations.json", ser.curve_annotations_dict(curve))
     return curve
 
 
 def cmd_mu_curve(args) -> int:
-    cfg, problem, opts, out = _setup(args)
-    q = _exponent(cfg, args)
-    certificate = _gate(problem, q, opts, args.force, report_path=out / "report.json")
-    _curve(problem, q, cfg, args, opts, certificate, out)
+    cfg, problem, seed, out = _setup(args)
+    q = _exponent(cfg, args, problem)
+    certificate = _gate(problem, q, seed, args.force, report_path=out / "report.json")
+    _curve(problem, q, cfg, args, seed, certificate, out)
     (out / "mu.gp").write_text(
         ser.gnuplot_script("mu.csv", f"constrained energy infimum, q={q}"),
         encoding="utf-8",
@@ -215,15 +225,15 @@ def cmd_mu_curve(args) -> int:
     return 0
 
 
-def _two_solutions(problem, q, cfg, args, opts, out):
+def _two_solutions(problem, q, cfg, args, seed, out):
     """Shared pipeline: gate, curve, mountain pass.
 
     Returns the certificate, the mountain-pass result and the summary
     keys that ``mountain-pass`` and ``solve-sub`` both write.
     """
-    certificate = _gate(problem, q, opts, args.force)
+    certificate = _gate(problem, q, seed, args.force)
     ser.write_json(out / "certificate.json", ser.hypothesis_report_dict(certificate))
-    curve = _curve(problem, q, cfg, args, opts, certificate, out)
+    curve = _curve(problem, q, cfg, args, seed, certificate, out)
     (l1, l2, l_o), _, mp = second_solution(problem, q, curve)
     ser.path_profile_csv(mp.profile_rows, out / "path_profile.csv")
     summary = {
@@ -239,9 +249,9 @@ def _two_solutions(problem, q, cfg, args, opts, out):
 
 
 def cmd_mountain_pass(args) -> int:
-    cfg, problem, opts, out = _setup(args)
-    q = _exponent(cfg, args)
-    _, mp, summary = _two_solutions(problem, q, cfg, args, opts, out)
+    cfg, problem, seed, out = _setup(args)
+    q = _exponent(cfg, args, problem)
+    _, mp, summary = _two_solutions(problem, q, cfg, args, seed, out)
     _dump_solution(out, "solution_mp", mp.report)
     summary.update(iterations=mp.iterations, converged=mp.converged)
     ser.write_json(out / "mountain_pass.json", summary)
@@ -249,10 +259,10 @@ def cmd_mountain_pass(args) -> int:
 
 
 def cmd_solve_sub(args) -> int:
-    cfg, problem, opts, out = _setup(args)
-    q = _exponent(cfg, args)
-    certificate, mp, summary = _two_solutions(problem, q, cfg, args, opts, out)
-    rep_min = first_solution(problem, q, certificate.k_low, opts)
+    cfg, problem, seed, out = _setup(args)
+    q = _exponent(cfg, args, problem)
+    certificate, mp, summary = _two_solutions(problem, q, cfg, args, seed, out)
+    rep_min = first_solution(problem, q, certificate.k_low, seed)
     _dump_solution(out, "solution_min", rep_min)
     _dump_solution(out, "solution_mp", mp.report)
     ordering_ok = rep_min.energy < 0.0 < mp.report.energy
@@ -264,11 +274,11 @@ def cmd_solve_sub(args) -> int:
 
 
 def cmd_solve_critical(args) -> int:
-    _, problem, opts, out = _setup(args)
+    _, problem, seed, out = _setup(args)
     N = problem.geometry.critical_exponent
-    certificate = _gate(problem, 0.5 * (2.0 + N), opts, args.force, subcritical=False)
+    certificate = _gate(problem, 0.5 * (2.0 + N), seed, args.force, subcritical=False)
     ser.write_json(out / "certificate.json", ser.hypothesis_report_dict(certificate))
-    trace = continue_to_critical(problem, certificate, opts)
+    trace = continue_to_critical(problem, certificate, seed)
     ser.write_json(out / "continuation.json", ser.continuation_trace_dict(trace))
     _dump_solution(out, "solution_critical", trace.final)
     return 0

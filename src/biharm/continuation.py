@@ -17,7 +17,6 @@ certificate so the bounds are comparable across the schedule.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -26,7 +25,7 @@ from . import problem as prob
 from .certifier import HypothesisReport, grad_interp_constant, window_cap, window_edge
 from .errors import DivergingNorms, NonConvergence
 from .geometry import SpectralField
-from .minimizer import CriticalPointReport, SolverOptions, first_solution
+from .minimizer import CriticalPointReport, first_solution
 from .problem import ProblemData
 
 
@@ -52,7 +51,7 @@ def critical_residual(u: SpectralField, problem: ProblemData) -> float:
 def continue_to_critical(
     problem: ProblemData,
     certificate: HypothesisReport,
-    opts: SolverOptions | None = None,
+    seed: int,
     steps: int = 8,
 ) -> ContinuationTrace:
     """Drive the negative-energy branch to the critical exponent.
@@ -61,6 +60,9 @@ def continue_to_critical(
     (eta, sigma) set the ball radius l_q at every step.  Whether the
     hypotheses hold is the caller's decision; a certificate with no
     admissible eta (it fails condition (2)) falls back to eta = 0.5.
+    Each step is a ball solve at solver ``seed`` warm-started from the
+    previous step's solution; a step whose solve raises NonConvergence
+    is retried once, cold, at ``seed + 1``.
 
     Aborts with DivergingNorms when the explicit bilaplacian bound
 
@@ -68,9 +70,8 @@ def continue_to_critical(
             <= (2 sup(a+) C(sigma) + sup|h|) l_q^(2/q) + sup|f| l_q
 
     fails at some step (the discrete family cannot be bounded), and with
-    NonConvergence when a step fails even after a fresh multistart.
+    NonConvergence when a step fails even after the retry.
     """
-    opts = opts or SolverOptions()
     g = problem.geometry
     N = g.critical_exponent
     q0 = 0.5 * (2.0 + N)
@@ -86,15 +87,9 @@ def continue_to_critical(
     for q in schedule:
         l_q = window_edge(problem, q, eta, sigma)
         try:
-            rep = first_solution(problem, q, l_q, opts, init=warm)
+            rep = first_solution(problem, q, l_q, seed, init=warm)
         except NonConvergence:
-            retry_opts = dataclasses.replace(
-                opts,
-                seed=opts.seed + 1,
-                max_iter=2 * opts.max_iter,
-                battery_iter=2 * opts.battery_iter,
-            )
-            rep = first_solution(problem, q, l_q, retry_opts)
+            rep = first_solution(problem, q, l_q, seed + 1)
         v = rep.variational
         mass = rep.mass
         delta_sq = geo.bilap_energy(v)

@@ -23,6 +23,13 @@ The BB step, the line search, convergence and the best iterate stay per
 start, with the arithmetic of a start run alone, so each start returns
 exactly what it would return alone; single solves are stacks of one.
 
+The budgets are module constants: a start has converged when its
+residual is at most ``TOL_SCALE`` (1 + |F|); warm starts, the ball's
+constant start and the winner's polish run for up to ``MAX_ITER``
+iterations, the battery's probes for up to ``BATTERY_ITER``.  Every
+solver takes one integer ``seed``, which draws the battery's random
+fields, so a solve is deterministic given its seed.
+
 ``trace_mu_curve`` sweeps a geometric k-grid upward once, each point
 warm-started from its neighbor's minimizer plus a fixed multistart
 battery, and annotates the curve with the negative minimum,
@@ -46,18 +53,9 @@ from .problem import ProblemData
 
 _EPS = np.finfo(np.float64).eps
 
-
-@dataclass
-class SolverOptions:
-    """Knobs shared by every iterative solve; deterministic given seed."""
-
-    seed: int = 0
-    max_iter: int = 5000
-    tol_scale: float = 1e-8        # gradient tolerance: tol_scale * (1 + |F|)
-    battery_iter: int = 600        # iteration cap for multistart probes
-
-    def rng(self, stream: int = 0) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence([self.seed, stream]))
+TOL_SCALE = 1e-8        # gradient tolerance: TOL_SCALE * (1 + |F|)
+MAX_ITER = 5000         # iteration cap of warm starts and of the winner's polish
+BATTERY_ITER = 600      # iteration cap of the multistart battery
 
 
 @dataclass
@@ -203,16 +201,8 @@ def _line_search(problem, q, retract, u, d, stepping, it, tol):
         stepping[j][0].finish(it, tol)
 
 
-def _bb_minimize(
-    problem: ProblemData,
-    q: float,
-    starts,
-    opts: SolverOptions,
-    caps,
-    sphere_k: float | None = None,
-    ball_cap: float | None = None,
-):
-    """Preconditioned BB descent on a sphere (sphere_k) or ball (ball_cap).
+def _bb_minimize(problem: ProblemData, q: float, starts, caps, k: float, ball: bool):
+    """Preconditioned BB descent on the sphere |u|_q^q = k (the ball <= k if ``ball``).
 
     Runs the fields ``starts`` in lockstep, start i for at most
     ``caps[i]`` iterations.  Each step makes one energy/gradient
@@ -226,18 +216,17 @@ def _bb_minimize(
     boundary) or of the raw gradient (ball interior).
     """
     g = problem.geometry
-    tol = opts.tol_scale
-    scale_k = sphere_k if sphere_k is not None else (ball_cap or 1.0)
-    P = _metric(problem, q, scale_k)
+    tol = TOL_SCALE
+    P = _metric(problem, q, k)
 
     def retract(w):
-        if sphere_k is not None:
-            return _retract_sphere(w, q, sphere_k)
+        if not ball:
+            return _retract_sphere(w, q, k)
         masses = np.atleast_1d(geo.lp_mass(w, q))
-        if not np.any(masses > ball_cap):
+        if not np.any(masses > k):
             return w
         factors = [
-            ball_cap ** (1.0 / q) / float(m) ** (1.0 / q) if m > ball_cap else 1.0
+            k ** (1.0 / q) / float(m) ** (1.0 / q) if m > k else 1.0
             for m in masses
         ]
         return geo.scale(w, factors)
@@ -258,11 +247,11 @@ def _bb_minimize(
         it += 1
         u = geo.stack([run.u for run in active])
         G = np.stack([run.grad for run in active])
-        if sphere_k is not None:
+        if not ball:
             boundary = [True] * len(active)
         else:
             masses = np.atleast_1d(geo.lp_mass(u, q))
-            boundary = [m >= ball_cap * (1.0 - 1e-12) for m in masses]
+            boundary = [m >= k * (1.0 - 1e-12) for m in masses]
         if any(boundary):
             Psi = prob.constraint_direction(u, q).coeffs
             PG, PPsi = P * G, P * Psi
@@ -332,15 +321,16 @@ def _bb_minimize(
 # multistart seeds
 
 
-def default_seeds(problem: ProblemData, q: float, k: float, opts: SolverOptions):
+def default_seeds(problem: ProblemData, q: float, k: float, seed: int):
     """Deterministic multistart battery for the sphere of mass k.
 
     Constant, a smooth bump centered in the positivity set of f, the
-    lowest nonconstant mode, and three fixed-seed random smooth fields; every
-    seed is retracted onto the sphere.  Negated seeds are left out: F_q
-    is even and negation is exact in floating point, so a start -s runs
-    to exactly -u with the same energy, multiplier, residual and
-    iteration count as s, and s, the earlier seed, wins the tie.
+    lowest nonconstant mode, and three random smooth fields drawn from
+    ``seed``; every seed is retracted onto the sphere.  Negated seeds
+    are left out: F_q is even and negation is exact in floating point,
+    so a start -s runs to exactly -u with the same energy, multiplier,
+    residual and iteration count as s, and s, the earlier seed, wins the
+    tie.
     """
     g = problem.geometry
     seeds = [("const", g.constant(1.0))]
@@ -348,46 +338,33 @@ def default_seeds(problem: ProblemData, q: float, k: float, opts: SolverOptions)
     center = [i / g.grid_size for i in idx]
     seeds.append(("bump+", g.bump(center, width=0.08)))
     seeds.append(("mode+", g.mode((1,) * g.d_eff)))
-    rng = opts.rng(stream=101)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
     for i in range(3):
         seeds.append((f"rand{i}", g.random_smooth(rng, decay=2.5)))
     return [(tag, _retract_sphere(s, q, k)) for tag, s in seeds]
 
 
-def _earliest_lowest(candidates):
-    """Multistart winner: the earliest candidate whose energy ties the lowest.
+def _multistart(problem, q, k, ball, tagged) -> SphereResult:
+    """Run tagged starts (tag, field, cap) as one stack; the winner, run to full tolerance.
 
-    ``candidates`` holds (F, result) in seed order.  Energies within
-    1e-12 (1 + |F_min|) of the lowest count as tied, so a rounding-level
-    change in the numerics cannot flip the winning seed.
+    The winner is the earliest start whose energy ties the lowest:
+    energies within 1e-12 (1 + |F_min|) of it count as tied, so a
+    rounding-level change in the numerics cannot flip the winning seed.
+    A winner that did not converge runs on for up to ``MAX_ITER`` more
+    iterations, which add to its count.
     """
-    F_min = min(F for F, _ in candidates)
-    tol = 1e-12 * (1.0 + abs(F_min))
-    return next(res for F, res in candidates if F <= F_min + tol)
-
-
-def _solve_stack(problem, q, tagged, opts, sphere_k=None, ball_cap=None):
-    """Run tagged starts (tag, field, cap) as one stack; (F, SphereResult) per start."""
-    if not tagged:
-        return []
     results = _bb_minimize(
-        problem, q, [s for _, s, _ in tagged], opts, [c for _, _, c in tagged],
-        sphere_k=sphere_k, ball_cap=ball_cap,
+        problem, q, [s for _, s, _ in tagged], [c for _, _, c in tagged], k, ball
     )
-    return [
-        (F, SphereResult(u, F, lam, res, its, conv, tag))
-        for (tag, _, _), (u, F, lam, res, its, conv) in zip(tagged, results)
-    ]
-
-
-def _polish(problem, q, winner, opts, sphere_k=None, ball_cap=None):
-    """Run a non-converged winner on to full tolerance (iterations add up)."""
-    if winner.converged:
-        return winner
-    [(u, F, lam, res, its, conv)] = _bb_minimize(
-        problem, q, [winner.v], opts, [opts.max_iter], sphere_k=sphere_k, ball_cap=ball_cap
+    F_min = min(F for _, F, *_ in results)
+    tol = 1e-12 * (1.0 + abs(F_min))
+    tag, (u, F, lam, res, its, conv) = next(
+        (tag, r) for (tag, _, _), r in zip(tagged, results) if r[1] <= F_min + tol
     )
-    return SphereResult(u, F, lam, res, winner.iterations + its, conv, winner.seed_tag)
+    if not conv:
+        [(u, F, lam, res, more, conv)] = _bb_minimize(problem, q, [u], [MAX_ITER], k, ball)
+        its += more
+    return SphereResult(u, F, lam, res, its, conv, tag)
 
 
 # ----------------------------------------------------------------------
@@ -398,35 +375,32 @@ def minimize_on_sphere(
     problem: ProblemData,
     q: float,
     k: float,
+    seed: int,
     init: SpectralField | None = None,
-    opts: SolverOptions | None = None,
 ) -> SphereResult:
     """Minimize F_q over the sphere |u|_q^q = k.
 
-    Runs the warm start (if given) to full tolerance and a capped
-    battery of standard seeds, all as one stack; a winner that did not
-    converge is polished to full tolerance.  The winner has the lowest energy; energies within
-    1e-12 (1 + |F_min|) of it count as tied, and the earliest of the
-    tied candidates (warm start first) wins.  The output always
+    Runs the warm start (if given) for up to ``MAX_ITER`` iterations and
+    the battery of ``default_seeds`` for up to ``BATTERY_ITER``, all as
+    one stack; the winner (warm start first among ties) is chosen and
+    run to full tolerance by ``_multistart``.  The output always
     satisfies the constraint exactly by retraction.
     """
     if k <= 0.0:
         raise ValueError(f"sphere mass k must be positive, got {k}")
-    opts = opts or SolverOptions()
     problem.exponents(q)
 
-    tagged = [("warm", init, opts.max_iter)] if init is not None else []
-    tagged += [(tag, s, opts.battery_iter) for tag, s in default_seeds(problem, q, k, opts)]
-    candidates = _solve_stack(problem, q, tagged, opts, sphere_k=k)
-    return _polish(problem, q, _earliest_lowest(candidates), opts, sphere_k=k)
+    tagged = [("warm", init, MAX_ITER)] if init is not None else []
+    tagged += [(tag, s, BATTERY_ITER) for tag, s in default_seeds(problem, q, k, seed)]
+    return _multistart(problem, q, k, False, tagged)
 
 
 def minimize_on_ball(
     problem: ProblemData,
     q: float,
     cap: float,
+    seed: int,
     init: SpectralField | None = None,
-    opts: SolverOptions | None = None,
 ) -> SphereResult:
     """Minimize F_q over the ball |u|_q^q <= cap (inequality retraction).
 
@@ -436,7 +410,6 @@ def minimize_on_ball(
     """
     if cap <= 0.0:
         raise ValueError(f"ball cap must be positive, got {cap}")
-    opts = opts or SolverOptions()
     problem.exponents(q)
 
     # constant branch F(c) = c^2 int h - |c|^q int f seeds the h-dominated well
@@ -446,13 +419,12 @@ def minimize_on_ball(
     vals = cs**2 * problem.int_h - np.abs(cs) ** q * problem.int_f
     c_best = float(cs[int(np.argmin(vals))])
 
-    tagged = [("const-scan", g.constant(c_best), opts.max_iter)]
+    tagged = [("const-scan", g.constant(c_best), MAX_ITER)]
     if init is not None:
-        tagged.insert(0, ("warm", init, opts.max_iter))
-    seeds = default_seeds(problem, q, 0.05 * cap, opts)
-    tagged += [(tag, s, opts.battery_iter) for tag, s in seeds]
-    candidates = _solve_stack(problem, q, tagged, opts, ball_cap=cap)
-    return _polish(problem, q, _earliest_lowest(candidates), opts, ball_cap=cap)
+        tagged.insert(0, ("warm", init, MAX_ITER))
+    seeds = default_seeds(problem, q, 0.05 * cap, seed)
+    tagged += [(tag, s, BATTERY_ITER) for tag, s in seeds]
+    return _multistart(problem, q, cap, True, tagged)
 
 
 def make_report(
@@ -490,21 +462,20 @@ def make_report(
 def first_solution(
     problem: ProblemData,
     q: float,
-    ball_cap: float,
-    opts: SolverOptions | None = None,
+    cap: float,
+    seed: int,
     init: SpectralField | None = None,
 ) -> CriticalPointReport:
     """Negative-energy solution from minimization over the ball |u|_q^q <= l_q.
 
-    ``ball_cap`` is l_q, the lower edge of the coercivity window
+    ``cap`` is l_q, the lower edge of the coercivity window
     (``HypothesisReport.k_low`` at the certificate's exponent,
     ``certifier.window_edge`` at others); whether the hypotheses hold is
     the caller's decision.  The minimum is expected in the interior (so
     the candidate is a free critical point); a boundary-active minimum
     is flagged as degenerate.
     """
-    opts = opts or SolverOptions()
-    res = minimize_on_ball(problem, q, ball_cap, init=init, opts=opts)
+    res = minimize_on_ball(problem, q, cap, seed, init=init)
     v = res.v
     if init is not None and geo.inner(v, init) < 0.0:
         # the energy is even; report the representative aligned with the seed
@@ -513,9 +484,9 @@ def first_solution(
             v, res.mu, res.lagrange, res.residual, res.iterations,
             res.converged, res.seed_tag,
         )
-    flags = {"ball_cap": ball_cap, "seed": res.seed_tag}
+    flags = {"ball_cap": cap, "seed": res.seed_tag}
     mass = geo.lp_mass(res.v, q)
-    interior = mass < ball_cap * (1.0 - 1e-9)
+    interior = mass < cap * (1.0 - 1e-9)
     if not interior:
         flags["degenerate_boundary"] = True
     if not res.converged:
@@ -534,10 +505,10 @@ def first_solution(
 # the mu-curve tracer
 
 
-def _curve_point(problem, q, k, warm, opts):
+def _curve_point(problem, q, k, warm, seed):
     """Best sphere minimization at one mass, warm start plus battery."""
     init = _retract_sphere(warm, q, k) if warm is not None else None
-    return minimize_on_sphere(problem, q, k, init=init, opts=opts)
+    return minimize_on_sphere(problem, q, k, seed, init=init)
 
 
 def trace_mu_curve(
@@ -545,8 +516,8 @@ def trace_mu_curve(
     q: float,
     k_min: float,
     k_max: float,
-    n_points: int = 48,
-    opts: SolverOptions | None = None,
+    n_points: int,
+    seed: int,
     certificate=None,
 ) -> MuCurve:
     """Sample k -> mu_k over a geometric grid with one warm-started sweep.
@@ -569,12 +540,11 @@ def trace_mu_curve(
     """
     if not (0.0 < k_min < k_max):
         raise ValueError("need 0 < k_min < k_max")
-    opts = opts or SolverOptions()
     ks = np.geomspace(k_min, k_max, n_points)
     results: list[SphereResult] = []
     warm = None
     for k in ks:
-        results.append(_curve_point(problem, q, k, warm, opts))
+        results.append(_curve_point(problem, q, k, warm, seed))
         warm = results[-1].v
 
     curve = MuCurve(
@@ -587,28 +557,28 @@ def trace_mu_curve(
         flags=["ok" if r.converged else "nonconverged" for r in results],
         minimizers=[r.v for r in results],
     )
-    _annotate(curve, problem, q, opts, certificate)
+    _annotate(curve, problem, q, seed, certificate)
     return curve
 
 
-def _refine_zero(problem, q, k_lo, mu_lo, k_hi, warm, opts):
+def _refine_zero(problem, q, k_lo, mu_lo, k_hi, warm, seed):
     """Bisect a sign change of mu(k) to relative width 1e-4; returns (k, SphereResult at k)."""
     # the battery at every step stays: the mountain pass is sensitive to
     # the endpoint masses, and warm-only steps move l1/l2 by ~1e-5 rel
     sign_lo = mu_lo > 0
     while (k_hi - k_lo) / k_hi > 1e-4:
         k_mid = math.sqrt(k_lo * k_hi)
-        res = _curve_point(problem, q, k_mid, warm, opts)
+        res = _curve_point(problem, q, k_mid, warm, seed)
         warm = res.v
         if (res.mu > 0) == sign_lo:
             k_lo = k_mid
         else:
             k_hi = k_mid
     k_star = math.sqrt(k_lo * k_hi)
-    return k_star, _curve_point(problem, q, k_star, warm, opts)
+    return k_star, _curve_point(problem, q, k_star, warm, seed)
 
 
-def _annotate(curve: MuCurve, problem, q, opts, certificate):
+def _annotate(curve: MuCurve, problem, q, seed, certificate):
     ks, mus = curve.ks, curve.mus
     ok = curve.ok()
     ann: dict = {}
@@ -624,7 +594,7 @@ def _annotate(curve: MuCurve, problem, q, opts, certificate):
         # zero crossing l1 between the leading run and the hump
         warm = curve.minimizers[first_pos - 1]
         l1, end1 = _refine_zero(
-            problem, q, ks[first_pos - 1], mus[first_pos - 1], ks[first_pos], warm, opts
+            problem, q, ks[first_pos - 1], mus[first_pos - 1], ks[first_pos], warm, seed
         )
         ann["l1"] = l1
         ann["mu_at_l1"] = end1.mu
@@ -633,7 +603,7 @@ def _annotate(curve: MuCurve, problem, q, opts, certificate):
             j = first_pos + int(after[0])
             warm = curve.minimizers[j - 1]
             l2, end2 = _refine_zero(
-                problem, q, ks[j - 1], mus[j - 1], ks[j], warm, opts
+                problem, q, ks[j - 1], mus[j - 1], ks[j], warm, seed
             )
             ann["l2"] = l2
             ann["mu_at_l2"] = end2.mu

@@ -454,12 +454,14 @@ class _Path:
         return inserted
 
 
+MAX_PATH_ITER = 3000    # deformation steps before a moving maximum is NonConvergence
+
+
 def mountain_pass(
     problem: ProblemData,
     q: float,
     u1: SpectralField,
     u2: SpectralField,
-    max_iter: int = 3000,
     interior_seeds=None,
     subspace=None,
 ) -> MountainPassResult:
@@ -474,9 +476,9 @@ def mountain_pass(
     Callers should pass sign-aligned endpoint representatives (see
     ``align_sign``); the endpoints themselves are never modified.
     Raises Collapse when the path maximum falls to within 1e-8 of the
-    endpoint level (no hump), NonConvergence when the iteration budget
-    ends with a moving maximum.  The report describes the Newton-polished
-    critical point seeded by the maximal node.  The returned ``nu`` is
+    endpoint level (no hump), NonConvergence when ``MAX_PATH_ITER``
+    steps end with a moving maximum.  The report describes the
+    Newton-polished critical point seeded by the maximal node.  The returned ``nu`` is
     the stalled honest path maximum after a denser final sweep, or the
     polished point's energy F(v) when the polish is accepted and F(v)
     is higher; ``profile_rows`` holds every node energy of every
@@ -512,7 +514,7 @@ def mountain_pass(
     stalled = False
     it = 0
     plateau = 40
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_PATH_ITER + 1):
         inserted = path.promote_interior_maxima()
         if len(path.nodes) > max_nodes:
             # rebalance only when it does not lift the level
@@ -615,7 +617,7 @@ def mountain_pass(
     report = make_report(problem, q, v, 0.0, converged, flags)
     if not stalled:
         raise NonConvergence(
-            f"path deformation still moving after {max_iter} iterations",
+            f"path deformation still moving after {it} iterations",
             best=MountainPassResult(v, nu_path, report, state, profile_rows, it, False),
         )
     return MountainPassResult(v, nu_path, report, state, profile_rows, it, converged)

@@ -6,7 +6,6 @@ import pytest
 
 from biharm.expressions import parse_coefficient
 from biharm.geometry import TorusGeometry
-from biharm.minimizer import SolverOptions
 from biharm.problem import ProblemData
 
 
@@ -54,8 +53,8 @@ def toy64(geom64):
 
 
 @pytest.fixture(scope="session")
-def opts():
-    return SolverOptions(seed=0)
+def seed():
+    return 0
 
 
 @pytest.fixture()

@@ -21,7 +21,7 @@ from biharm import problem as prob
 from biharm.certifier import certify, grad_interp_constant, sharp_sobolev_constant
 from biharm.continuation import continue_to_critical
 from biharm.geometry import TorusGeometry
-from biharm.minimizer import SolverOptions, first_solution, trace_mu_curve
+from biharm.minimizer import first_solution, trace_mu_curve
 from biharm.mountainpass import mountain_pass, second_solution
 from biharm.problem import ProblemData
 
@@ -36,11 +36,6 @@ def _announce(num, elapsed, detail):
 
 
 @pytest.fixture(scope="module")
-def acc_opts():
-    return SolverOptions(seed=0)
-
-
-@pytest.fixture(scope="module")
 def acc_geom():
     return TorusGeometry(6, 1, 128)
 
@@ -50,19 +45,19 @@ def acc_problem(acc_geom):
     return ProblemData.from_expressions(acc_geom, "0.2", "-1", "cos(2*pi*x1) - 0.25")
 
 
-def _get_certificate(problem, opts):
+def _get_certificate(problem, seed):
     # cached helper rather than a fixture so the first caller pays the
     # cost inside its own measured window
     if "certificate" not in _typical:
-        _typical["certificate"] = certify(problem, 2.5, opts.seed)
+        _typical["certificate"] = certify(problem, 2.5, seed)
     return _typical["certificate"]
 
 
-def _get_curve(problem, opts):
+def _get_curve(problem, seed):
     if "curve" not in _typical:
         _typical["curve"] = trace_mu_curve(
-            problem, 2.5, 1.0, 1e15, n_points=48, opts=opts,
-            certificate=_get_certificate(problem, opts),
+            problem, 2.5, 1.0, 1e15, n_points=48, seed=seed,
+            certificate=_get_certificate(problem, seed),
         )
     return _typical["curve"]
 
@@ -142,7 +137,7 @@ def test_criterion_3_constants(acc_geom):
     _announce(3, elapsed, "sharp embedding constant at 1e-12, splitting constant lattice-exact")
 
 
-def test_criterion_4_rayleigh_oracle(acc_opts):
+def test_criterion_4_rayleigh_oracle(seed):
     t0 = time.time()
     from scipy.linalg import eigh
 
@@ -168,11 +163,11 @@ def test_criterion_4_rayleigh_oracle(acc_opts):
         A = 0.5 * (A + A.T) * g64.weight
         B = np.eye(n) * g64.weight
         oracle = eigh(A[np.ix_(idx, idx)], B[np.ix_(idx, idx)], eigvals_only=True)[0]
-        got = masked_rayleigh(p, "bilap-a", acc_opts.seed)[1]
+        got = masked_rayleigh(p, "bilap-a", seed)[1]
         assert got == pytest.approx(oracle, rel=1e-4)
 
     p = ProblemData.from_expressions(g64, "0.2", "-1", "cos(2*pi*x1) - 0.25")
-    vals = [moment_rayleigh(p, eta, 2.5, acc_opts.seed) for eta in (0.5, 0.1, 0.02)]
+    vals = [moment_rayleigh(p, eta, 2.5, seed) for eta in (0.5, 0.1, 0.02)]
     tol = 1e-6 * (1.0 + abs(vals[0]))
     assert vals[0] <= vals[1] + tol <= vals[2] + 2 * tol
     elapsed = time.time() - t0
@@ -180,11 +175,11 @@ def test_criterion_4_rayleigh_oracle(acc_opts):
     _announce(4, elapsed, "masked quotient matches dense eigensolve at 1e-4; monotone in eta")
 
 
-def test_criterion_5_curve_shape(acc_problem, acc_opts):
+def test_criterion_5_curve_shape(acc_problem, seed):
     t0 = time.time()
     q = 2.5
-    certificate = _get_certificate(acc_problem, acc_opts)
-    curve = _get_curve(acc_problem, acc_opts)
+    certificate = _get_certificate(acc_problem, seed)
+    curve = _get_curve(acc_problem, seed)
     ann = curve.annotations
 
     assert np.all(curve.mus[:3] < 0.0)
@@ -209,18 +204,18 @@ def test_criterion_5_curve_shape(acc_problem, acc_opts):
         companion = ProblemData.from_expressions(
             g64, "0", "-1", "cos(2*pi*x1) - 0.999"
         )
-        rep = certify(companion, q, acc_opts.seed)
+        rep = certify(companion, q, seed)
         assert rep.passed_subcritical and rep.k_low < rep.k_high_certified
         cc = trace_mu_curve(
             companion, q, rep.k_low * 0.5, rep.k_high_certified * 2.0,
-            n_points=12, opts=acc_opts, certificate=rep,
+            n_points=12, seed=seed, certificate=rep,
         )
         assert cc.annotations["certified_bound_ok"] is True
 
     # mesh doubling moves the annotated landmarks by < 2%
     g256 = TorusGeometry(6, 1, 256)
     p256 = ProblemData.from_expressions(g256, "0.2", "-1", "cos(2*pi*x1) - 0.25")
-    curve256 = trace_mu_curve(p256, q, 1.0, 1e15, n_points=48, opts=acc_opts)
+    curve256 = trace_mu_curve(p256, q, 1.0, 1e15, n_points=48, seed=seed)
     for key in ("k_neg_min", "l1", "l2"):
         a, b = ann[key], curve256.annotations[key]
         assert abs(a - b) / abs(a) < 0.02, key
@@ -233,13 +228,13 @@ def test_criterion_5_curve_shape(acc_problem, acc_opts):
     )
 
 
-def test_criterion_6_two_solutions(acc_problem, acc_opts):
+def test_criterion_6_two_solutions(acc_problem, seed):
     t0 = time.time()
     q = 2.5
-    certificate = _get_certificate(acc_problem, acc_opts)
-    acc_curve = _get_curve(acc_problem, acc_opts)
+    certificate = _get_certificate(acc_problem, seed)
+    acc_curve = _get_curve(acc_problem, seed)
     _, _, mp_res = second_solution(acc_problem, q, acc_curve)
-    rep_min = first_solution(acc_problem, q, certificate.k_low, acc_opts)
+    rep_min = first_solution(acc_problem, q, certificate.k_low, seed)
 
     assert rep_min.energy < 0.0 < mp_res.report.energy
     for rep in (rep_min, mp_res.report):
@@ -255,7 +250,7 @@ def test_criterion_6_two_solutions(acc_problem, acc_opts):
     )
 
 
-def test_criterion_7_mountain_pass_oracle(acc_opts):
+def test_criterion_7_mountain_pass_oracle(seed):
     t0 = time.time()
     from scipy import ndimage
 
@@ -355,10 +350,10 @@ def test_criterion_7_mountain_pass_oracle(acc_opts):
     )
 
 
-def test_criterion_8_critical_continuation(acc_problem, acc_opts):
+def test_criterion_8_critical_continuation(acc_problem, seed):
     t0 = time.time()
-    certificate = _get_certificate(acc_problem, acc_opts)
-    trace = continue_to_critical(acc_problem, certificate, acc_opts)
+    certificate = _get_certificate(acc_problem, seed)
+    trace = continue_to_critical(acc_problem, certificate, seed)
     assert len(trace.schedule) == 9
     for rec in trace.records:
         assert rec["mass"] <= rec["l_q"] + 1e-8
@@ -369,8 +364,8 @@ def test_criterion_8_critical_continuation(acc_problem, acc_opts):
 
     g256 = TorusGeometry(6, 1, 256)
     p256 = ProblemData.from_expressions(g256, "0.2", "-1", "cos(2*pi*x1) - 0.25")
-    cert256 = certify(p256, 4.0, acc_opts.seed)
-    trace256 = continue_to_critical(p256, cert256, acc_opts)
+    cert256 = certify(p256, 4.0, seed)
+    trace256 = continue_to_critical(p256, cert256, seed)
     rel = abs(trace256.final.energy - trace.final.energy) / abs(trace.final.energy)
     assert rel < 0.02
     elapsed = time.time() - t0

@@ -141,53 +141,53 @@ def _dense_masked_oracle(problem):
         ("0", "cos(4*pi*x1) - 0.3"),
     ],
 )
-def test_masked_rayleigh_matches_dense_oracle(geom64, a_expr, f_expr, opts):
+def test_masked_rayleigh_matches_dense_oracle(geom64, a_expr, f_expr, seed):
     p = ProblemData.from_expressions(geom64, a_expr, "-1", f_expr)
     oracle = _dense_masked_oracle(p)
-    lam_n, lam_u = masked_rayleigh(p, "bilap-a", opts.seed)
+    lam_n, lam_u = masked_rayleigh(p, "bilap-a", seed)
     assert lam_u == pytest.approx(oracle, rel=1e-4)
     assert lam_n >= lam_u - 1e-9 * abs(lam_u)   # sign constraint can only raise
 
 
-def test_masked_rayleigh_empty_mask(geom64, opts):
+def test_masked_rayleigh_empty_mask(geom64, seed):
     p = ProblemData.from_expressions(geom64, "0", "-1", "-1")
-    assert masked_rayleigh(p, "bilap-a", opts.seed)[0] == math.inf
+    assert masked_rayleigh(p, "bilap-a", seed)[0] == math.inf
 
 
-def test_masked_rayleigh_positive_f(geom64, opts):
+def test_masked_rayleigh_positive_f(geom64, seed):
     p = ProblemData.from_expressions(geom64, "0", "-1", "1 + 0.5*cos(2*pi*x1)")
-    assert masked_rayleigh(p, "bilap-a", opts.seed)[0] == pytest.approx(0.0, abs=1e-10)
+    assert masked_rayleigh(p, "bilap-a", seed)[0] == pytest.approx(0.0, abs=1e-10)
 
 
-def test_masked_rayleigh_scale_invariance(geom64, bundled64, opts):
-    lam1 = masked_rayleigh(bundled64, "bilap-a", opts.seed)[0]
+def test_masked_rayleigh_scale_invariance(geom64, bundled64, seed):
+    lam1 = masked_rayleigh(bundled64, "bilap-a", seed)[0]
     p2 = ProblemData.from_fields(
         geom64,
         bundled64.a,
         bundled64.h,
         geom64.field(2.0 * bundled64.f.samples),
     )
-    lam2 = masked_rayleigh(p2, "bilap-a", opts.seed)[0]
+    lam2 = masked_rayleigh(p2, "bilap-a", seed)[0]
     assert lam2 == pytest.approx(lam1, rel=1e-9)
 
 
-def test_masked_rayleigh_monotone_in_a(geom64, opts):
+def test_masked_rayleigh_monotone_in_a(geom64, seed):
     f = "cos(2*pi*x1) - 0.25"
     lam_small = masked_rayleigh(
-        ProblemData.from_expressions(geom64, "0.1", "-1", f), "bilap-a", opts.seed
+        ProblemData.from_expressions(geom64, "0.1", "-1", f), "bilap-a", seed
     )[0]
     lam_big = masked_rayleigh(
-        ProblemData.from_expressions(geom64, "0.4", "-1", f), "bilap-a", opts.seed
+        ProblemData.from_expressions(geom64, "0.4", "-1", f), "bilap-a", seed
     )[0]
     assert lam_big <= lam_small + 1e-6 * abs(lam_small)
 
 
-def test_measure_criterion_trend(geom64, opts):
+def test_measure_criterion_trend(geom64, seed):
     # shrinking the positivity set drives the quotient up
     values = []
     for c in (0.25, 0.6, 0.9):
         p = ProblemData.from_expressions(geom64, "0", "-1", f"cos(2*pi*x1) - {c}")
-        values.append(masked_rayleigh(p, "bilap-a", opts.seed)[0])
+        values.append(masked_rayleigh(p, "bilap-a", seed)[0])
     assert values[0] < values[1] < values[2]
 
 
@@ -195,23 +195,23 @@ def test_measure_criterion_trend(geom64, opts):
 # moment-constrained quotient
 
 
-def test_moment_rayleigh_monotone_and_bounded(bundled64, opts):
+def test_moment_rayleigh_monotone_and_bounded(bundled64, seed):
     q = 2.5
-    lam_af = masked_rayleigh(bundled64, "bilap-a", opts.seed)[0]
-    vals = [moment_rayleigh(bundled64, eta, q, opts.seed) for eta in (0.5, 0.1, 0.02)]
+    lam_af = masked_rayleigh(bundled64, "bilap-a", seed)[0]
+    vals = [moment_rayleigh(bundled64, eta, q, seed) for eta in (0.5, 0.1, 0.02)]
     tol = 1e-6 * (1.0 + abs(vals[0]))
     assert vals[0] <= vals[1] + tol
     assert vals[1] <= vals[2] + tol
     assert all(v <= lam_af * (1.0 + 1e-6) for v in vals)
 
 
-def test_moment_rayleigh_limit_trend(bundled64, opts):
+def test_moment_rayleigh_limit_trend(bundled64, seed):
     q = 2.5
-    vals = [moment_rayleigh(bundled64, eta, q, opts.seed) for eta in (1e-1, 1e-2, 1e-3)]
+    vals = [moment_rayleigh(bundled64, eta, q, seed) for eta in (1e-1, 1e-2, 1e-3)]
     assert vals[0] < vals[1] < vals[2]
 
 
-def test_moment_rayleigh_feasibility(bundled64, opts):
+def test_moment_rayleigh_feasibility(bundled64, seed):
     actual = prob.f_minus_moment(
         bundled64.geometry.constant(1.0), bundled64, 2.5
     )
@@ -286,7 +286,7 @@ def test_moment_descent_skips_an_infeasible_start(bundled64):
     assert _outcome(runs[1]) == _outcome(alone)
 
 
-def test_moment_rayleigh_transform_count(bundled64, opts, monkeypatch):
+def test_moment_rayleigh_transform_count(bundled64, seed, monkeypatch):
     # the one-start loop the lockstep stack replaced made 1,277 transforms here
     calls = []
     for name in ("forward", "inverse"):
@@ -295,7 +295,7 @@ def test_moment_rayleigh_transform_count(bundled64, opts, monkeypatch):
             TorusGeometry, name,
             lambda self, *a, _real=real, **k: calls.append(1) or _real(self, *a, **k),
         )
-    moment_rayleigh(bundled64, 0.5, 2.5, opts.seed)
+    moment_rayleigh(bundled64, 0.5, 2.5, seed)
     assert 0 < len(calls) <= 640
 
 
@@ -303,12 +303,12 @@ def test_moment_rayleigh_transform_count(bundled64, opts, monkeypatch):
 # coercivity constants
 
 
-def test_window_ratio_exact(bundled64, opts):
+def test_window_ratio_exact(bundled64, seed):
     # k2/k1 = 2^(q/(q-2)): equals 4 at q = 4
     cc = coercivity_constants(
         bundled64, 4.0, 0.5, 1.25, 0.1,
-        lam_eta_q=moment_rayleigh(bundled64, 0.5, 4.0, opts.seed),
-        remainder=embedding_remainder(bundled64.geometry, 0.1, seed=opts.seed),
+        lam_eta_q=moment_rayleigh(bundled64, 0.5, 4.0, seed),
+        remainder=embedding_remainder(bundled64.geometry, 0.1, seed=seed),
     )
     assert cc.k_high / cc.k_low == pytest.approx(4.0, rel=1e-12)
 
@@ -320,16 +320,16 @@ def test_window_exponent_limit():
         assert N / (N - 2.0) == pytest.approx(n / 4.0, rel=1e-12)
 
 
-def test_coercivity_b_formula_symbolic(geom64, opts):
+def test_coercivity_b_formula_symbolic(geom64, seed):
     # a = 0 collapses the floor to eps0 shrink / (stuff); recompute via sympy
     import sympy as sp
 
     p = ProblemData.from_expressions(geom64, "0", "-1", "cos(2*pi*x1) - 0.25")
     eta, sigma, eps = 0.5, 1.0, 0.1
-    lam = moment_rayleigh(p, eta, 2.5, opts.seed)
+    lam = moment_rayleigh(p, eta, 2.5, seed)
     cc = coercivity_constants(
         p, 2.5, eta, sigma, eps, lam_eta_q=lam,
-        remainder=embedding_remainder(geom64, eps, seed=opts.seed),
+        remainder=embedding_remainder(geom64, eps, seed=seed),
     )
     e0, H, A2, K2, AP, CS, SG, EP = sp.symbols("e0 H A2 K2 AP CS SG EP")
     b_expr = ((1 - 2 * SG * AP) * e0) / (
@@ -349,9 +349,9 @@ def test_coercivity_b_formula_symbolic(geom64, opts):
     assert cc.mu_floor == min(cc.b, p.h_sup)
 
 
-def test_coercivity_raises(bundled64, opts):
-    lam = moment_rayleigh(bundled64, 0.5, 2.5, opts.seed)
-    remainder = embedding_remainder(bundled64.geometry, 0.1, seed=opts.seed)
+def test_coercivity_raises(bundled64, seed):
+    lam = moment_rayleigh(bundled64, 0.5, 2.5, seed)
+    remainder = embedding_remainder(bundled64.geometry, 0.1, seed=seed)
     with pytest.raises(BadSigma):
         coercivity_constants(
             bundled64, 2.5, 0.5, 10.0, 0.1, lam_eta_q=lam, remainder=remainder
@@ -366,8 +366,8 @@ def test_coercivity_raises(bundled64, opts):
 # full certificates
 
 
-def test_certify_bundled(bundled64, opts):
-    rep = certify(bundled64, 2.5, opts.seed)
+def test_certify_bundled(bundled64, seed):
+    rep = certify(bundled64, 2.5, seed)
     assert rep.cond_spectral           # huge spectral margin
     assert rep.cond_positive
     assert not rep.cond_ratio          # ratio 1.65 far above the threshold
@@ -377,9 +377,9 @@ def test_certify_bundled(bundled64, opts):
     assert rep.measure_bound_ok
 
 
-def test_certify_all_negative_f(geom64, opts):
+def test_certify_all_negative_f(geom64, seed):
     p = ProblemData.from_expressions(geom64, "0", "-1", "-1")
-    rep = certify(p, 2.5, opts.seed)
+    rep = certify(p, 2.5, seed)
     assert rep.rayleigh_masked == math.inf
     assert rep.cond_spectral
     assert rep.cond_ratio              # ratio 0 below any positive threshold
@@ -387,34 +387,34 @@ def test_certify_all_negative_f(geom64, opts):
     assert rep.passed and not rep.passed_subcritical
 
 
-def test_certify_ratio_passing_problem(geom64, opts):
+def test_certify_ratio_passing_problem(geom64, seed):
     p = ProblemData.from_expressions(geom64, "0", "-1", "cos(2*pi*x1) - 0.999")
-    rep = certify(p, 2.5, opts.seed)
+    rep = certify(p, 2.5, seed)
     assert rep.passed_subcritical
     assert rep.ratio_plus_minus < rep.c_threshold
     assert rep.k_low < rep.k_high_certified    # nonempty certified window
 
 
-def test_certify_nonpositive_f_blocks_cond3(geom64, opts):
+def test_certify_nonpositive_f_blocks_cond3(geom64, seed):
     p = ProblemData.from_expressions(geom64, "0", "-1", "-0.5 - 0.2*cos(2*pi*x1)")
-    rep = certify(p, 2.5, opts.seed)
+    rep = certify(p, 2.5, seed)
     assert not rep.cond_positive
     assert rep.cond_spectral
 
 
-def test_certify_quantitative_measure_bound(geom64, opts):
+def test_certify_quantitative_measure_bound(geom64, seed):
     # lambda >= (meas^(-4/n) - A2 - mu |a|) / (K2^2 (1+eps)) when evaluable
     p = ProblemData.from_expressions(geom64, "0.1", "-1", "cos(2*pi*x1) - 0.6")
-    rep = certify(p, 2.5, opts.seed)
+    rep = certify(p, 2.5, seed)
     assert rep.measure_bound_ok
     assert rep.rayleigh_masked >= rep.measure_lower_bound - 1e-9
 
 
-def test_certify_2d_smoke(geom2d, opts):
+def test_certify_2d_smoke(geom2d, seed):
     p = ProblemData.from_expressions(
         geom2d, "0.1", "-1", "cos(2*pi*x1)*cos(2*pi*x2) - 0.25"
     )
-    rep = certify(p, 3.0, opts.seed)
+    rep = certify(p, 3.0, seed)
     assert rep.d_eff == 2
     assert math.isfinite(rep.ratio_plus_minus)
     assert rep.cond_spectral            # tiny h against a clamped-patch quotient
@@ -439,31 +439,31 @@ def _count_remainder_calls(monkeypatch):
 
 
 def test_certify_computes_each_remainder_once(
-    bundled128, opts, monkeypatch, tmp_path, assert_golden_certificate
+    bundled128, seed, monkeypatch, tmp_path, assert_golden_certificate
 ):
     import json
 
     from biharm import serialize as ser
 
     calls = _count_remainder_calls(monkeypatch)
-    rep = certify(bundled128, 2.5, opts.seed)        # configs/bundled.json
+    rep = certify(bundled128, 2.5, seed)        # configs/bundled.json
     assert sorted(calls) == [0.01, 0.1]
     ser.write_json(tmp_path / "report.json", ser.hypothesis_report_dict(rep))
     assert_golden_certificate(json.loads((tmp_path / "report.json").read_text()))
 
 
-def test_certify_remainder_is_lazy(geom64, opts, monkeypatch):
+def test_certify_remainder_is_lazy(geom64, seed, monkeypatch):
     # h dominates every moment quotient: no (eta, eps) is admissible, so
     # only the measure criterion asks for a remainder, at its default eps
     p = ProblemData.from_expressions(geom64, "0", "-1e6", "cos(2*pi*x1) - 0.25")
     calls = _count_remainder_calls(monkeypatch)
-    rep = certify(p, 2.5, opts.seed)
+    rep = certify(p, 2.5, seed)
     assert math.isnan(rep.eps)
     assert calls == [0.1]
 
 
 def test_certify_runs_the_unsigned_masked_minimizations_once(
-    bundled128, opts, monkeypatch, tmp_path, assert_golden_certificate
+    bundled128, seed, monkeypatch, tmp_path, assert_golden_certificate
 ):
     # 3 starts for the masked quotient (both variants) + 3 for the grad quotient
     import json
@@ -479,7 +479,7 @@ def test_certify_runs_the_unsigned_masked_minimizations_once(
         return real(form, *args, **kwargs)
 
     monkeypatch.setattr(cert, "_unsigned_quotient_min", counted)
-    rep = certify(bundled128, 2.5, opts.seed)        # configs/bundled.json
+    rep = certify(bundled128, 2.5, seed)        # configs/bundled.json
     assert calls == ["bilap-a"] * 3 + ["grad"] * 3
     ser.write_json(tmp_path / "report.json", ser.hypothesis_report_dict(rep))
     assert_golden_certificate(json.loads((tmp_path / "report.json").read_text()))
@@ -498,10 +498,10 @@ def _same(a, b):
         ("-1e6", "cos(2*pi*x1) - 0.25"),    # no admissible eta: the NaN fallback
     ],
 )
-def test_report_carries_every_window_constant(geom64, opts, h_expr, f_expr):
+def test_report_carries_every_window_constant(geom64, seed, h_expr, f_expr):
     p = ProblemData.from_expressions(geom64, "0", h_expr, f_expr)
     q = 2.5
-    rep = certify(p, q, opts.seed)
+    rep = certify(p, q, seed)
     if math.isnan(rep.eta):
         sigma = 1.0                         # sup(a+) = 0
         want = CoercivityConstants(
@@ -514,7 +514,7 @@ def test_report_carries_every_window_constant(geom64, opts, h_expr, f_expr):
         want = coercivity_constants(
             p, q, rep.eta, rep.sigma, rep.eps,
             lam_eta_q=rep.moment_values[rep.eta],
-            remainder=embedding_remainder(geom64, rep.eps, seed=opts.seed),
+            remainder=embedding_remainder(geom64, rep.eps, seed=seed),
         )
     for name, value in dataclasses.asdict(want).items():
         assert _same(getattr(rep, name), value), name

@@ -281,3 +281,64 @@ def test_curve_without_negative_tail_exits_shape_not_found(tmp_path):
     assert err["error"] == "ShapeNotFound"
     ann = json.loads((out / "annotations.json").read_text())["annotations"]
     assert ann["shape"] == "incomplete" and "l1" in ann
+
+
+@pytest.mark.parametrize("q", ["1.5", "9"], ids=["below-2", "above-N"])
+def test_out_of_range_exponent_is_config_error(tmp_path, q):
+    import biharm.cli as cli
+
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert cli.main(["certify", "--config", str(cfg), "--q", q, "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and "q must lie in (2, 6.0]" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, solver",
+    [(["--seed", "-1"], {"seed": 0}), ([], {"seed": 1.7}), ([], {"seed": True}),
+     ([], {"seed": "3"}), ([], {"seed": -2})],
+    ids=["flag-negative", "config-float", "config-bool", "config-string", "config-negative"],
+)
+def test_seed_must_be_a_nonnegative_integer(tmp_path, flag, solver):
+    import biharm.cli as cli
+
+    cfg = write_config(tmp_path, solver=solver)
+    out = tmp_path / "o"
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out), *flag]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and "seed must be a non-negative integer" in err["message"]
+
+
+def test_solver_block_takes_only_the_seed(tmp_path):
+    # a leftover budget setting must not run silently at the default
+    import biharm.cli as cli
+
+    cfg = write_config(tmp_path, solver={"seed": 0, "tol_scale": 1e-6})
+    out = tmp_path / "o"
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and "tol_scale" in err["message"]
+
+
+def test_solve_critical_exits_nonconvergence_when_the_retry_fails(tmp_path, monkeypatch):
+    import biharm.cli as cli
+    import biharm.continuation as continuation
+    from biharm.errors import NonConvergence
+
+    seeds = []
+
+    def failing(problem, q, cap, seed, init=None):
+        seeds.append((seed, init is None))
+        raise NonConvergence("ball minimization did not reach negative energy")
+
+    monkeypatch.setattr(continuation, "first_solution", failing)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    code = cli.main(["solve-critical", "--force", "--config", str(cfg), "--out", str(out),
+                     "--seed", "2"])
+    assert code == 5
+    assert seeds == [(2, True), (3, True)]         # first step, then its cold retry
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NonConvergence" and err["exit_code"] == 5
+    assert not list(out.glob("solution_*"))

@@ -11,21 +11,20 @@ from biharm.continuation import (
     critical_residual,
     window_edge,
 )
-from biharm.minimizer import SolverOptions
+from biharm.errors import NonConvergence
 from biharm.problem import ProblemData
 
 TWO_PI = 2.0 * math.pi
 
 
-def _certificate(problem, opts):
+def _certificate(problem, seed):
     """The certificate at q0 = (2 + N)/2 that the critical continuation starts from."""
-    return certify(problem, 0.5 * (2.0 + problem.geometry.critical_exponent), opts.seed)
+    return certify(problem, 0.5 * (2.0 + problem.geometry.critical_exponent), seed)
 
 
 @pytest.fixture(scope="module")
 def trace64(bundled64):
-    opts = SolverOptions(seed=0)
-    return continue_to_critical(bundled64, _certificate(bundled64, opts), opts)
+    return continue_to_critical(bundled64, _certificate(bundled64, 0), 0)
 
 
 def test_schedule_geometry(trace64, bundled64):
@@ -94,8 +93,7 @@ def test_weak_limit_proxy(trace64):
 def test_energy_floor_with_nonpositive_a(geom64):
     # dropping the a-term is valid when a <= 0: the floor must hold
     p = ProblemData.from_expressions(geom64, "-0.1", "-1", "cos(2*pi*x1) - 0.25")
-    opts = SolverOptions(seed=0)
-    trace = continue_to_critical(p, _certificate(p, opts), opts)
+    trace = continue_to_critical(p, _certificate(p, 0), 0)
     for rec in trace.records:
         assert "energy_floor" in rec
         assert rec["energy_floor_ok"]
@@ -122,10 +120,9 @@ def test_critical_residual_manufactured(geom64):
 
 def test_schedule_refinement_continuity(bundled64):
     # doubling the schedule depth shrinks the warm-start energy jumps
-    opts = SolverOptions(seed=0)
-    certificate = _certificate(bundled64, opts)
-    t8 = continue_to_critical(bundled64, certificate, opts, steps=8)
-    t16 = continue_to_critical(bundled64, certificate, opts, steps=16)
+    certificate = _certificate(bundled64, 0)
+    t8 = continue_to_critical(bundled64, certificate, 0, steps=8)
+    t16 = continue_to_critical(bundled64, certificate, 0, steps=16)
 
     def last_jump(trace):
         e = [r["energy"] for r in trace.records]
@@ -133,3 +130,42 @@ def test_schedule_refinement_continuity(bundled64):
 
     assert last_jump(t16) < last_jump(t8)
     assert t16.final.energy == pytest.approx(t8.final.energy, rel=1e-6)
+
+
+def _flaky_first_solution(monkeypatch, failing):
+    """Patch the continuation's ball solver to raise NonConvergence on the calls in ``failing``.
+
+    Returns the list of (q, seed, init) of every call, in order.
+    """
+    import biharm.continuation as continuation
+
+    calls = []
+    solve = continuation.first_solution
+
+    def flaky(problem, q, cap, seed, init=None):
+        calls.append((q, seed, init))
+        if len(calls) in failing:
+            raise NonConvergence("ball minimization did not reach negative energy")
+        return solve(problem, q, cap, seed, init=init)
+
+    monkeypatch.setattr(continuation, "first_solution", flaky)
+    return calls
+
+
+def test_failed_step_is_retried_cold_at_the_next_seed(bundled64, monkeypatch):
+    certificate = _certificate(bundled64, 0)
+    calls = _flaky_first_solution(monkeypatch, failing={3})
+    trace = continue_to_critical(bundled64, certificate, 4, steps=2)
+    assert len(trace.records) == 3
+    q0, q1, q2 = trace.schedule
+    assert [(q, seed) for q, seed, _ in calls] == [(q0, 4), (q1, 4), (q2, 4), (q2, 5)]
+    assert calls[0][2] is None and calls[1][2] is not None and calls[2][2] is not None
+    assert calls[3][2] is None                     # the retry is a cold solve
+
+
+def test_failed_retry_propagates(bundled64, monkeypatch):
+    certificate = _certificate(bundled64, 0)
+    calls = _flaky_first_solution(monkeypatch, failing={2, 3})
+    with pytest.raises(NonConvergence):
+        continue_to_critical(bundled64, certificate, 0, steps=2)
+    assert [(seed, init is None) for _, seed, init in calls] == [(0, True), (0, False), (1, True)]

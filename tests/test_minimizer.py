@@ -10,7 +10,6 @@ import biharm.minimizer as mz
 from biharm import geometry as geo
 from biharm import problem as prob
 from biharm.minimizer import (
-    SolverOptions,
     first_solution,
     minimize_on_ball,
     minimize_on_sphere,
@@ -44,11 +43,11 @@ def _three_mode_oracle(problem, q, k, n_grid=61):
     return best
 
 
-def test_sphere_minimizer_flat_problem_vs_oracle(geom64, opts):
+def test_sphere_minimizer_flat_problem_vs_oracle(geom64, seed):
     # f = 0, a = 0, h = -1: constants win with value -k^(2/q)
     p = ProblemData.from_expressions(geom64, "0", "-1", "0")
     q, k = 2.5, 3.0
-    res = minimize_on_sphere(p, q, k, opts=opts)
+    res = minimize_on_sphere(p, q, k, seed=seed)
     assert res.converged
     assert res.mu <= -(k ** (2.0 / q)) + 1e-10
     oracle = _three_mode_oracle(p, q, k)
@@ -56,22 +55,22 @@ def test_sphere_minimizer_flat_problem_vs_oracle(geom64, opts):
     assert res.mu == pytest.approx(-(k ** (2.0 / q)), rel=1e-9)
 
 
-def test_sphere_retraction_exact(bundled64, opts):
+def test_sphere_retraction_exact(bundled64, seed):
     q = 2.5
     for k in (0.7, 12.0, 4000.0):
-        res = minimize_on_sphere(bundled64, q, k, opts=opts)
+        res = minimize_on_sphere(bundled64, q, k, seed=seed)
         assert geo.lp_mass(res.v, q) == pytest.approx(k, rel=1e-12)
 
 
-def test_sphere_rejects_bad_mass(bundled64, opts):
+def test_sphere_rejects_bad_mass(bundled64, seed):
     with pytest.raises(ValueError):
-        minimize_on_sphere(bundled64, 2.5, -1.0, opts=opts)
+        minimize_on_sphere(bundled64, 2.5, -1.0, seed=seed)
 
 
-def test_euler_lagrange_residual_postcondition(bundled64, opts):
+def test_euler_lagrange_residual_postcondition(bundled64, seed):
     q = 2.5
     for k in (10.0, 335.0):
-        res = minimize_on_sphere(bundled64, q, k, opts=opts)
+        res = minimize_on_sphere(bundled64, q, k, seed=seed)
         assert res.converged
         el = prob.el_residual(res.v, bundled64, q, res.lagrange)
         assert el <= 1e-6 * (1.0 + abs(res.mu))
@@ -79,23 +78,23 @@ def test_euler_lagrange_residual_postcondition(bundled64, opts):
 
 def test_sphere_multistart_deterministic(bundled64):
     q, k = 2.5, 50.0
-    r1 = minimize_on_sphere(bundled64, q, k, opts=SolverOptions(seed=0))
-    r2 = minimize_on_sphere(bundled64, q, k, opts=SolverOptions(seed=0))
+    r1 = minimize_on_sphere(bundled64, q, k, seed=0)
+    r2 = minimize_on_sphere(bundled64, q, k, seed=0)
     assert r1.mu == r2.mu
     assert np.array_equal(r1.v.samples, r2.v.samples)
 
 
-def test_curve_upper_bound_by_constants(toy64, opts):
+def test_curve_upper_bound_by_constants(toy64, seed):
     q = 4.0
-    curve = trace_mu_curve(toy64, q, 0.05, 500.0, n_points=24, opts=opts)
+    curve = trace_mu_curve(toy64, q, 0.05, 500.0, n_points=24, seed=seed)
     for k, mu in zip(curve.ks, curve.mus):
         cap = k ** (2.0 / q) * toy64.int_h - k * toy64.int_f
         assert mu <= cap + 1e-9 * (1.0 + abs(cap))
 
 
-def test_curve_small_k_negative(toy64, opts):
+def test_curve_small_k_negative(toy64, seed):
     q = 4.0
-    curve = trace_mu_curve(toy64, q, 0.01, 1.0, n_points=10, opts=opts)
+    curve = trace_mu_curve(toy64, q, 0.01, 1.0, n_points=10, seed=seed)
     # mu_k <= k^(2/q)(int h - k^(1-2/q) int f) < 0 near zero
     for k, mu in zip(curve.ks[:5], curve.mus[:5]):
         bound = k ** (2.0 / q) * (toy64.int_h - k ** (1.0 - 2.0 / q) * toy64.int_f)
@@ -103,9 +102,9 @@ def test_curve_small_k_negative(toy64, opts):
         assert mu < 0.0
 
 
-def test_curve_shape_and_annotations(toy64, opts):
+def test_curve_shape_and_annotations(toy64, seed):
     q = 4.0
-    curve = trace_mu_curve(toy64, q, 0.05, 500.0, n_points=36, opts=opts)
+    curve = trace_mu_curve(toy64, q, 0.05, 500.0, n_points=36, seed=seed)
     ann = curve.annotations
     assert ann["shape"] == "neg-min/hump/neg-tail"
     assert 0.05 < ann["k_neg_min"] < ann["l1"] < ann["l_o"] < ann["l2"] < 500.0
@@ -115,19 +114,19 @@ def test_curve_shape_and_annotations(toy64, opts):
     assert abs(ann["mu_at_l2"]) <= 1e-3 * (1.0 + ann["mu_lo"])
 
 
-def test_curve_large_k_decreasing(toy64, opts):
+def test_curve_large_k_decreasing(toy64, seed):
     # sup f > 0 drives the curve to minus infinity
     q = 4.0
-    curve = trace_mu_curve(toy64, q, 100.0, 5000.0, n_points=12, opts=opts)
+    curve = trace_mu_curve(toy64, q, 100.0, 5000.0, n_points=12, seed=seed)
     assert curve.mus[-1] < -10.0
     assert curve.mus[-1] < curve.mus[0]
 
 
-def test_curve_continuity_refinement(toy64, opts):
+def test_curve_continuity_refinement(toy64, seed):
     # doubling the k resolution roughly halves the largest jump
     q = 4.0
-    coarse = trace_mu_curve(toy64, q, 0.5, 40.0, n_points=12, opts=opts)
-    fine = trace_mu_curve(toy64, q, 0.5, 40.0, n_points=24, opts=opts)
+    coarse = trace_mu_curve(toy64, q, 0.5, 40.0, n_points=12, seed=seed)
+    fine = trace_mu_curve(toy64, q, 0.5, 40.0, n_points=24, seed=seed)
     jump_c = np.max(np.abs(np.diff(coarse.mus)))
     jump_f = np.max(np.abs(np.diff(fine.mus)))
     assert jump_f <= 0.75 * jump_c
@@ -135,22 +134,22 @@ def test_curve_continuity_refinement(toy64, opts):
 
 def test_curve_deterministic(toy64):
     q = 4.0
-    c1 = trace_mu_curve(toy64, q, 0.5, 40.0, n_points=10, opts=SolverOptions(seed=3))
-    c2 = trace_mu_curve(toy64, q, 0.5, 40.0, n_points=10, opts=SolverOptions(seed=3))
+    c1 = trace_mu_curve(toy64, q, 0.5, 40.0, n_points=10, seed=3)
+    c2 = trace_mu_curve(toy64, q, 0.5, 40.0, n_points=10, seed=3)
     assert np.array_equal(c1.mus, c2.mus)
 
 
-def test_certified_window_bound(geom64, opts):
+def test_certified_window_bound(geom64, seed):
     # on a ratio-passing instance the traced curve clears the floor
     from biharm.certifier import certify
 
     p = ProblemData.from_expressions(geom64, "0", "-1", "cos(2*pi*x1) - 0.999")
     q = 2.5
-    rep = certify(p, q, opts.seed)
+    rep = certify(p, q, seed)
     assert rep.passed_subcritical and rep.k_low < rep.k_high_certified
     curve = trace_mu_curve(
         p, q, rep.k_low * 0.5, rep.k_high_certified * 2.0, n_points=14,
-        opts=opts, certificate=rep,
+        seed=seed, certificate=rep,
     )
     assert curve.annotations["certified_bound_ok"] is True
     inside = (curve.ks >= rep.k_low) & (curve.ks <= rep.k_high_certified)
@@ -170,9 +169,9 @@ def test_small_ball_energy_negative(toy64, geom64):
         assert F < 0.0
 
 
-def test_first_solution_toy(toy64, opts):
+def test_first_solution_toy(toy64, seed):
     q = 4.0
-    rep = first_solution(toy64, q, 1.3, opts)
+    rep = first_solution(toy64, q, 1.3, seed)
     assert rep.energy < 0.0
     assert rep.mass < 1.3 * (1.0 - 1e-9)          # interior minimum
     assert rep.identity_gap_rel <= 1e-6
@@ -183,11 +182,11 @@ def test_first_solution_toy(toy64, opts):
     assert geo.lp_mass(rep.field, q) <= (0.5 * q) ** (q / (q - 2.0)) * 1.3 + 1e-9
 
 
-def test_first_solution_degenerate_f_zero(geom64, opts):
+def test_first_solution_degenerate_f_zero(geom64, seed):
     # with f = 0 the f-term vanishes and the minimum sits on the ball
     # boundary at the constant that minimizes the h-term: flagged
     p = ProblemData.from_expressions(geom64, "0", "-1", "0")
-    rep = first_solution(p, 2.5, 1.0, opts)
+    rep = first_solution(p, 2.5, 1.0, seed)
     assert rep.energy < 0.0
     assert rep.flags.get("degenerate_boundary", False)
     assert rep.mass == pytest.approx(1.0, rel=1e-9)
@@ -195,11 +194,11 @@ def test_first_solution_degenerate_f_zero(geom64, opts):
     assert np.ptp(rep.variational.samples) <= 1e-8
 
 
-def test_ball_minimizer_matches_sphere_envelope(toy64, opts):
+def test_ball_minimizer_matches_sphere_envelope(toy64, seed):
     # ball minimum equals the lowest sphere value over masses <= cap
     q, cap = 4.0, 1.3
-    ball = minimize_on_ball(toy64, q, cap, opts=opts)
-    curve = trace_mu_curve(toy64, q, 0.02, cap, n_points=16, opts=opts)
+    ball = minimize_on_ball(toy64, q, cap, seed=seed)
+    curve = trace_mu_curve(toy64, q, 0.02, cap, n_points=16, seed=seed)
     assert ball.mu <= curve.mus.min() + 1e-8 * (1.0 + abs(ball.mu))
 
 
@@ -209,7 +208,7 @@ def test_sphere_minimizer_2d(geom2d):
         geom2d, "0.1", "-1", "cos(2*pi*x1)*cos(2*pi*x2) - 0.25"
     )
     q, k = 3.0, 2.0
-    res = minimize_on_sphere(p, q, k, opts=SolverOptions(seed=0, battery_iter=300))
+    res = minimize_on_sphere(p, q, k, seed=0)
     assert res.converged
     assert geo.lp_mass(res.v, q) == pytest.approx(k, rel=1e-12)
     cap = k ** (2.0 / q) * p.int_h - k * p.int_f
@@ -222,7 +221,7 @@ def _fake_bb(energies):
     """Stand-in for ``_bb_minimize``: converged at the given energies, in start order."""
     it = iter(energies)
 
-    def fake(problem, q, starts, opts, caps, **kwargs):
+    def fake(problem, q, starts, caps, k, ball):
         return [(u0, next(it), 0.0, 0.0, 1, True) for u0 in starts]
 
     return fake
@@ -242,14 +241,13 @@ def test_multistart_tie_goes_to_earlier_seed(bundled64, monkeypatch, solver, sec
     seeds = [("first", g.constant(1.0)), ("second", g.constant(1.0))]
     monkeypatch.setattr(mz, "default_seeds", lambda *args: seeds)
     energies = [-1.0, second]
-    opts = SolverOptions(seed=0)
     if solver == "sphere":
         monkeypatch.setattr(mz, "_bb_minimize", _fake_bb(energies))
-        res = minimize_on_sphere(bundled64, 3.0, 1.0, opts=opts)
+        res = minimize_on_sphere(bundled64, 3.0, 1.0, 0)
     else:
         # the ball solver runs its constant start before the battery
         monkeypatch.setattr(mz, "_bb_minimize", _fake_bb([0.0] + energies))
-        res = minimize_on_ball(bundled64, 3.0, 1.0, opts=opts)
+        res = minimize_on_ball(bundled64, 3.0, 1.0, 0)
     assert res.seed_tag == winner
 
 
@@ -262,10 +260,9 @@ SOLVERS = pytest.mark.parametrize("solver", ["sphere", "ball"])
 
 
 def _setup(dim, solver, bundled64, plate2d):
-    """(problem, q, constraint keywords) of a small solve in 1-D or 2-D."""
+    """(problem, q, constraint (k, ball)) of a small solve in 1-D or 2-D."""
     problem, q = (bundled64, 2.5) if dim == 1 else (plate2d, 3.0)
-    kw = {"sphere_k": 2.0} if solver == "sphere" else {"ball_cap": 2.0}
-    return problem, q, kw
+    return problem, q, (2.0, solver == "ball")
 
 
 def _random_starts(problem, seed, n):
@@ -286,17 +283,16 @@ def _assert_same_run(got, want):
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
 def test_stack_matches_stacks_of_one(bundled64, plate2d, dim, solver, seed, n):
-    problem, q, kw = _setup(dim, solver, bundled64, plate2d)
-    opts = SolverOptions(seed=0)
+    problem, q, kb = _setup(dim, solver, bundled64, plate2d)
     starts = _random_starts(problem, seed, n)
     caps = [40 + 15 * i for i in range(n)]
-    stacked = mz._bb_minimize(problem, q, starts, opts, caps, **kw)
+    stacked = mz._bb_minimize(problem, q, starts, caps, *kb)
     assert len(stacked) == n
     for s, cap, got in zip(starts, caps, stacked):
-        [alone] = mz._bb_minimize(problem, q, [s], opts, [cap], **kw)
+        [alone] = mz._bb_minimize(problem, q, [s], [cap], *kb)
         _assert_same_run(got, alone)
     # reversing the starts permutes the results and changes nothing else
-    backward = mz._bb_minimize(problem, q, starts[::-1], opts, caps[::-1], **kw)
+    backward = mz._bb_minimize(problem, q, starts[::-1], caps[::-1], *kb)
     for got, want in zip(backward[::-1], stacked):
         assert got[1:] == want[1:]
         assert np.array_equal(got[0].coeffs, want[0].coeffs)
@@ -305,16 +301,15 @@ def test_stack_matches_stacks_of_one(bundled64, plate2d, dim, solver, seed, n):
 @DIMS
 @SOLVERS
 def test_mixed_caps_in_one_stack(bundled64, plate2d, dim, solver):
-    problem, q, kw = _setup(dim, solver, bundled64, plate2d)
-    opts = SolverOptions(seed=0)
-    [(u_star, *_)] = mz._bb_minimize(problem, q, _random_starts(problem, 1, 1), opts, [2000], **kw)
+    problem, q, kb = _setup(dim, solver, bundled64, plate2d)
+    [(u_star, *_)] = mz._bb_minimize(problem, q, _random_starts(problem, 1, 1), [2000], *kb)
     starts = _random_starts(problem, 2, 2) + [u_star]
     caps = [3, 7, 50]
-    results = mz._bb_minimize(problem, q, starts, opts, caps, **kw)
+    results = mz._bb_minimize(problem, q, starts, caps, *kb)
     assert [r[4] for r in results] == [3, 7, 1]
     assert [r[5] for r in results] == [False, False, True]
     for s, cap, got in zip(starts, caps, results):
-        [alone] = mz._bb_minimize(problem, q, [s], opts, [cap], **kw)
+        [alone] = mz._bb_minimize(problem, q, [s], [cap], *kb)
         _assert_same_run(got, alone)
 
 
@@ -322,31 +317,30 @@ def test_mixed_caps_in_one_stack(bundled64, plate2d, dim, solver):
 @SOLVERS
 def test_negated_start_runs_to_the_exact_mirror(bundled64, plate2d, dim, solver):
     # why the battery has no negated seeds: F_q is even, negation exact
-    problem, q, kw = _setup(dim, solver, bundled64, plate2d)
+    problem, q, kb = _setup(dim, solver, bundled64, plate2d)
     g = problem.geometry
-    opts = SolverOptions(seed=0)
     center = [0.25] * g.d_eff
     seeds = [g.bump(center, width=0.08), g.mode((1,) * g.d_eff)] + _random_starts(problem, 3, 1)
     caps = [200] * len(seeds)
-    plus = mz._bb_minimize(problem, q, seeds, opts, caps, **kw)
-    minus = mz._bb_minimize(problem, q, [geo.scale(s, -1.0) for s in seeds], opts, caps, **kw)
+    plus = mz._bb_minimize(problem, q, seeds, caps, *kb)
+    minus = mz._bb_minimize(problem, q, [geo.scale(s, -1.0) for s in seeds], caps, *kb)
     for p, m in zip(plus, minus):
         assert m[1:] == p[1:]
         assert np.array_equal(m[0].coeffs, -p[0].coeffs)
 
 
-def test_battery_has_no_mirrored_seeds(bundled64, opts):
-    tags = [tag for tag, _ in mz.default_seeds(bundled64, 2.5, 1.0, opts)]
+def test_battery_has_no_mirrored_seeds(bundled64, seed):
+    tags = [tag for tag, _ in mz.default_seeds(bundled64, 2.5, 1.0, seed)]
     assert tags == ["const", "bump+", "mode+", "rand0", "rand1", "rand2"]
 
 
-def test_curve_runs_one_battery_per_point(toy64, opts, monkeypatch):
+def test_curve_runs_one_battery_per_point(toy64, seed, monkeypatch):
     batteries, solves = [], []
     seeds, sphere = mz.default_seeds, mz.minimize_on_sphere
 
-    def counting_seeds(problem, q, k, o):
-        batteries.append(k)
-        return seeds(problem, q, k, o)
+    def counting_seeds(*args):
+        batteries.append(args[2])
+        return seeds(*args)
 
     def counting_sphere(*args, **kwargs):
         solves.append(args[2])
@@ -355,7 +349,7 @@ def test_curve_runs_one_battery_per_point(toy64, opts, monkeypatch):
     monkeypatch.setattr(mz, "default_seeds", counting_seeds)
     monkeypatch.setattr(mz, "minimize_on_sphere", counting_sphere)
     n = 12
-    curve = trace_mu_curve(toy64, 4.0, 0.05, 500.0, n_points=n, opts=opts)
+    curve = trace_mu_curve(toy64, 4.0, 0.05, 500.0, n_points=n, seed=seed)
     grid = [float(k) for k in curve.ks]
     assert solves[:n] == grid                  # one upward sweep
     assert sorted(k for k in solves if k in grid) == grid
@@ -364,15 +358,15 @@ def test_curve_runs_one_battery_per_point(toy64, opts, monkeypatch):
     assert len(batteries) == len(solves) == n + bisection
 
 
-def test_downward_warm_resolve_lowers_no_curve_point(toy64, opts):
+def test_downward_warm_resolve_lowers_no_curve_point(toy64, seed):
     # oracle for the single upward sweep: solving every point again,
     # warm-started downward from the better neighbor, finds nothing lower
     q = 4.0
-    curve = trace_mu_curve(toy64, q, 0.05, 500.0, n_points=36, opts=opts)
+    curve = trace_mu_curve(toy64, q, 0.05, 500.0, n_points=36, seed=seed)
     warm = curve.minimizers[-1]
     for i in range(len(curve.ks) - 2, -1, -1):
         k, mu = float(curve.ks[i]), float(curve.mus[i])
         start = mz._retract_sphere(warm, q, k)
-        [(v, F, *_)] = mz._bb_minimize(toy64, q, [start], opts, [opts.max_iter], sphere_k=k)
+        [(v, F, *_)] = mz._bb_minimize(toy64, q, [start], [mz.MAX_ITER], k, False)
         assert F >= mu - 1e-10 * (1.0 + abs(mu)), k
         warm = v if F < mu else curve.minimizers[i]

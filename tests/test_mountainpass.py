@@ -11,7 +11,7 @@ from biharm import problem as prob
 from biharm.errors import Collapse, NonConvergence, ShapeNotFound
 from biharm.expressions import parse_coefficient
 from biharm.geometry import TorusGeometry
-from biharm.minimizer import MuCurve, SolverOptions, minimize_on_sphere, trace_mu_curve
+from biharm.minimizer import MuCurve, minimize_on_sphere, trace_mu_curve
 from biharm.mountainpass import (
     _Path,
     find_mu_zeros,
@@ -104,7 +104,7 @@ def _bottleneck_level(F_grid, start, goal):
     return hi
 
 
-def test_two_mode_toy_matches_grid_search_oracle(toy64, opts):
+def test_two_mode_toy_matches_grid_search_oracle(toy64):
     q = 4.0
     g = toy64.geometry
     x = g.coordinates()[0]
@@ -203,9 +203,8 @@ def test_two_mode_toy_matches_grid_search_oracle(toy64, opts):
 
 @pytest.fixture(scope="module")
 def toy_pipeline(toy64):
-    opts = SolverOptions(seed=0)
     q = 4.0
-    curve = trace_mu_curve(toy64, q, 0.05, 500.0, n_points=36, opts=opts)
+    curve = trace_mu_curve(toy64, q, 0.05, 500.0, n_points=36, seed=0)
     zeros, ends, mp = second_solution(toy64, q, curve)
     return curve, zeros, ends, mp
 
@@ -260,31 +259,32 @@ def test_critical_point_identities(toy_pipeline, toy64):
     assert rep.f_weight > 0.0          # positive level forces int f |v|^q > 0
 
 
-def test_two_solutions_distinct(toy_pipeline, toy64, opts):
+def test_two_solutions_distinct(toy_pipeline, toy64, seed):
     from biharm.minimizer import first_solution
 
     _, (l1, _, _), _, mp = toy_pipeline
-    rep_min = first_solution(toy64, 4.0, float(l1), opts)
+    rep_min = first_solution(toy64, 4.0, float(l1), seed)
     assert rep_min.energy < 0.0 < mp.report.energy
     gap = geo.l2_norm(geo.add(mp.report.field, rep_min.field, -1.0))
     assert gap > 0.1
 
 
-def test_budget_exhausted_raises_nonconvergence(toy_pipeline, toy64):
+def test_budget_exhausted_raises_nonconvergence(toy_pipeline, toy64, monkeypatch):
     # two iterations cannot flatten the level: the maximum is still moving
     _, _, (end1, u2), _ = toy_pipeline
+    monkeypatch.setattr(mpass, "MAX_PATH_ITER", 2)
     with pytest.raises(NonConvergence) as exc:
-        mountain_pass(toy64, 4.0, end1.v, u2, max_iter=2)
+        mountain_pass(toy64, 4.0, end1.v, u2)
     best = exc.value.best
     assert best.iterations == 2
     assert not best.converged
 
 
-def test_collapse_detected(toy64, opts):
+def test_collapse_detected(toy64, seed):
     # both endpoints in the same negative well: no hump in between
     q = 4.0
-    r1 = minimize_on_sphere(toy64, q, 0.2, opts=opts)
-    r2 = minimize_on_sphere(toy64, q, 0.3, opts=opts)
+    r1 = minimize_on_sphere(toy64, q, 0.2, seed=seed)
+    r2 = minimize_on_sphere(toy64, q, 0.3, seed=seed)
     with pytest.raises(Collapse):
         mountain_pass(toy64, q, r1.v, r2.v)
 
