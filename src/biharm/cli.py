@@ -21,7 +21,10 @@ mini-grammar)::
 
 ``solver.seed`` (overridden by ``--seed``) is a non-negative integer;
 the solver block takes no other key.  ``q`` (``exponent.q`` or ``--q``)
-must lie in (2, N], N = 2n/(n-4) the critical exponent.
+must lie in (2, N], N = 2n/(n-4) the critical exponent.  The geometry
+keys and ``curve.k_steps`` are integers and ``curve.k_min``/``k_max``
+finite numbers (a float or a bool where an integer belongs is an
+error, not truncated); the curve settings are checked before any solve.
 
 The hypothesis gate lives here and nowhere else: ``mu-curve``,
 ``solve-sub`` and ``mountain-pass`` need conditions (1), (2) and (3) of
@@ -95,12 +98,23 @@ def _require(cfg: dict, section: str, keys) -> dict:
     return block
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    # the comparison is exact for ints, so one too large for a float fails too
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
 def _build_problem(cfg: dict, require_f_minus: bool) -> ProblemData:
-    gblock = _require(cfg, "geometry", ("n_ambient", "d_eff", "grid_size"))
+    keys = ("n_ambient", "d_eff", "grid_size")
+    gblock = _require(cfg, "geometry", keys)
+    for key in keys:
+        if not _is_int(gblock[key]):
+            raise ConfigError(f"geometry.{key} must be an integer, got {gblock[key]!r}")
     try:
-        geometry = TorusGeometry(
-            int(gblock["n_ambient"]), int(gblock["d_eff"]), int(gblock["grid_size"])
-        )
+        geometry = TorusGeometry(*(gblock[key] for key in keys))
     except ValueError as exc:
         raise ConfigError(str(exc))
     cblock = _require(cfg, "coefficients", ("a", "h", "f"))
@@ -126,7 +140,7 @@ def _seed(cfg: dict, args) -> int:
     if unknown:
         raise ConfigError(f"unknown solver setting {', '.join(unknown)}: only seed is accepted")
     seed = args.seed if getattr(args, "seed", None) is not None else block.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
 
@@ -155,7 +169,12 @@ def _k_range(cfg: dict, args) -> tuple[float, float, int]:
     k_steps = args.k_steps if args.k_steps is not None else block.get("k_steps", 48)
     if k_min is None or k_max is None:
         raise ConfigError("k range missing: set curve.k_min/k_max or pass --k-min/--k-max")
-    k_min, k_max, k_steps = float(k_min), float(k_max), int(k_steps)
+    for key, value in (("k_min", k_min), ("k_max", k_max)):
+        if not _is_finite_number(value):
+            raise ConfigError(f"curve.{key} must be a finite number, got {value!r}")
+    if not _is_int(k_steps):
+        raise ConfigError(f"curve.k_steps must be an integer, got {k_steps!r}")
+    k_min, k_max = float(k_min), float(k_max)
     if not (0.0 < k_min < k_max) or k_steps < 8:
         raise ConfigError("need 0 < k_min < k_max and k_steps >= 8")
     return k_min, k_max, k_steps
@@ -204,10 +223,9 @@ def cmd_certify(args) -> int:
     return 0 if report.passed else _EXIT_HYPOTHESIS
 
 
-def _curve(problem, q, cfg, args, seed, certificate, out):
-    """Trace the mu-curve and write ``mu.csv`` and ``annotations.json``."""
-    k_min, k_max, k_steps = _k_range(cfg, args)
-    curve = trace_mu_curve(problem, q, k_min, k_max, k_steps, seed, certificate=certificate)
+def _curve(problem, q, k_range, seed, certificate, out):
+    """Trace the mu-curve over ``_k_range`` and write ``mu.csv`` and ``annotations.json``."""
+    curve = trace_mu_curve(problem, q, *k_range, seed, certificate=certificate)
     ser.curve_to_csv(curve, out / "mu.csv")
     ser.write_json(out / "annotations.json", ser.curve_annotations_dict(curve))
     return curve
@@ -216,8 +234,9 @@ def _curve(problem, q, cfg, args, seed, certificate, out):
 def cmd_mu_curve(args) -> int:
     cfg, problem, seed, out = _setup(args)
     q = _exponent(cfg, args, problem)
+    k_range = _k_range(cfg, args)
     certificate = _gate(problem, q, seed, args.force, report_path=out / "report.json")
-    _curve(problem, q, cfg, args, seed, certificate, out)
+    _curve(problem, q, k_range, seed, certificate, out)
     (out / "mu.gp").write_text(
         ser.gnuplot_script("mu.csv", f"constrained energy infimum, q={q}"),
         encoding="utf-8",
@@ -231,9 +250,10 @@ def _two_solutions(problem, q, cfg, args, seed, out):
     Returns the certificate, the mountain-pass result and the summary
     keys that ``mountain-pass`` and ``solve-sub`` both write.
     """
+    k_range = _k_range(cfg, args)
     certificate = _gate(problem, q, seed, args.force)
     ser.write_json(out / "certificate.json", ser.hypothesis_report_dict(certificate))
-    curve = _curve(problem, q, cfg, args, seed, certificate, out)
+    curve = _curve(problem, q, k_range, seed, certificate, out)
     (l1, l2, l_o), _, mp = second_solution(problem, q, curve)
     ser.path_profile_csv(mp.profile_rows, out / "path_profile.csv")
     summary = {

@@ -420,8 +420,12 @@ def test_certify_2d_smoke(geom2d, seed):
     assert rep.cond_spectral            # tiny h against a clamped-patch quotient
     assert rep.k_low > 0.0
     assert rep.sobolev_constant == pytest.approx(sharp_sobolev_constant(7), rel=1e-14)
-    # dblquad value of int f^- (the plate has no closed form)
-    assert rep.int_f_minus == pytest.approx(0.3547381706247783, rel=1e-12)
+    # int f^- of the plate: the inner integral over x1 has the closed form
+    # I(C) = (c (pi - phi) + A sin phi) / pi (c = 1/4, A = |C|, phi = arccos(c / A);
+    # I = c when A <= c) with C = cos(2 pi x2); the oracle is
+    # mpmath.quad(lambda x2: I(cos(2*pi*x2)), breakpoints) at mp.dps = 30,
+    # with breakpoints 0, 1 and the four x2 where |C| = 1/4
+    assert rep.int_f_minus == pytest.approx(0.354738170622633016, rel=1e-12)
 
 
 def _count_remainder_calls(monkeypatch):

@@ -342,3 +342,34 @@ def test_solve_critical_exits_nonconvergence_when_the_retry_fails(tmp_path, monk
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "NonConvergence" and err["exit_code"] == 5
     assert not list(out.glob("solution_*"))
+
+
+@pytest.mark.parametrize(
+    "command, section, values, key",
+    [
+        ("certify", "geometry", {"grid_size": 64.7}, "geometry.grid_size"),
+        ("certify", "geometry", {"n_ambient": 6.5}, "geometry.n_ambient"),
+        ("certify", "geometry", {"d_eff": True}, "geometry.d_eff"),
+        ("mu-curve", "curve", {"k_min": "abc"}, "curve.k_min"),
+        ("mu-curve", "curve", {"k_steps": 12.7}, "curve.k_steps"),
+        ("mu-curve", "curve", {"k_max": float("inf")}, "curve.k_max"),   # JSON 1e999 loads as inf
+    ],
+    ids=["grid-size-float", "n-ambient-float", "d-eff-bool", "k-min-string",
+         "k-steps-float", "k-max-inf"],
+)
+def test_config_numbers_are_checked_before_any_solve(
+    tmp_path, monkeypatch, command, section, values, key
+):
+    # a float where an integer belongs is not truncated, and a bad k range
+    # stops the command before the certificate is computed
+    import biharm.cli as cli
+
+    def no_certificate(*args):
+        raise AssertionError("the certificate was computed")
+
+    monkeypatch.setattr(cli, "certify", no_certificate)
+    cfg = write_config(tmp_path, **{section: values})
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), "--force"]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and key in err["message"]

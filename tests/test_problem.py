@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biharm import geometry as geo
@@ -280,3 +280,126 @@ def test_einstein_preset_operator_reproduction(geom64):
     h = geom64.constant(a0)
     p = ProblemData.from_fields(geom64, a, h, geom64.constant(1.0))
     assert not p.h_negative   # preset violates the h < 0 hypothesis: flagged
+
+
+# ----------------------------------------------------------------------
+# int f^- by the batched Gauss-Kronrod rule
+
+GEOM_1D = geo.TorusGeometry(6, 1, 16)
+GEOM_2D = geo.TorusGeometry(7, 2, 8)
+# int_0^1 max(c - A cos 2 pi t, 0) dt is the same for t = x1 and for the
+# measure-preserving shears t = x1 + x2 and t = x1 - 2 x2 of the torus
+COSINE_CASES = [
+    pytest.param("{A!r}*cos(2*pi*x1) - {c!r}", GEOM_1D, id="1d"),
+    pytest.param("{A!r}*cos(2*pi*(x1 + x2)) - {c!r}", GEOM_2D, id="2d-sum"),
+    pytest.param("{A!r}*cos(2*pi*(x1 - 2*x2)) - {c!r}", GEOM_2D, id="2d-shear"),
+]
+
+
+def _f_minus_closed_form(A, c):
+    """int_0^1 max(c - A cos 2 pi t, 0) dt for A > 0."""
+    if c >= A:
+        return c
+    if c <= -A:
+        return 0.0
+    phi = math.acos(c / A)
+    return (c * (math.pi - phi) + A * math.sin(phi)) / math.pi
+
+
+def _int_f_minus(pattern, geometry, A, c):
+    f = pattern.format(A=float(A), c=float(c))
+    return ProblemData.from_expressions(geometry, "0", "-1", f).int_f_minus
+
+
+def test_gauss_kronrod_pair_is_exact_on_polynomials():
+    # K21 integrates degree 31 exactly and G10 degree 19; G10's nodes are Gauss-Legendre's
+    nodes, kronrod, gauss = prob._GK_NODES, prob._GK_KRONROD, prob._GK_GAUSS
+    for k in range(32):
+        assert kronrod @ nodes**k == pytest.approx(1.0 / (k + 1), rel=1e-14, abs=1e-15)
+    for k in range(20):
+        assert gauss @ nodes**k == pytest.approx(1.0 / (k + 1), rel=1e-14, abs=1e-15)
+    legendre = 0.5 * (1.0 + np.polynomial.legendre.leggauss(10)[0])
+    assert np.allclose(nodes[gauss > 0], legendre, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("pattern, geometry", COSINE_CASES)
+@settings(max_examples=20, deadline=None)
+@given(A=st.floats(0.25, 4.0), ratio=st.floats(-0.9, 0.9))
+@example(A=1.0, ratio=0.8031531995439228)   # 1-D: a kink 1.5e-5 into a 1/128 interval
+def test_int_f_minus_matches_closed_form(pattern, geometry, A, ratio):
+    want = _f_minus_closed_form(A, ratio * A)
+    assert _int_f_minus(pattern, geometry, A, ratio * A) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("pattern, geometry", COSINE_CASES)
+@settings(max_examples=10, deadline=None)
+@given(A=st.floats(0.25, 4.0), ratio=st.floats(1.0, 3.0), negative=st.booleans())
+def test_int_f_minus_of_one_sign(pattern, geometry, A, ratio, negative):
+    # f <= 0 everywhere gives int f^- = c; f >= 0 everywhere gives 0
+    c = ratio * A if negative else -ratio * A
+    got = _int_f_minus(pattern, geometry, A, c)
+    if negative:
+        assert got == pytest.approx(c, rel=1e-12)
+    else:
+        assert got == 0.0
+
+
+@pytest.mark.parametrize("pattern, geometry", COSINE_CASES)
+def test_int_f_minus_of_a_large_cancelling_f(pattern, geometry):
+    # values near the kinks are differences of numbers near 1e8: the
+    # rounding bound, not GK_TOL, accepts those intervals
+    A, c = 1e8, 3e7
+    want = _f_minus_closed_form(A, c)
+    assert _int_f_minus(pattern, geometry, A, c) == pytest.approx(want, rel=1e-12)
+
+
+def _count_expression_calls(monkeypatch):
+    from biharm import expressions
+
+    calls = []
+    call = expressions.Expression.__call__
+
+    def counted(self, *coords):
+        calls.append(np.size(coords[0]))
+        return call(self, *coords)
+
+    monkeypatch.setattr(expressions.Expression, "__call__", counted)
+    return calls
+
+
+def test_plate_int_f_minus_is_a_few_thousand_array_calls(monkeypatch):
+    # nested scalar quadrature made 1,389,720 calls of the expression here
+    calls = _count_expression_calls(monkeypatch)
+    p = ProblemData.from_expressions(
+        geo.TorusGeometry(7, 2, 16), "0.1", "-1", "cos(2*pi*x1)*cos(2*pi*x2) - 0.25"
+    )
+    assert len(calls) <= 5000
+    # the closed-form oracle of test_certifier.test_certify_2d_smoke; the
+    # end gaps matter here: without them the value is 6e-13 rel low
+    assert p.int_f_minus == pytest.approx(0.354738170622633016, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "f, geometry",
+    [
+        ("1/(x1 - 0.3)", GEOM_1D),
+        ("1/(x1 - 0.31)", GEOM_1D),
+        ("-1/((x1 - 0.31)*(x1 - 0.31))", GEOM_1D),
+        ("1/(x1 - 0.3)", GEOM_2D),
+        ("1/(x2 - 0.31) + 1/(x1 - 0.77)", GEOM_2D),
+        ("1/abs(x1 - 0.31) - 1/abs(x2 - 0.52)", GEOM_2D),
+    ],
+)
+def test_int_f_minus_of_a_pole_finishes(monkeypatch, f, geometry):
+    # a pole either lands on a node (division by zero) or is cut off at
+    # the depth cap; either way the work stays bounded
+    from biharm.errors import ExpressionError
+
+    calls = _count_expression_calls(monkeypatch)
+    try:
+        value = ProblemData.from_expressions(geometry, "0", "-1", f).int_f_minus
+    except ExpressionError:
+        value = 0.0
+    assert math.isfinite(value)
+    assert len(calls) <= 5000
+    assert max(calls) <= 200_000
