@@ -31,6 +31,7 @@ import math
 from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from . import geometry as geo
@@ -231,11 +232,10 @@ def _ritz_step(form: _MaskedForm, basis, Av: np.ndarray):
             B[i, j] = g.weight * float(np.sum(basis[i] * basis[j]))
     A = 0.5 * (A + A.T)
     B = 0.5 * (B + B.T)
-    from scipy.linalg import eigh as _eigh
-
     try:
-        vals, vecs = _eigh(A, B)
-    except Exception:
+        vals, vecs = eigh(A, B)
+    except np.linalg.LinAlgError:
+        # LAPACK failed (B not numerically positive definite): keep the iterate
         return basis[0], _quotient(form, basis[0])
     c = vecs[:, 0]
     w = sum(ci * bi for ci, bi in zip(c, basis))

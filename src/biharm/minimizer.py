@@ -237,10 +237,7 @@ def _bb_minimize(problem: ProblemData, q: float, starts, caps, k: float, ball: b
         _Start(u[i], prob._finite(F), grad.coeffs[i], cap)
         for i, (F, cap) in enumerate(zip(Fs, caps))
     ]
-    for run in runs:
-        if run.cap < 1:
-            run.finish(0, tol)
-    active = [run for run in runs if run.result is None]
+    active = list(runs)
 
     it = 0
     while active:

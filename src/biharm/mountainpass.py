@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lsqr
@@ -46,30 +46,12 @@ from .minimizer import (
 )
 from .problem import ProblemData
 
-_EPS = np.finfo(np.float64).eps
 _CHUNK = 128  # fields per stacked evaluation: bounds a sweep's memory
 
 
 def _chunks(n):
     """Slices of range(n) of at most _CHUNK rows each."""
     return [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-
-
-# ----------------------------------------------------------------------
-# locating the zeros of the energy curve
-
-
-def find_mu_zeros(curve: MuCurve):
-    """Zero crossings (l1, l2) and hump maximizer l_o of a traced energy curve.
-
-    Returns the tracer's bisection-refined annotations; raises
-    ShapeNotFound unless the tracer found the negative minimum / positive
-    hump / negative tail shape.
-    """
-    ann = curve.annotations
-    if ann.get("shape") != "neg-min/hump/neg-tail":
-        raise ShapeNotFound("curve lacks the negative / positive / negative shape")
-    return ann["l1"], ann["l2"], ann["l_o"]
 
 
 # ----------------------------------------------------------------------
@@ -199,55 +181,21 @@ def refine_critical_point(
 
 
 @dataclass
-class PathState:
-    """Discretized path with fixed endpoints.
+class MountainPassResult:
+    """The polished saddle, the final path ``nodes`` and the level ``history``.
 
-    History rows are (iteration, level, nodes_inserted).  Accepted
-    deformation steps never raise the measured level; it can move up
-    only when interior sampling inserts a node (the estimate of the
-    polyline maximum sharpens), so monotonicity holds between rows with
-    no insertions.
+    Accepted steps never raise the level; it rises only in rows whose
+    node insertions sharpen the estimate of the polyline maximum.
     """
 
-    nodes: list
-    energies: np.ndarray
-    index_max: int
-    history: list = dataclass_field(default_factory=list)
-
-    @property
-    def nu(self) -> float:
-        return float(self.energies[self.index_max])
-
-
-@dataclass
-class MountainPassResult:
     v: SpectralField
     nu: float
     report: CriticalPointReport
-    path: PathState
+    nodes: list
+    history: list                 # (iteration, level, nodes_inserted) records
     profile_rows: list            # (iteration, node, energy) records
     iterations: int
     converged: bool
-
-
-def _reparameterize(nodes, n_out):
-    """Resample the polyline by L2 arc length to n_out nodes (endpoints pinned)."""
-    n = len(nodes)
-    n_out = max(int(n_out), 3)
-    seg = [geo.l2_norm(geo.add(nodes[i + 1], nodes[i], -1.0)) for i in range(n - 1)]
-    total = sum(seg)
-    if total <= 0.0:
-        return list(nodes)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, total, n_out)
-    out = [nodes[0]]
-    for t in targets[1:-1]:
-        j = int(np.searchsorted(cum, t, side="right") - 1)
-        j = min(max(j, 0), n - 2)
-        local = (t - cum[j]) / max(seg[j], _EPS)
-        out.append(geo.add(geo.scale(nodes[j], 1.0 - local), nodes[j + 1], local))
-    out.append(nodes[-1])
-    return out
 
 
 def _init_path(problem, q, u1, u2, n_nodes, interior_seeds, subspace):
@@ -428,7 +376,11 @@ class _Path:
         return trial
 
     def honest_max(self, ts=None):
-        """(value, node_index, interior (t, seg) or None) of the path max."""
+        """(value, j, t) of the path maximum.
+
+        At a node, j is its index and t is None; at an interior sample,
+        j is the segment's index and t its parameter on that segment.
+        """
         jn = int(np.argmax(self.e_nodes))
         best = (self.e_nodes[jn], jn, None)
         for s, samples in enumerate(self._samples(ts)):
@@ -437,7 +389,7 @@ class _Path:
                     best = (e, s, t)
         return best
 
-    def promote_interior_maxima(self, limit=8, ts=None):
+    def promote_interior_maxima(self, limit, ts=None):
         """Insert interior samples that dominate every node (up to limit)."""
         inserted = 0
         while inserted < limit:
@@ -455,6 +407,7 @@ class _Path:
 
 
 MAX_PATH_ITER = 3000    # deformation steps before a moving maximum is NonConvergence
+MAX_PATH_NODES = 246    # nodes past which interior maxima are no longer promoted
 
 
 def mountain_pass(
@@ -475,6 +428,15 @@ def mountain_pass(
     which bounds the measured level below by the sampled hump.
     Callers should pass sign-aligned endpoint representatives (see
     ``align_sign``); the endpoints themselves are never modified.
+
+    Each iteration promotes up to 8 dominant interior samples to nodes,
+    but never past ``MAX_PATH_NODES`` nodes; beyond the cap interior
+    maxima still count in the level, they are only not promoted.  The
+    five nodes around the maximum then take a preconditioned descent
+    step, halved up to 25 times until the level drops.  The deformation
+    stalls when the level has spread by at most 1e-6 (1 + |nu|) over the
+    last 40 iterations, or when 25 halvings find no lower level; either
+    way the Newton polish takes over.
     Raises Collapse when the path maximum falls to within 1e-8 of the
     endpoint level (no hump), NonConvergence when ``MAX_PATH_ITER``
     steps end with a moving maximum.  The report describes the
@@ -504,28 +466,15 @@ def mountain_pass(
         barriers,
     )
     f_ends = max(path.e_nodes[0], path.e_nodes[-1])
-    max_nodes = 6 * n_nodes
     profile_rows = []
     history = []
 
     tau = 1e-2
-    nu_window: list[float] = []
-    grad_max_norm = math.inf
+    plateau = 40
     stalled = False
     it = 0
-    plateau = 40
     for it in range(1, MAX_PATH_ITER + 1):
-        inserted = path.promote_interior_maxima()
-        if len(path.nodes) > max_nodes:
-            # rebalance only when it does not lift the level
-            candidate = _Path(
-                problem, q, _reparameterize(path.nodes, max_nodes), barriers
-            )
-            if candidate.honest_max()[0] <= path.honest_max()[0] * (1.0 + 1e-12):
-                path = candidate
-                inserted += 1
-            else:
-                max_nodes *= 2
+        inserted = path.promote_interior_maxima(min(8, MAX_PATH_NODES - len(path.nodes)))
         nu, jmax, _ = path.honest_max()
         history.append((it, nu, inserted))
         profile_rows.extend(
@@ -533,15 +482,19 @@ def mountain_pass(
         )
         if nu <= f_ends + collapse_tol:
             raise Collapse(f"path maximum {nu} fell to the endpoint level {f_ends}")
+        # stall: the level has flattened; the Newton polish takes over
+        levels = [level for _, level, _ in history[-plateau:]]
+        if it > plateau and (max(levels) - min(levels)) / (1.0 + abs(nu)) <= 1e-6:
+            stalled = True
+            break
 
+        # a path has at least 41 nodes, so the window is never empty
         n = len(path.nodes)
         window = [
             (j, w)
             for j, w in zip(range(jmax - 2, jmax + 3), (0.25, 0.5, 1.0, 0.5, 0.25))
             if 0 < j < n - 1
         ]
-        if not window:
-            raise Collapse("path maximum sits at an endpoint")
         stacked = prob.grad_F(
             geo.stack([path.nodes[j] for j, _ in window]), problem, q
         )
@@ -551,23 +504,7 @@ def mountain_pass(
             if subspace is not None:
                 gj = _project_span(gj, subspace)
             grads[j] = gj
-        grad_max_norm = geo.l2_norm(grads[jmax]) if jmax in grads else math.inf
 
-        # stall: the level has flattened (strict drop criterion or a
-        # plateau band); the Newton polish takes over from here
-        nu_window.append(nu)
-        if len(nu_window) > plateau:
-            nu_window.pop(0)
-            rel_drop = (nu_window[0] - nu) / (1.0 + abs(nu))
-            band = (max(nu_window) - min(nu_window)) / (1.0 + abs(nu))
-            if rel_drop <= 1e-10 and grad_max_norm <= 1e-6 * (1.0 + abs(nu)):
-                stalled = True
-                break
-            if band <= 1e-6:
-                stalled = True
-                break
-
-        accepted = False
         t = tau
         for _ in range(25):
             touched = {}
@@ -582,22 +519,16 @@ def mountain_pass(
             if trial_nu < nu - 1e-16 * (1.0 + abs(nu)):
                 path = trial
                 tau = min(t * 1.5, 1e6)
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
-            if grad_max_norm <= 1e-6 * (1.0 + abs(nu)):
-                stalled = True
-                break
-            tau = max(tau * 0.25, 1e-12)
+        else:
+            # no step lowers the level: stalled as well
+            stalled = True
+            break
 
     # final verification sweep with denser interior sampling
-    path.promote_interior_maxima(limit=48, ts=np.linspace(0.05, 0.95, 19))
+    path.promote_interior_maxima(48, ts=np.linspace(0.05, 0.95, 19))
     nu_path, jmax, _ = path.honest_max()
-    energies = np.array(path.e_nodes)
-    state = PathState(
-        nodes=path.nodes, energies=energies, index_max=jmax, history=history
-    )
 
     v_raw = path.nodes[jmax]
     v, res_polish, polished = refine_critical_point(
@@ -615,12 +546,14 @@ def mountain_pass(
         nu_path = max(nu_path, F_v)
     converged = polished and stalled
     report = make_report(problem, q, v, 0.0, converged, flags)
+    result = MountainPassResult(
+        v, nu_path, report, path.nodes, history, profile_rows, it, converged
+    )
     if not stalled:
         raise NonConvergence(
-            f"path deformation still moving after {it} iterations",
-            best=MountainPassResult(v, nu_path, report, state, profile_rows, it, False),
+            f"path deformation still moving after {it} iterations", best=result
         )
-    return MountainPassResult(v, nu_path, report, state, profile_rows, it, converged)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -635,9 +568,13 @@ def second_solution(problem: ProblemData, q: float, curve: MuCurve):
     The curve minimizers in [l1, l2] seed the path.  Returns ((l1, l2,
     l_o), (result at l1, sign-aligned field at l2), MountainPassResult);
     a saddle whose Newton polish was not accepted raises NonConvergence
-    with the result as ``best``.
+    with the result as ``best``.  Raises ShapeNotFound unless the tracer
+    found the negative minimum / positive hump / negative tail shape.
     """
-    l1, l2, l_o = find_mu_zeros(curve)
+    ann = curve.annotations
+    if ann.get("shape") != "neg-min/hump/neg-tail":
+        raise ShapeNotFound("curve lacks the negative / positive / negative shape")
+    l1, l2, l_o = ann["l1"], ann["l2"], ann["l_o"]
     end1, end2 = curve.zero_minimizers
     seeds = [(float(k), v) for k, v in zip(curve.ks, curve.minimizers) if l1 <= k <= l2]
     # the energy is even: use the endpoint representative aligned with u1

@@ -159,10 +159,6 @@ class ProblemData:
         fields = {k: parse_coefficient(v, geometry) for k, v in exprs.items()}
         return cls(geometry, fields["a"], fields["h"], fields["f"], expressions=exprs)
 
-    @classmethod
-    def from_fields(cls, geometry, a, h, f) -> "ProblemData":
-        return cls(geometry, a, h, f)
-
     def _adaptive_int_f_minus(self) -> float:
         if "f" not in self.expressions:
             return self.int_f_minus_grid

@@ -32,7 +32,7 @@ def plate2d(geom2d):
         parse_coefficient(e, geom2d)
         for e in ("0.1 + 0.05*cos(2*pi*x2)", "-1", "cos(2*pi*x1)*cos(2*pi*x2) - 0.25")
     )
-    return ProblemData.from_fields(geom2d, a, h, f)
+    return ProblemData(geom2d, a, h, f)
 
 
 @pytest.fixture(scope="session")

@@ -149,6 +149,35 @@ def test_masked_rayleigh_matches_dense_oracle(geom64, a_expr, f_expr, seed):
     assert lam_n >= lam_u - 1e-9 * abs(lam_u)   # sign constraint can only raise
 
 
+@pytest.mark.parametrize(
+    "exc, falls_back",
+    [(np.linalg.LinAlgError("B is not positive definite"), True), (ValueError("NaN in A"), False)],
+    ids=["linalg-error", "value-error"],
+)
+def test_ritz_step_falls_back_only_on_linalg_error(bundled64, monkeypatch, exc, falls_back):
+    # a LAPACK failure keeps the iterate; any other fault must not end the
+    # recurrence silently, since stopping early overestimates lambda
+    import biharm.certifier as cert
+
+    form = _MaskedForm(bundled64, "bilap-a")
+    rng = np.random.default_rng(5)
+    basis = [rng.standard_normal(form.g.shape) for _ in range(3)]
+    Av = form.apply(basis[0])
+    w, val = cert._ritz_step(form, basis, Av)
+    assert val <= cert._quotient(form, basis[0])
+
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cert, "eigh", failing)
+    if falls_back:
+        w, val = cert._ritz_step(form, basis, Av)
+        assert w is basis[0] and val == cert._quotient(form, basis[0])
+    else:
+        with pytest.raises(type(exc)):
+            cert._ritz_step(form, basis, Av)
+
+
 def test_masked_rayleigh_empty_mask(geom64, seed):
     p = ProblemData.from_expressions(geom64, "0", "-1", "-1")
     assert masked_rayleigh(p, "bilap-a", seed)[0] == math.inf
@@ -161,7 +190,7 @@ def test_masked_rayleigh_positive_f(geom64, seed):
 
 def test_masked_rayleigh_scale_invariance(geom64, bundled64, seed):
     lam1 = masked_rayleigh(bundled64, "bilap-a", seed)[0]
-    p2 = ProblemData.from_fields(
+    p2 = ProblemData(
         geom64,
         bundled64.a,
         bundled64.h,

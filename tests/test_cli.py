@@ -225,7 +225,7 @@ def test_nonconvergence_error_keeps_best_iterate(tmp_path, monkeypatch):
     def exhausted(problem, q, u1, u2, **kwargs):
         report = make_report(problem, q, u1, 0.0, False)
         reports.append(report)
-        best = MountainPassResult(u1, 1.25, report, None, [], 17, False)
+        best = MountainPassResult(u1, 1.25, report, [], [], [], 17, False)
         raise NonConvergence("path budget exhausted", best=best)
 
     monkeypatch.setattr(mountainpass, "mountain_pass", exhausted)
@@ -257,7 +257,7 @@ def test_unaccepted_saddle_polish_exits_nonconvergence(tmp_path, monkeypatch, co
     def unpolished(problem, q, u1, u2, **kwargs):
         # the path stalled, but the Newton polish of its top node was rejected
         report = make_report(problem, q, u1, 0.0, False, {"polish_rejected": True})
-        return MountainPassResult(u1, 1.25, report, None, [], 17, False)
+        return MountainPassResult(u1, 1.25, report, [], [], [], 17, False)
 
     monkeypatch.setattr(mountainpass, "mountain_pass", unpolished)
     cfg = write_config(tmp_path, curve={"k_steps": 12})

@@ -113,7 +113,7 @@ def test_critical_residual_manufactured(geom64):
         geo.add(geo.bilaplacian(u), geo.div_a_grad(a, u)), geo.scale(u, -1.0)
     )
     f = geom64.field(lhs.samples / prob.signed_power(u.samples, N - 1.0))
-    p = ProblemData.from_fields(geom64, a, h, f)
+    p = ProblemData(geom64, a, h, f)
     assert critical_residual(u, p) <= 1e-10
     assert critical_residual(geom64.zero(), p) == 0.0
 

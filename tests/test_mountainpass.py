@@ -14,7 +14,6 @@ from biharm.geometry import TorusGeometry
 from biharm.minimizer import MuCurve, minimize_on_sphere, trace_mu_curve
 from biharm.mountainpass import (
     _Path,
-    find_mu_zeros,
     mountain_pass,
     refine_critical_point,
     second_solution,
@@ -24,7 +23,7 @@ TWO_PI = 2.0 * math.pi
 
 
 # ----------------------------------------------------------------------
-# find_mu_zeros
+# the curve shape second_solution needs
 
 
 def _synthetic_curve(ks, mus):
@@ -41,12 +40,12 @@ def _synthetic_curve(ks, mus):
     )
 
 
-def test_find_mu_zeros_requires_hump():
+def test_second_solution_requires_hump(toy64):
     ks = np.linspace(0.1, 5.0, 20)
     with pytest.raises(ShapeNotFound):
-        find_mu_zeros(_synthetic_curve(ks, -np.ones_like(ks)))
+        second_solution(toy64, 2.5, _synthetic_curve(ks, -np.ones_like(ks)))
     with pytest.raises(ShapeNotFound):
-        find_mu_zeros(_synthetic_curve(ks, np.linspace(-1, 1, 20)))  # no tail
+        second_solution(toy64, 2.5, _synthetic_curve(ks, np.linspace(-1, 1, 20)))  # no tail
 
 
 # ----------------------------------------------------------------------
@@ -233,15 +232,15 @@ def test_level_exceeds_hump_samples(toy_pipeline):
 
 def test_endpoints_never_move(toy_pipeline):
     _, _, (end1, u2), mp = toy_pipeline
-    assert np.array_equal(mp.path.nodes[0].samples, end1.v.samples)
-    assert np.array_equal(mp.path.nodes[-1].samples, u2.samples)
+    assert np.array_equal(mp.nodes[0].samples, end1.v.samples)
+    assert np.array_equal(mp.nodes[-1].samples, u2.samples)
 
 
 def test_level_monotone_along_iterations(toy_pipeline):
     # accepted steps never raise the level; upward revisions happen only
     # when interior sampling inserts nodes (sharper polyline estimate)
     _, _, _, mp = toy_pipeline
-    rows = mp.path.history
+    rows = mp.history
     rises = 0
     for (_, a, _), (_, b, ins) in zip(rows, rows[1:]):
         if b > a * (1.0 + 1e-9) + 1e-12:
@@ -280,6 +279,30 @@ def test_budget_exhausted_raises_nonconvergence(toy_pipeline, toy64, monkeypatch
     assert not best.converged
 
 
+def test_node_cap_keeps_the_saddle(toy_pipeline, toy64, monkeypatch):
+    # the uncapped toy path peaks at 45 nodes; at 44 interior maxima past
+    # the cap are sampled but not promoted, and the pass still converges
+    curve, _, _, mp = toy_pipeline
+    assert max(j for _, j, _ in mp.profile_rows) + 1 > 44
+    monkeypatch.setattr(mpass, "MAX_PATH_NODES", 44)
+    _, _, capped = second_solution(toy64, 4.0, curve)
+    assert capped.converged
+    assert capped.report.energy == pytest.approx(mp.report.energy, rel=1e-12)
+    assert max(j for _, j, _ in capped.profile_rows) + 1 <= 44
+
+
+def test_no_descent_stalls_at_once(toy_pipeline, toy64, monkeypatch):
+    # a zero gradient moves no node: 25 halvings find no lower level, so
+    # the first iteration stalls and the polish takes over
+    curve, (l1, l2, _), (end1, u2), _ = toy_pipeline
+    seeds = [(float(k), v) for k, v in zip(curve.ks, curve.minimizers) if l1 <= k <= l2]
+    monkeypatch.setattr(prob, "grad_F", lambda u, problem, q: geo.scale(u, 0.0))
+    mp = mountain_pass(toy64, 4.0, end1.v, u2, interior_seeds=seeds)
+    assert mp.iterations == 1 and len(mp.history) == 1
+    assert mp.converged and mp.report.flags["polished"]
+    assert "polish_rejected" not in mp.report.flags
+
+
 def test_collapse_detected(toy64, seed):
     # both endpoints in the same negative well: no hump in between
     q = 4.0
@@ -303,7 +326,7 @@ def test_refine_critical_point_from_rough_seed(d, grid, bound):
     q = 4.0
     g = TorusGeometry(6 + d - 1, d, grid)
     a, h, f = (parse_coefficient(e, g) for e in ("0.2", "-1", "10*cos(2*pi*x1) - 1"))
-    problem = prob.ProblemData.from_fields(g, a, h, f)
+    problem = prob.ProblemData(g, a, h, f)
     x = g.coordinates()[0]
     seed = g.field(2.1 + 0.35 * np.cos(TWO_PI * x))
     v, rn, converged = refine_critical_point(problem, q, seed)
@@ -328,7 +351,7 @@ def _toy_path(toy_pipeline, toy64):
     """A path over the stalled toy nodes, barriers between the endpoint masses."""
     _, _, _, mp = toy_pipeline
     q = 4.0
-    nodes = mp.path.nodes
+    nodes = mp.nodes
     k1, k2 = geo.lp_mass(nodes[0], q), geo.lp_mass(nodes[-1], q)
     return _Path(toy64, q, nodes, np.geomspace(k1, k2, 13)[1:-1])
 

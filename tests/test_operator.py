@@ -91,7 +91,7 @@ def test_energy_and_grad_agree_with_quadrature(bundled64, plate2d, dim, seed, q)
 def test_operator_constant_coefficients(geom64, geom2d, dim, rng):
     # a, h constant: L_0 multiplies mode m by |w|^4 - a |w|^2 + h
     g = geom64 if dim == 1 else geom2d
-    p = prob.ProblemData.from_fields(g, g.constant(0.3), g.constant(-2.0), g.constant(1.0))
+    p = prob.ProblemData(g, g.constant(0.3), g.constant(-2.0), g.constant(1.0))
     v = g.random_smooth(rng)
     want = (g.lam_sq - 0.3 * g.lam - 2.0) * v.coeffs
     got = prob.apply_operator(p, v)

@@ -226,7 +226,7 @@ def _manufactured(geom, q):
         geo.add(geo.bilaplacian(u), geo.div_a_grad(a, u)), geo.scale(u, -1.0)
     )
     f = geom.field(lhs.samples / prob.signed_power(u.samples, q - 1.0))
-    return u, ProblemData.from_fields(geom, a, h, f)
+    return u, ProblemData(geom, a, h, f)
 
 
 @pytest.mark.parametrize("q", [2.5, 4.0])
@@ -240,7 +240,7 @@ def test_el_residual_variational_weighting(geom64):
     q = 2.5
     u, p = _manufactured(geom64, q)
     f_var = geom64.field((2.0 / q) * p.f.samples)
-    p_var = ProblemData.from_fields(geom64, p.a, p.h, f_var)
+    p_var = ProblemData(geom64, p.a, p.h, f_var)
     assert el_residual(u, p_var, q, 0.0) <= 1e-10
 
 
@@ -278,7 +278,7 @@ def test_einstein_preset_operator_reproduction(geom64):
     want = (lam**2 + alpha * lam + a0) * u.samples
     assert np.allclose(lhs.samples, want, rtol=1e-10, atol=1e-6)
     h = geom64.constant(a0)
-    p = ProblemData.from_fields(geom64, a, h, geom64.constant(1.0))
+    p = ProblemData(geom64, a, h, geom64.constant(1.0))
     assert not p.h_negative   # preset violates the h < 0 hypothesis: flagged
 
 
