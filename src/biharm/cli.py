@@ -21,10 +21,11 @@ mini-grammar)::
 
 ``solver.seed`` (overridden by ``--seed``) is a non-negative integer;
 the solver block takes no other key.  ``q`` (``exponent.q`` or ``--q``)
-must lie in (2, N], N = 2n/(n-4) the critical exponent.  The geometry
-keys and ``curve.k_steps`` are integers and ``curve.k_min``/``k_max``
-finite numbers (a float or a bool where an integer belongs is an
-error, not truncated); the curve settings are checked before any solve.
+must be a finite number (not a string or a bool) in (2, N], N = 2n/(n-4)
+the critical exponent.  The geometry keys and ``curve.k_steps`` are
+integers and ``curve.k_min``/``k_max`` finite numbers (a float or a bool
+where an integer belongs is an error, not truncated); the curve settings
+are checked before any solve.
 
 The hypothesis gate lives here and nowhere else: ``mu-curve``,
 ``solve-sub`` and ``mountain-pass`` need conditions (1), (2) and (3) of
@@ -146,7 +147,7 @@ def _seed(cfg: dict, args) -> int:
 
 
 def _exponent(cfg: dict, args, problem: ProblemData) -> float:
-    """The exponent: ``--q``, else ``exponent.q``; it must lie in (2, N]."""
+    """The exponent: ``--q``, else ``exponent.q``; a finite number in (2, N]."""
     if getattr(args, "q", None) is not None:
         q = args.q
     else:
@@ -154,10 +155,12 @@ def _exponent(cfg: dict, args, problem: ProblemData) -> float:
         if "q" not in block:
             raise ConfigError("exponent q missing: set exponent.q or pass --q")
         q = block["q"]
+    if not _is_finite_number(q):
+        raise ConfigError(f"exponent.q must be a finite number, got {q!r}")
+    q = float(q)
     try:
-        q = float(q)
         problem.exponents(q)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"exponent: {exc}")
     return q
 

@@ -87,7 +87,8 @@ class Expression:
             if node.id not in ("pi", "x1", "x2"):
                 raise ExpressionError(f"unknown name {node.id!r}", node.col_offset)
         elif isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
+            # bool is an int subclass: True/False are names, not numbers
+            if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
                 raise ExpressionError("only numeric literals allowed", node.col_offset)
             try:
                 return ast.Constant(float(node.value))

@@ -202,9 +202,6 @@ class TorusGeometry:
         coeffs[(0,) * self.d_eff] = value
         return SpectralField(self, coeffs)
 
-    def zero(self) -> "SpectralField":
-        return self.constant(0.0)
-
     def mode(self, m) -> "SpectralField":
         """Real single-mode field  cos(2 pi m.x)."""
         m = tuple(int(v) for v in np.atleast_1d(m))
@@ -213,13 +210,10 @@ class TorusGeometry:
         x = self.coordinates()
         return self.field(np.cos(sum(TWO_PI * mi * xi for mi, xi in zip(m, x))))
 
-    def random_smooth(
-        self, rng: np.random.Generator, decay: float = 2.0, amplitude: float = 1.0
-    ) -> "SpectralField":
-        """Random band-limited field with power-law spectral decay.
+    def random_smooth(self, rng: np.random.Generator, decay: float = 2.0) -> "SpectralField":
+        """Random band-limited field of unit L2 norm with power-law spectral decay.
 
-        The L2 norm is scaled to ``amplitude``; deterministic given the
-        generator state.
+        Deterministic given the generator state.
         """
         white = rng.standard_normal(self.shape)
         m_sq = self.lam / (TWO_PI**2)
@@ -229,7 +223,7 @@ class TorusGeometry:
         nrm = l2_norm(u)
         if nrm == 0.0:
             return u
-        return scale(u, amplitude / nrm)
+        return scale(u, 1.0 / nrm)
 
     def bump(self, center, width: float) -> "SpectralField":
         """Smooth periodic bump of the given width, band-projected."""
@@ -381,40 +375,9 @@ class SpectralField:
 # linear spectral operators
 
 
-def laplacian(u: SpectralField) -> SpectralField:
-    """Geometer's laplacian Delta = -div grad: multiplier +|2 pi m|^2."""
-    return u.geometry.field_from_coeffs(u.geometry.lam * u.coeffs)
-
-
 def bilaplacian(u: SpectralField) -> SpectralField:
     """Squared laplacian: multiplier +|2 pi m|^4."""
     return u.geometry.field_from_coeffs(u.geometry.lam_sq * u.coeffs)
-
-
-def grad_fine(u: SpectralField):
-    """Fine-grid point values of every gradient component."""
-    return list(u.geometry.grad_fine_samples(u.coeffs))
-
-
-def div_a_grad(a: SpectralField, u: SpectralField) -> SpectralField:
-    """Covariant divergence sum_i d_i(a d_i u) with alias-free products.
-
-    Each product a * d_i(u) is formed pointwise on the refined grid and
-    projected back onto the native band, which reproduces the exact L2
-    projection of the true product.  For constant a this reduces to
-    -a * laplacian(u).  The assembly is ``TorusGeometry.div_a_grad_coeffs``,
-    the same helper the operator kernel ``problem.apply_operator`` uses.
-    """
-    g = a.geometry
-    g.check_same(u.geometry)
-    return g.field_from_coeffs(g.div_a_grad_coeffs(a.fine_values, u.coeffs))
-
-
-def multiply(a: SpectralField, u: SpectralField) -> SpectralField:
-    """Band projection of the pointwise product of two fields."""
-    g = a.geometry
-    g.check_same(u.geometry)
-    return g.fine_to_field(a.fine_values * u.fine_values)
 
 
 # ----------------------------------------------------------------------
@@ -460,22 +423,6 @@ def bilap_energy(u: SpectralField):
     g = u.geometry
     total = np.add.reduce(g.lam_sq * np.abs(u.coeffs) ** 2, axis=g._axes)
     return float(total) if total.ndim == 0 else total
-
-
-def hessian_sq_integral(u: SpectralField) -> float:
-    """Integral of |grad^2 u|^2 from explicit spectral second derivatives.
-
-    On the flat torus this equals the bilaplacian energy; computed here
-    the long way (sum over all second partials) so the identity can be
-    asserted independently.
-    """
-    g = u.geometry
-    total = 0.0
-    for i in range(g.d_eff):
-        for j in range(g.d_eff):
-            cij = g.deriv_mult[i] * g.deriv_mult[j] * u.coeffs
-            total += float(np.sum(np.abs(cij) ** 2))
-    return total
 
 
 def h2_norm(u: SpectralField) -> float:

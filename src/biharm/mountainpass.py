@@ -255,6 +255,11 @@ class _Path:
     with the hump masses as barriers the measured level is bounded below
     by the sampled hump values by construction, never by solver luck.
 
+    Each segment's samples are cached: its interior parameters ``ts``
+    plus its barrier crossings.  A segment is evaluated again only when
+    one of its ends moves or a node splits it, and ``final_check``
+    switches every segment to the denser ``FINAL_TS`` once.
+
     A sweep evaluates every segment that needs samples at once: one
     lockstep bisection finds all barrier crossings on refined-grid
     arrays, and the sample energies are stacks of at most ``_CHUNK``
@@ -265,6 +270,7 @@ class _Path:
     """
 
     SUB = (0.25, 0.5, 0.75)
+    FINAL_TS = np.linspace(0.05, 0.95, 19)
 
     def __init__(self, problem, q, nodes, barriers):
         self.problem = problem
@@ -276,6 +282,7 @@ class _Path:
         for rows in _chunks(len(self.nodes)):
             self.e_nodes += prob.eval_F(geo.stack(self.nodes[rows]), problem, q)
         self.barriers = tuple(sorted(barriers))
+        self.ts = self.SUB
         self._seg: list = [None] * (len(self.nodes) - 1)
 
     def _point(self, j, t):
@@ -328,28 +335,19 @@ class _Path:
             out += prob.eval_F(points, self.problem, self.q)
         return out
 
-    def _samples(self, ts=None):
-        """(t, energy) interior samples of every segment.
+    def _samples(self):
+        """(t, energy) interior samples of every segment, at ``ts`` and the crossings.
 
-        The default set (``SUB`` plus crossings) is cached per segment
-        and only the segments without one are evaluated; a given ``ts``
-        evaluates every segment afresh and caches nothing.
+        Only the segments without cached samples are evaluated.
         """
-        if ts is None:
-            todo = [s for s, cached in enumerate(self._seg) if cached is None]
-            base = self.SUB
-        else:
-            todo = list(range(len(self.nodes) - 1))
-            base = ts
+        todo = [s for s, cached in enumerate(self._seg) if cached is None]
         crossings = self._crossing_ts(todo)
-        rows = [(s, t) for s in todo for t in [*base, *crossings[s]]]
-        fresh = {s: [] for s in todo}
-        for (s, t), e in zip(rows, self._sample_energies(rows)):
-            fresh[s].append((t, e))
-        if ts is not None:
-            return [fresh[s] for s in todo]
+        rows = [(s, t) for s in todo for t in [*self.ts, *crossings[s]]]
+        energies = self._sample_energies(rows)
         for s in todo:
-            self._seg[s] = fresh[s]
+            self._seg[s] = []
+        for (s, t), e in zip(rows, energies):
+            self._seg[s].append((t, e))
         return self._seg
 
     def with_nodes(self, new):
@@ -375,7 +373,7 @@ class _Path:
                     trial._seg[s] = None
         return trial
 
-    def honest_max(self, ts=None):
+    def honest_max(self):
         """(value, j, t) of the path maximum.
 
         At a node, j is its index and t is None; at an interior sample,
@@ -383,17 +381,17 @@ class _Path:
         """
         jn = int(np.argmax(self.e_nodes))
         best = (self.e_nodes[jn], jn, None)
-        for s, samples in enumerate(self._samples(ts)):
+        for s, samples in enumerate(self._samples()):
             for t, e in samples:
                 if e > best[0]:
                     best = (e, s, t)
         return best
 
-    def promote_interior_maxima(self, limit, ts=None):
+    def promote_interior_maxima(self, limit):
         """Insert interior samples that dominate every node (up to limit)."""
         inserted = 0
         while inserted < limit:
-            val, j, t = self.honest_max(ts)
+            val, j, t = self.honest_max()
             if t is None:
                 return inserted
             w = self._point(j, t)
@@ -404,6 +402,13 @@ class _Path:
             self._seg.insert(j + 1, None)
             inserted += 1
         return inserted
+
+    def final_check(self):
+        """Resample every segment at ``FINAL_TS``, promote up to 48 maxima, then ``honest_max``."""
+        self.ts = self.FINAL_TS
+        self._seg = [None] * (len(self.nodes) - 1)
+        self.promote_interior_maxima(48)
+        return self.honest_max()
 
 
 MAX_PATH_ITER = 3000    # deformation steps before a moving maximum is NonConvergence
@@ -526,9 +531,7 @@ def mountain_pass(
             stalled = True
             break
 
-    # final verification sweep with denser interior sampling
-    path.promote_interior_maxima(48, ts=np.linspace(0.05, 0.95, 19))
-    nu_path, jmax, _ = path.honest_max()
+    nu_path, jmax, _ = path.final_check()
 
     v_raw = path.nodes[jmax]
     v, res_polish, polished = refine_critical_point(

@@ -19,10 +19,9 @@ implementation.  The weights passed are
 
 The energy whose critical points solve the (q/2-weighted) equation is
 
-    F_q(u) = |Delta u|_2^2 - int a |grad u|^2 + int h u^2 - int f |u|^q,
+    F_q(u) = |Delta u|_2^2 - int a |grad u|^2 + int h u^2 - int f |u|^q.
 
-and its auxiliary form G_q replaces the last term by + int f^- |u|^q.
-Both are evaluated with the refined-grid quadrature of the geometry
+It is evaluated with the refined-grid quadrature of the geometry
 module, which makes the discrete L2 gradient of F_q exactly 2 L_w u with
 the gradient weight above; directional derivatives therefore match
 finite differences of eval_F to quadrature-free accuracy.  The same
@@ -75,10 +74,6 @@ class ExponentPair:
     def critical(self) -> float:
         n = self.n_ambient
         return 2.0 * n / (n - 4.0)
-
-    @property
-    def subcritical(self) -> bool:
-        return self.q < self.critical - 1e-12
 
 
 class ProblemData:
@@ -138,7 +133,6 @@ class ProblemData:
         self.h_max = float(np.max(self.h_fine))
         self.f_max = float(np.max(self.f_fine))
         self.f_plus_sup = float(np.max(self.f_plus_fine))
-        self.f_minus_sup = float(np.max(self.f_minus_fine))
         self.f_sup = float(np.max(np.abs(self.f_fine)))
 
         self.int_h = geometry.integrate_fine(self.h_fine)
@@ -292,20 +286,17 @@ def _cube_integral(fn, d: int, fixed: tuple, n: int) -> np.ndarray:
 # the operator kernel and the energy
 
 
-def apply_operator(
-    problem: ProblemData, v: SpectralField, w_fine: np.ndarray | None = None
-) -> np.ndarray:
+def apply_operator(problem: ProblemData, v: SpectralField, w_fine: np.ndarray) -> np.ndarray:
     """Native-band coefficients of Delta^2 v + div(a grad v) + P((h - w) v).
 
-    ``w_fine`` is the zero-order weight on the refined grid (None for
-    w = 0), one per field for a stack.  Every operator the solvers apply
+    ``w_fine`` is the zero-order weight on the refined grid, one per
+    field for a stack.  Every operator the solvers apply
     is this one with a different weight; see the module docstring.
     """
     g = problem.geometry
     g.check_same(v.geometry)
-    zero_order = problem.h_fine if w_fine is None else problem.h_fine - w_fine
     out = g.lam_sq * v.coeffs + g.div_a_grad_coeffs(problem.a_fine, v.coeffs)
-    out += g.fine_to_coeffs(zero_order * v.fine_values)
+    out += g.fine_to_coeffs((problem.h_fine - w_fine) * v.fine_values)
     return out
 
 
@@ -373,15 +364,6 @@ def eval_F(u: SpectralField, problem: ProblemData, q: float):
     if np.ndim(value) == 0:
         return _finite(value)
     return [_finite(float(v)) for v in value]
-
-
-def eval_G(u: SpectralField, problem: ProblemData, q: float) -> float:
-    """Auxiliary form G_q(u) = Q(u) + int f^- |u|^q.
-
-    Satisfies F_q(u) = G_q(u) - int f^+ |u|^q by the sign split of f.
-    """
-    problem.exponents(q)
-    return _finite(quadratic_part(u, problem) + f_minus_moment(u, problem, q))
 
 
 def grad_F(u: SpectralField, problem: ProblemData, q: float) -> SpectralField:

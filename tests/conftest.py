@@ -4,9 +4,44 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from biharm import problem as prob
 from biharm.expressions import parse_coefficient
-from biharm.geometry import TorusGeometry
+from biharm.geometry import SpectralField, TorusGeometry
 from biharm.problem import ProblemData
+
+
+# ----------------------------------------------------------------------
+# oracles the package itself never needs
+
+
+def laplacian(u: SpectralField) -> SpectralField:
+    """Geometer's laplacian Delta = -div grad: multiplier +|2 pi m|^2."""
+    return u.geometry.field_from_coeffs(u.geometry.lam * u.coeffs)
+
+
+def hessian_sq_integral(u: SpectralField) -> float:
+    """Integral of |grad^2 u|^2 from explicit spectral second derivatives.
+
+    On the flat torus this equals the bilaplacian energy; computed here
+    the long way (sum over all second partials) so the identity can be
+    asserted independently.
+    """
+    g = u.geometry
+    total = 0.0
+    for i in range(g.d_eff):
+        for j in range(g.d_eff):
+            cij = g.deriv_mult[i] * g.deriv_mult[j] * u.coeffs
+            total += float(np.sum(np.abs(cij) ** 2))
+    return total
+
+
+def eval_G(u: SpectralField, problem: ProblemData, q: float) -> float:
+    """Auxiliary form G_q(u) = Q(u) + int f^- |u|^q.
+
+    Satisfies F_q(u) = G_q(u) - int f^+ |u|^q by the sign split of f.
+    """
+    problem.exponents(q)
+    return prob.quadratic_part(u, problem) + prob.f_minus_moment(u, problem, q)
 
 
 @pytest.fixture(scope="session")

@@ -254,7 +254,7 @@ def _moment_case(dim, bundled64, plate2d):
 def test_moment_retraction_of_a_zero_field_is_infeasible(bundled64):
     mset = _MomentSet(bundled64, 0.5, 2.5)
     with pytest.raises(InfeasibleConstraint):
-        mset.retract(bundled64.geometry.zero())
+        mset.retract(bundled64.geometry.constant(0.0))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -309,7 +309,7 @@ def test_moment_descent_rows_are_independent(bundled64, plate2d, dim):
 def test_moment_descent_skips_an_infeasible_start(bundled64):
     g = bundled64.geometry
     mset = _MomentSet(bundled64, 0.5, 2.5)
-    runs = _moment_descent(bundled64, 2.5, mset, [g.zero(), g.constant(1.0)], 20)
+    runs = _moment_descent(bundled64, 2.5, mset, [g.constant(0.0), g.constant(1.0)], 20)
     assert runs[0] is None
     [alone] = _moment_descent(bundled64, 2.5, mset, [g.constant(1.0)], 20)
     assert _outcome(runs[1]) == _outcome(alone)

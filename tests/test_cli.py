@@ -58,6 +58,17 @@ def test_certify_bad_expression_rejected(tmp_path):
     assert res.returncode == 2
 
 
+def test_boolean_coefficient_rejected(tmp_path):
+    # a JSON true reaches the parser as the text "True", which is no numeric literal
+    import biharm.cli as cli
+
+    cfg = write_config(tmp_path, coefficients={"a": True, "h": "-1", "f": "-1"})
+    out = tmp_path / "o"
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and "only numeric literals allowed" in err["message"]
+
+
 def test_certify_overflowing_literal_is_config_error(tmp_path):
     f = "1" + "0" * 400 + "*cos(2*pi*x1) - 1"
     cfg = write_config(tmp_path, coefficients={"a": "0", "h": "-1", "f": f})
@@ -353,9 +364,11 @@ def test_solve_critical_exits_nonconvergence_when_the_retry_fails(tmp_path, monk
         ("mu-curve", "curve", {"k_min": "abc"}, "curve.k_min"),
         ("mu-curve", "curve", {"k_steps": 12.7}, "curve.k_steps"),
         ("mu-curve", "curve", {"k_max": float("inf")}, "curve.k_max"),   # JSON 1e999 loads as inf
+        ("certify", "exponent", {"q": "2.5"}, "exponent.q"),
+        ("certify", "exponent", {"q": True}, "exponent.q"),
     ],
     ids=["grid-size-float", "n-ambient-float", "d-eff-bool", "k-min-string",
-         "k-steps-float", "k-max-inf"],
+         "k-steps-float", "k-max-inf", "q-string", "q-bool"],
 )
 def test_config_numbers_are_checked_before_any_solve(
     tmp_path, monkeypatch, command, section, values, key

@@ -140,6 +140,14 @@ def test_grammar_rejects_everything_else(bad):
         Expression(bad, 2)
 
 
+@pytest.mark.parametrize("text, col", [("True", 0), ("False*x1 + 2", 0), ("x1 + True", 5)])
+def test_boolean_literals_are_rejected(text, col):
+    # True/False parse as constants of an int subclass; they are not numbers here
+    with pytest.raises(ExpressionError, match="only numeric literals allowed") as exc:
+        Expression(text, 1)
+    assert exc.value.position == col
+
+
 def test_pi_constant(geom64):
     f = parse_coefficient("pi", geom64)
     assert np.all(f.samples == pytest.approx(math.pi, rel=1e-15))

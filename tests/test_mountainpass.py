@@ -347,11 +347,14 @@ def test_refine_critical_point_from_path_seed(toy_pipeline, toy64):
 # stacked path sweeps against the one-field forms
 
 
-def _toy_path(toy_pipeline, toy64):
-    """A path over the stalled toy nodes, barriers between the endpoint masses."""
+def _toy_path(toy_pipeline, toy64, stride=1):
+    """A path over every ``stride``-th stalled toy node and the last one.
+
+    Its barriers lie between the endpoint masses.
+    """
     _, _, _, mp = toy_pipeline
     q = 4.0
-    nodes = mp.nodes
+    nodes = mp.nodes[:-1:stride] + mp.nodes[-1:]
     k1, k2 = geo.lp_mass(nodes[0], q), geo.lp_mass(nodes[-1], q)
     return _Path(toy64, q, nodes, np.geomspace(k1, k2, 13)[1:-1])
 
@@ -389,10 +392,34 @@ def test_path_energies_match_single_field_evaluation(toy_pipeline, toy64):
     path = _toy_path(toy_pipeline, toy64)
     q = path.q
     assert path.e_nodes == [prob.eval_F(u, toy64, q) for u in path.nodes]
-    for ts in (None, np.linspace(0.05, 0.95, 19)):
-        for j, samples in enumerate(path._samples(ts)):
+    for sweep, n_ts in ((path.honest_max, 3), (path.final_check, 19)):
+        sweep()
+        for j, samples in enumerate(path._seg):
+            assert len(samples) >= n_ts
             for t, e in samples:
                 assert e == prob.eval_F(path._point(j, t), toy64, q)
+
+
+def test_final_check_resamples_only_split_segments(toy_pipeline, toy64, monkeypatch):
+    # a coarse path leaves interior maxima to promote; after the first
+    # sweep at FINAL_TS each insertion evaluates its two new segments only
+    path = _toy_path(toy_pipeline, toy64, stride=8)
+    path.honest_max()
+    swept = []
+    real = path._sample_energies
+
+    def recorded(rows):
+        if rows:
+            swept.append(sorted({s for s, _ in rows}))
+        return real(rows)
+
+    monkeypatch.setattr(path, "_sample_energies", recorded)
+    n_segments = len(path.nodes) - 1
+    val, j, t = path.final_check()
+    inserted = len(path.nodes) - 1 - n_segments
+    assert inserted >= 1 and t is None and val == max(path.e_nodes)
+    assert swept[0] == list(range(n_segments))
+    assert len(swept) == 1 + inserted and all(len(segs) == 2 for segs in swept[1:])
 
 
 def test_sweep_in_chunks_matches_one_stack(toy_pipeline, toy64, monkeypatch):

@@ -31,7 +31,7 @@ def _fields(problem, seed, n):
     return [g.random_smooth(rng, decay=2.5) for _ in range(n)]
 
 
-def _apply(problem, v, w=None):
+def _apply(problem, v, w):
     return problem.geometry.field_from_coeffs(prob.apply_operator(problem, v, w))
 
 
@@ -41,7 +41,8 @@ def _apply(problem, v, w=None):
 def test_operator_self_adjoint(bundled64, plate2d, dim, seed, q, c):
     problem = _pick(dim, bundled64, plate2d)
     u, v, z = _fields(problem, seed, 3)
-    for w in (None, c * problem.f_fine * np.abs(u.fine_values) ** (q - 2.0)):
+    zero = np.zeros(problem.geometry.fine_shape)
+    for w in (zero, c * problem.f_fine * np.abs(u.fine_values) ** (q - 2.0)):
         lhs = geo.inner(_apply(problem, v, w), z)
         rhs = geo.inner(v, _apply(problem, z, w))
         scale = geo.h2_norm(v) * geo.h2_norm(z)
@@ -94,7 +95,7 @@ def test_operator_constant_coefficients(geom64, geom2d, dim, rng):
     p = prob.ProblemData(g, g.constant(0.3), g.constant(-2.0), g.constant(1.0))
     v = g.random_smooth(rng)
     want = (g.lam_sq - 0.3 * g.lam - 2.0) * v.coeffs
-    got = prob.apply_operator(p, v)
+    got = prob.apply_operator(p, v, np.zeros(g.fine_shape))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

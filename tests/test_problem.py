@@ -12,10 +12,10 @@ from biharm.problem import (
     ProblemData,
     einstein_preset,
     eval_F,
-    eval_G,
     el_residual,
     grad_F,
 )
+from conftest import eval_G
 
 TWO_PI = 2.0 * math.pi
 
@@ -23,8 +23,7 @@ TWO_PI = 2.0 * math.pi
 def test_exponent_pair():
     e = ExponentPair(2.5, 6)
     assert e.critical == pytest.approx(6.0)
-    assert e.subcritical
-    assert not ExponentPair(6.0, 6).subcritical
+    assert ExponentPair(6.0, 6).q == 6.0        # q = N is admitted
     with pytest.raises(ValueError):
         ExponentPair(2.0, 6)
     with pytest.raises(ValueError):
@@ -44,7 +43,7 @@ def test_problem_data_splits(bundled64):
 
 def test_eval_F_zero_and_constant(bundled64, geom64):
     q = 2.5
-    assert eval_F(geom64.zero(), bundled64, q) == 0.0
+    assert eval_F(geom64.constant(0.0), bundled64, q) == 0.0
     for k in (0.5, 3.3, 40.0):
         c = geom64.constant(k ** (1.0 / q))
         want = k ** (2.0 / q) * bundled64.int_h - k * bundled64.int_f
@@ -84,7 +83,7 @@ def test_eval_G_constant_one(bundled64, geom64):
 
 
 def test_grad_zero_field(bundled64, geom64):
-    g = grad_F(geom64.zero(), bundled64, 2.5)
+    g = grad_F(geom64.constant(0.0), bundled64, 2.5)
     assert np.max(np.abs(g.samples)) == 0.0
 
 
@@ -142,7 +141,8 @@ def test_lower_bound_inequality(bundled64, geom64, rng):
     sigma = 0.25 / a_plus
     C = grad_interp_constant(sigma, geom64)
     for _ in range(25):
-        u = geom64.random_smooth(rng, decay=2.0, amplitude=rng.uniform(0.2, 5.0))
+        amplitude = rng.uniform(0.2, 5.0)
+        u = geo.scale(geom64.random_smooth(rng, decay=2.0), amplitude)
         k = geo.lp_mass(u, q)
         F = eval_F(u, bundled64, q)
         rhs = (
@@ -179,7 +179,7 @@ def test_stacked_energy_rows_match_single_fields_bitwise(bundled64, plate2d, dim
     problem = bundled64 if dim == 1 else plate2d
     g = problem.geometry
     rng = np.random.default_rng(seed)
-    fields = [g.random_smooth(rng, decay=2.5, amplitude=rng.uniform(0.2, 3.0)) for _ in range(n)]
+    fields = [geo.scale(g.random_smooth(rng, decay=2.5), rng.uniform(0.2, 3.0)) for _ in range(n)]
     nodes = [g.field_from_coeffs(f.coeffs) for f in fields]
     for f in nodes:
         f.fine_values
@@ -209,7 +209,7 @@ def test_stacked_eval_F_raises_on_a_non_finite_row(bundled64):
 
 
 def test_el_residual_zero_field(bundled64, geom64):
-    assert el_residual(geom64.zero(), bundled64, 2.5, 0.0) == 0.0
+    assert el_residual(geom64.constant(0.0), bundled64, 2.5, 0.0) == 0.0
 
 
 def _manufactured(geom, q):
@@ -222,9 +222,9 @@ def _manufactured(geom, q):
     u = geom.field_from_coeffs(coeffs)
     a = geom.constant(0.2)
     h = geom.constant(-1.0)
-    lhs = geo.add(
-        geo.add(geo.bilaplacian(u), geo.div_a_grad(a, u)), geo.scale(u, -1.0)
-    )
+    # div(a grad u) for constant a: the multiplier -a |2 pi m|^2
+    div = geom.field_from_coeffs(-0.2 * geom.lam * u.coeffs)
+    lhs = geo.add(geo.add(geo.bilaplacian(u), div), geo.scale(u, -1.0))
     f = geom.field(lhs.samples / prob.signed_power(u.samples, q - 1.0))
     return u, ProblemData(geom, a, h, f)
 
@@ -269,16 +269,14 @@ def test_einstein_preset_operator_reproduction(geom64):
     # with a = -alpha the middle term equals alpha * laplacian exactly
     alpha, a0 = einstein_preset(6, -1.0)
     a = geom64.constant(-alpha)
+    h = geom64.constant(a0)
+    p = ProblemData(geom64, a, h, geom64.constant(1.0))
     x = geom64.coordinates()[0]
     u = geom64.field(np.cos(TWO_PI * 3 * x))
-    lhs = geo.add(
-        geo.add(geo.bilaplacian(u), geo.div_a_grad(a, u)), geo.scale(u, a0)
-    )
+    lhs = geom64.field_from_coeffs(prob.apply_operator(p, u, np.zeros(geom64.fine_shape)))
     lam = (TWO_PI * 3) ** 2
     want = (lam**2 + alpha * lam + a0) * u.samples
     assert np.allclose(lhs.samples, want, rtol=1e-10, atol=1e-6)
-    h = geom64.constant(a0)
-    p = ProblemData(geom64, a, h, geom64.constant(1.0))
     assert not p.h_negative   # preset violates the h < 0 hypothesis: flagged
 
 

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import biharm
 from biharm import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "biharm"
+PERFBENCH = ROOT / "perfbench"
 
 # fft, ifft, fftn, ifftn, fft2, rfft, irfft, rfftn, irfftn, ... (not fftfreq)
 TRANSFORM = re.compile(r"^i?r?fft[n2]?$")
@@ -94,7 +96,7 @@ def test_certifier_imports_only_the_numeric_core():
     assert _package_imports(PACKAGE / "certifier.py", modules) == {"errors", "geometry", "problem"}
 
 
-OPTIONAL_PARAMETER_CEILING = 29
+OPTIONAL_PARAMETER_CEILING = 24
 
 
 def _optional_parameters(path):
@@ -112,3 +114,83 @@ def test_optional_parameter_ceiling():
     """A new knob raises this ceiling in its own diff, or removes another."""
     total = sum(_optional_parameters(p) for p in PACKAGE.glob("*.py"))
     assert total <= OPTIONAL_PARAMETER_CEILING
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _defs(tree):
+    """Qualified names of a module's functions and of its classes' methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}"
+
+
+def test_every_public_function_is_used_or_exported():
+    """No public function only tests call: each is named in ``src`` or exported."""
+    trees = {p.stem: _parse(p) for p in PACKAGE.glob("*.py")}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unused = [
+        f"{module}.{qualname}"
+        for module, tree in sorted(trees.items())
+        for qualname in _defs(tree)
+        for name in [qualname.rpartition(".")[2]]
+        if not name.startswith("_") and name not in named and name not in biharm.__all__
+    ]
+    assert not unused, f"public functions nothing in src names: {unused}"
+
+
+def _literal(path, name):
+    """The literal assigned to a module-level ``name`` of a file (read, not imported)."""
+    for node in _parse(path).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def _spans_read_by_layers():
+    """Span names ``perfbench/layers.py`` reads: ``Spans`` queries, hook keys and ARITH."""
+    tree = _parse(PERFBENCH / "layers.py")
+    names = {f"geometry.{fn}" for fn in _literal(PERFBENCH / "layers.py", "ARITH")}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "spans"
+        ):
+            names.update(a.value for a in node.args if isinstance(a, ast.Constant))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets
+        ):
+            names.update(k.value for k in node.value.keys if "." in k.value)
+    return names
+
+
+def test_perfbench_spans_name_traced_functions():
+    """Each span the layer metrics read is a traced function: a rename cannot zero a metric."""
+    modules = _literal(PERFBENCH / "tracer.py", "MODULES")
+    members = _literal(PERFBENCH / "tracer.py", "MEMBERS")
+    spans = _spans_read_by_layers()
+    assert "mountainpass.refine_critical_point" in spans and len(spans) > 20
+    for span in sorted(spans):
+        module, _, qualname = span.partition(".")
+        assert module in modules, f"{span}: module {module} is not traced"
+        assert qualname in set(_defs(_parse(PACKAGE / f"{module}.py"))), f"{span}: no such function"
+        if "." in qualname:
+            assert (module, *qualname.split(".")) in members, f"{span}: member is not traced"
+        else:
+            assert not qualname.startswith("_"), f"{span}: private functions are not traced"
