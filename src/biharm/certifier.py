@@ -44,6 +44,7 @@ _EPS = np.finfo(np.float64).eps
 _MASKED_MAX_ITER = 600        # iteration cap of each masked quotient start
 _MASKED_TOL = 1e-13           # masked quotient starts stop below this relative gain
 _MOMENT_MAX_ITER = 800        # round cap of each moment-constrained start
+_N_PROBE = 1000               # random probes of each embedding-remainder call
 
 
 # ----------------------------------------------------------------------
@@ -80,19 +81,15 @@ def grad_interp_constant(sigma: float, geometry: TorusGeometry) -> float:
     return float(max(0.0, np.max(0.5 * (lam - 2.0 * sigma * lam * lam))))
 
 
-def embedding_remainder(
-    geometry: TorusGeometry,
-    eps: float,
-    seed: int,
-    n_probe: int = 1000,
-) -> float:
+def embedding_remainder(geometry: TorusGeometry, eps: float, seed: int) -> float:
     """Discrete surrogate for the embedding remainder A(eps).
 
     Smallest constant with |u|_N^2 <= K2^2 (1+eps) |Delta u|_2^2
-    + A |u|_2^2 over a probe set (random band-limited fields plus all
-    single modes), sharpened by at most 200 steps of gradient ascent on
-    the ratio.  This is a lower bound on the true continuum constant and
-    is labeled as such in every report that uses it.
+    + A |u|_2^2 over a probe set (``_N_PROBE`` random band-limited
+    fields plus all single modes), sharpened by at most 200 steps of
+    gradient ascent on the ratio.  This is a lower bound on the true
+    continuum constant and is labeled as such in every report that uses
+    it.
     """
     N = geometry.critical_exponent
     k2_sq = sharp_sobolev_constant(geometry.n_ambient) ** 2
@@ -130,7 +127,7 @@ def embedding_remainder(
             for m2 in range(0, M // 2)
             if (m1, m2) != (0, 0)
         ]
-    for _ in range(n_probe):
+    for _ in range(_N_PROBE):
         probes.append(geometry.random_smooth(rng, decay=2.0))
     for u in probes:
         r, _ = ratio_and_grad(u)
@@ -348,7 +345,7 @@ def masked_rayleigh(problem: ProblemData, operator: str, seed: int) -> tuple[flo
     the fixed-order starts is taken.  The nonnegative variant starts
     from |v|, v+ and v- of each unsigned minimizer v, which is the exact
     answer whenever the ground state is one-signed or a degenerate +/-
-    pair, and then from the unsigned starts.
+    pair.
     """
     mask = np.maximum(-problem.f.samples, 0.0) <= 1e-12 * problem.f_sup
     if not mask.any():
@@ -373,7 +370,7 @@ def masked_rayleigh(problem: ProblemData, operator: str, seed: int) -> tuple[flo
             nn_starts += [np.abs(v), np.maximum(v, 0.0), np.maximum(-v, 0.0)]
             unsigned = min(unsigned, val)
     nonneg = math.inf
-    for v0 in nn_starts + starts:
+    for v0 in nn_starts:
         _, val = _nonneg_quotient_min(form, mask, np.asarray(v0, float))
         nonneg = min(nonneg, val)
     return nonneg, unsigned

@@ -38,8 +38,8 @@ the certificate's numbers (window edge, eta, sigma) and check nothing.
 Exit codes: 0 success (for ``certify``: conditions (1) and (2) hold),
 2 configuration/validation error, 3 numeric failure, 4 hypothesis gate
 failed, 5 non-convergence (for the mountain pass also a saddle whose
-Newton polish was not accepted), 6 curve shape not found, 7 path
-collapse.
+Newton polish was not accepted, or whose energy lies below the hump
+maximum ``mu_lo``), 6 curve shape not found, 7 path collapse.
 """
 
 from __future__ import annotations

@@ -48,11 +48,13 @@ def critical_residual(u: SpectralField, problem: ProblemData) -> float:
     return prob.el_residual(u, problem, N, 0.0, equation_normalized=True)
 
 
+SCHEDULE_STEPS = 8    # subcritical exponents before the solve at q = N
+
+
 def continue_to_critical(
     problem: ProblemData,
     certificate: HypothesisReport,
     seed: int,
-    steps: int = 8,
 ) -> ContinuationTrace:
     """Drive the negative-energy branch to the critical exponent.
 
@@ -75,7 +77,7 @@ def continue_to_critical(
     g = problem.geometry
     N = g.critical_exponent
     q0 = 0.5 * (2.0 + N)
-    schedule = [N - (N - q0) * 2.0 ** (-j) for j in range(steps)] + [N]
+    schedule = [N - (N - q0) * 2.0 ** (-j) for j in range(SCHEDULE_STEPS)] + [N]
     eta = certificate.eta if math.isfinite(certificate.eta) else 0.5
     sigma = certificate.sigma
     cap = window_cap(problem, grad_interp_constant(sigma, g))

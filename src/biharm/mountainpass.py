@@ -10,17 +10,18 @@ is positive and is attained at a critical point.  The discrete
 algorithm deforms a free (unconstrained) piecewise path: the maximal
 node and its neighbors move along preconditioned steepest descent and a
 step is accepted only if the path maximum strictly drops.  The maximum
-is measured honestly over the polyline - segment interiors are sampled,
-dominant interior points become nodes, and every segment is evaluated
-where its L^q mass crosses the hump masses, so the measured level
-dominates the sampled hump by construction rather than by solver luck.
-When the level stalls, the maximal node is polished into a genuine
-critical point by damped Newton-Krylov steps on the stationarity
-residual: ``lsqr`` on the matrix-free Hessian action, preconditioned
-by the spectral descent metric of the path deformation.  The report's
-energy is that of the polished critical point; the reported ``nu`` is
-the stalled honest maximum, raised to that energy when the polish is
-accepted (a path threaded through the saddle attains it).
+is measured over the nodes and fixed interior points of every segment,
+and dominant interior points become nodes.  When the level stalls, the
+maximal node is polished into a genuine critical point by damped
+Newton-Krylov steps on the stationarity residual: ``lsqr`` on the
+matrix-free Hessian action, preconditioned by the spectral descent
+metric of the path deformation.  The report's energy is that of the
+polished critical point; the reported ``nu`` is the stalled honest
+maximum, raised to that energy when the polish is accepted (a path
+threaded through the saddle attains it).  Every path between the zero
+masses crosses each sphere between them, so the saddle's energy is at
+least the hump maximum mu_lo; ``second_solution`` checks that once, for
+the accepted saddle.
 """
 
 from __future__ import annotations
@@ -62,12 +63,6 @@ def _hessian_apply(problem, q, u, v):
     """Action of half the Hessian of F_q at u on v."""
     w = 0.5 * q * (q - 1.0) * problem.f_fine * np.abs(u.fine_values) ** (q - 2.0)
     return problem.geometry.field_from_coeffs(prob.apply_operator(problem, v, w))
-
-
-def _residual_field(problem, q, u):
-    """Half the gradient of F_q: the strong-form stationarity residual."""
-    w = 0.5 * q * problem.f_fine * np.abs(u.fine_values) ** (q - 2.0)
-    return problem.geometry.field_from_coeffs(prob.apply_operator(problem, u, w))
 
 
 def _real_part(u: SpectralField) -> SpectralField:
@@ -153,7 +148,7 @@ def refine_critical_point(
             return op, -project(r), lambda c: geo.combination(basis, c)
 
     u = u0 if basis is not None else _real_part(u0)
-    r = _residual_field(problem, q, u)
+    r = geo.scale(prob.grad_F(u, problem, q), 0.5)
     rn = res_norm(r)
     scale0 = 1.0 + abs(prob.eval_F(u, problem, q))
     lm = 0.0
@@ -163,7 +158,7 @@ def refine_critical_point(
         op, rhs, to_field = system(u, r)
         x = lsqr(op, rhs, damp=math.sqrt(lm), atol=1e-13, btol=1e-13, iter_lim=800)[0]
         trial = geo.add(u, to_field(x), 1.0)
-        rt = _residual_field(problem, q, trial)
+        rt = geo.scale(prob.grad_F(trial, problem, q), 0.5)
         rtn = res_norm(rt)
         at_floor = rn <= 1e-9 * scale0 and not rtn <= 0.5 * rn
         if rtn < rn:
@@ -248,31 +243,22 @@ class _Path:
     is tracked over nodes *and* segment interior samples, and an
     interior sample that dominates every node is promoted to a node.
 
-    Interior sampling alone can still miss a crossing squeezed between
-    fixed sample points, so every segment is additionally evaluated
-    where its L^q mass crosses the given barrier masses: any continuous
-    path between the endpoint masses crosses each intermediate mass, so
-    with the hump masses as barriers the measured level is bounded below
-    by the sampled hump values by construction, never by solver luck.
+    Each segment's samples, at its interior parameters ``ts``, are
+    cached.  A segment is evaluated again only when one of its ends
+    moves or a node splits it, and ``final_check`` switches every
+    segment to the denser ``FINAL_TS`` once.
 
-    Each segment's samples are cached: its interior parameters ``ts``
-    plus its barrier crossings.  A segment is evaluated again only when
-    one of its ends moves or a node splits it, and ``final_check``
-    switches every segment to the denser ``FINAL_TS`` once.
-
-    A sweep evaluates every segment that needs samples at once: one
-    lockstep bisection finds all barrier crossings on refined-grid
-    arrays, and the sample energies are stacks of at most ``_CHUNK``
-    fields.  Each sample gets the arithmetic ``_point`` gives it, so the
-    energies are those of the one-field-at-a-time evaluation, bit for
-    bit.  Nodes carry their refined-grid values (samples interpolate
-    them, as ``_point`` does).
+    A sweep evaluates every segment that needs samples at once, in
+    stacks of at most ``_CHUNK`` fields.  Each sample gets the
+    arithmetic ``_point`` gives it, so the energies are those of the
+    one-field-at-a-time evaluation, bit for bit.  Nodes carry their
+    refined-grid values (samples interpolate them, as ``_point`` does).
     """
 
     SUB = (0.25, 0.5, 0.75)
     FINAL_TS = np.linspace(0.05, 0.95, 19)
 
-    def __init__(self, problem, q, nodes, barriers):
+    def __init__(self, problem, q, nodes):
         self.problem = problem
         self.q = q
         self.nodes = list(nodes)
@@ -281,47 +267,11 @@ class _Path:
         self.e_nodes = []
         for rows in _chunks(len(self.nodes)):
             self.e_nodes += prob.eval_F(geo.stack(self.nodes[rows]), problem, q)
-        self.barriers = tuple(sorted(barriers))
         self.ts = self.SUB
         self._seg: list = [None] * (len(self.nodes) - 1)
 
     def _point(self, j, t):
         return geo.add(geo.scale(self.nodes[j], 1.0 - t), self.nodes[j + 1], t)
-
-    def _crossing_ts(self, segs):
-        """Interior parameters where each segment's mass crosses a barrier.
-
-        One bisection runs over every (segment, barrier) pair in
-        lockstep: 40 halvings of [0, 1] on the refined-grid values
-        (1 - t) a + t b of the endpoints, the values ``_point`` carries.
-        Returns {segment: [t per crossed barrier, in barrier order]}.
-        """
-        out = {s: [] for s in segs}
-        pairs = [
-            (s, kref)
-            for s in segs
-            for kref in self.barriers
-            if not ((self.m_nodes[s] - kref) * (self.m_nodes[s + 1] - kref) >= 0.0)
-        ]
-        d = self.problem.geometry.d_eff
-        integrate = self.problem.geometry.integrate_fine
-        for rows in _chunks(len(pairs)):
-            part = pairs[rows]
-            a = np.stack([self.nodes[s].fine_values for s, _ in part])
-            b = np.stack([self.nodes[s + 1].fine_values for s, _ in part])
-            kref = np.array([k for _, k in part])
-            f_lo = np.array([self.m_nodes[s] for s, _ in part]) - kref
-            lo, hi = np.zeros(len(part)), np.ones(len(part))
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                w = mid.reshape((-1,) + (1,) * d)
-                # lp_mass of the point's carried values
-                val = integrate(np.abs((1.0 - w) * a + w * b) ** self.q) - kref
-                keep = (val > 0) == (f_lo > 0)
-                lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
-            for (s, _), t in zip(part, 0.5 * (lo + hi)):
-                out[s].append(float(t))
-        return out
 
     def _sample_energies(self, rows):
         """eval_F at (1 - t) a + t b for (segment, t) rows, one stack per chunk."""
@@ -336,13 +286,12 @@ class _Path:
         return out
 
     def _samples(self):
-        """(t, energy) interior samples of every segment, at ``ts`` and the crossings.
+        """(t, energy) interior samples of every segment at ``ts``.
 
         Only the segments without cached samples are evaluated.
         """
         todo = [s for s, cached in enumerate(self._seg) if cached is None]
-        crossings = self._crossing_ts(todo)
-        rows = [(s, t) for s in todo for t in [*self.ts, *crossings[s]]]
+        rows = [(s, t) for s in todo for t in self.ts]
         energies = self._sample_energies(rows)
         for s in todo:
             self._seg[s] = []
@@ -427,12 +376,9 @@ def mountain_pass(
 
     ``interior_seeds`` may carry (mass, minimizer) pairs from a traced
     energy curve; the initial path then threads through the minimizer
-    family instead of plain linear interpolation.  Barrier masses (11
-    interior geometric masses between the endpoints, plus the seed
-    masses) pin segment samples wherever the path crosses those masses,
-    which bounds the measured level below by the sampled hump.
-    Callers should pass sign-aligned endpoint representatives (see
-    ``align_sign``); the endpoints themselves are never modified.
+    family instead of plain linear interpolation.  Callers should pass
+    sign-aligned endpoint representatives (see ``align_sign``); the
+    endpoints themselves are never modified.
 
     Each iteration promotes up to 8 dominant interior samples to nodes,
     but never past ``MAX_PATH_NODES`` nodes; beyond the cap interior
@@ -456,19 +402,8 @@ def mountain_pass(
 
     n_nodes = 41
     collapse_tol = 1e-8
-    k1 = geo.lp_mass(u1, q)
-    k2 = geo.lp_mass(u2, q)
-    barrier_masses = list(np.geomspace(k1, k2, 13)[1:-1])
-    if interior_seeds:
-        barrier_masses += [
-            m for m, _ in interior_seeds if min(k1, k2) < m < max(k1, k2)
-        ]
-    barriers = tuple(sorted(set(float(m) for m in barrier_masses)))
-
     path = _Path(
-        problem, q,
-        _init_path(problem, q, u1, u2, n_nodes, interior_seeds, subspace),
-        barriers,
+        problem, q, _init_path(problem, q, u1, u2, n_nodes, interior_seeds, subspace)
     )
     f_ends = max(path.e_nodes[0], path.e_nodes[-1])
     profile_rows = []
@@ -569,10 +504,13 @@ def second_solution(problem: ProblemData, q: float, curve: MuCurve):
     The endpoints are the tracer's ``zero_minimizers``, the final solves
     of its bisection at l1 and l2; nothing is solved on a sphere here.
     The curve minimizers in [l1, l2] seed the path.  Returns ((l1, l2,
-    l_o), (result at l1, sign-aligned field at l2), MountainPassResult);
-    a saddle whose Newton polish was not accepted raises NonConvergence
-    with the result as ``best``.  Raises ShapeNotFound unless the tracer
-    found the negative minimum / positive hump / negative tail shape.
+    l_o), (result at l1, sign-aligned field at l2), MountainPassResult).
+    A saddle whose Newton polish was not accepted, or whose energy lies
+    below the hump maximum ``mu_lo`` (every path from l1 to l2 crosses
+    each sphere between them, so the mountain-pass level cannot), raises
+    NonConvergence with the result as ``best``.  Raises ShapeNotFound
+    unless the tracer found the negative minimum / positive hump /
+    negative tail shape.
     """
     ann = curve.annotations
     if ann.get("shape") != "neg-min/hump/neg-tail":
@@ -586,6 +524,12 @@ def second_solution(problem: ProblemData, q: float, curve: MuCurve):
     if not mp.converged:
         raise NonConvergence(
             f"saddle polish not accepted (equation residual {mp.report.residual_equation})",
+            best=mp,
+        )
+    mu_lo = ann["mu_lo"]
+    if mp.report.energy < mu_lo - 1e-8 * (1.0 + abs(mu_lo)):
+        raise NonConvergence(
+            f"saddle energy {mp.report.energy} lies below the hump maximum {mu_lo}",
             best=mp,
         )
     return (l1, l2, l_o), (end1, u2), mp

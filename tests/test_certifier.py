@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from biharm import certifier
 from biharm import geometry as geo
 from biharm import problem as prob
 from biharm.certifier import (
@@ -98,9 +99,10 @@ def test_grad_interp_inequality_on_random_fields(geom64, rng):
             assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
 
 
-def test_embedding_remainder_covers_probes(geom64, rng):
+def test_embedding_remainder_covers_probes(geom64, rng, monkeypatch):
     eps = 0.1
-    A = embedding_remainder(geom64, eps, n_probe=200, seed=0)
+    monkeypatch.setattr(certifier, "_N_PROBE", 200)
+    A = embedding_remainder(geom64, eps, seed=0)
     assert A >= 1.0 - 1e-12        # the constant field forces A >= 1
     k2_sq = sharp_sobolev_constant(geom64.n_ambient) ** 2
     N = geom64.critical_exponent

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from biharm import continuation
 from biharm import geometry as geo
 from biharm import problem as prob
 from biharm.certifier import certify
@@ -117,11 +118,12 @@ def test_critical_residual_manufactured(geom64):
     assert critical_residual(geom64.constant(0.0), p) == 0.0
 
 
-def test_schedule_refinement_continuity(bundled64):
+def test_schedule_refinement_continuity(bundled64, monkeypatch):
     # doubling the schedule depth shrinks the warm-start energy jumps
     certificate = _certificate(bundled64, 0)
-    t8 = continue_to_critical(bundled64, certificate, 0, steps=8)
-    t16 = continue_to_critical(bundled64, certificate, 0, steps=16)
+    t8 = continue_to_critical(bundled64, certificate, 0)
+    monkeypatch.setattr(continuation, "SCHEDULE_STEPS", 16)
+    t16 = continue_to_critical(bundled64, certificate, 0)
 
     def last_jump(trace):
         e = [r["energy"] for r in trace.records]
@@ -136,8 +138,6 @@ def _flaky_first_solution(monkeypatch, failing):
 
     Returns the list of (q, seed, init) of every call, in order.
     """
-    import biharm.continuation as continuation
-
     calls = []
     solve = continuation.first_solution
 
@@ -154,7 +154,8 @@ def _flaky_first_solution(monkeypatch, failing):
 def test_failed_step_is_retried_cold_at_the_next_seed(bundled64, monkeypatch):
     certificate = _certificate(bundled64, 0)
     calls = _flaky_first_solution(monkeypatch, failing={3})
-    trace = continue_to_critical(bundled64, certificate, 4, steps=2)
+    monkeypatch.setattr(continuation, "SCHEDULE_STEPS", 2)
+    trace = continue_to_critical(bundled64, certificate, 4)
     assert len(trace.records) == 3
     q0, q1, q2 = trace.schedule
     assert [(q, seed) for q, seed, _ in calls] == [(q0, 4), (q1, 4), (q2, 4), (q2, 5)]
@@ -165,6 +166,7 @@ def test_failed_step_is_retried_cold_at_the_next_seed(bundled64, monkeypatch):
 def test_failed_retry_propagates(bundled64, monkeypatch):
     certificate = _certificate(bundled64, 0)
     calls = _flaky_first_solution(monkeypatch, failing={2, 3})
+    monkeypatch.setattr(continuation, "SCHEDULE_STEPS", 2)
     with pytest.raises(NonConvergence):
-        continue_to_critical(bundled64, certificate, 0, steps=2)
+        continue_to_critical(bundled64, certificate, 0)
     assert [(seed, init is None) for _, seed, init in calls] == [(0, True), (0, False), (1, True)]

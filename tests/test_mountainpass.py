@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -230,6 +231,18 @@ def test_level_exceeds_hump_samples(toy_pipeline):
     assert mp.nu > 0.0
 
 
+def test_saddle_below_the_hump_raises_nonconvergence(toy_pipeline, toy64):
+    # every path from l1 to l2 crosses the sphere at l_o, so a saddle
+    # below mu_lo is not the mountain-pass point
+    curve, _, _, mp = toy_pipeline
+    raised = copy.copy(curve)
+    raised.annotations = dict(curve.annotations, mu_lo=mp.report.energy * (1.0 + 1e-6))
+    with pytest.raises(NonConvergence, match="hump maximum") as exc:
+        second_solution(toy64, 4.0, raised)
+    assert exc.value.best.converged
+    assert exc.value.best.report.energy == mp.report.energy
+
+
 def test_endpoints_never_move(toy_pipeline):
     _, _, (end1, u2), mp = toy_pipeline
     assert np.array_equal(mp.nodes[0].samples, end1.v.samples)
@@ -293,10 +306,16 @@ def test_node_cap_keeps_the_saddle(toy_pipeline, toy64, monkeypatch):
 
 def test_no_descent_stalls_at_once(toy_pipeline, toy64, monkeypatch):
     # a zero gradient moves no node: 25 halvings find no lower level, so
-    # the first iteration stalls and the polish takes over
+    # the first iteration stalls and the polish (single fields) takes over
     curve, (l1, l2, _), (end1, u2), _ = toy_pipeline
     seeds = [(float(k), v) for k, v in zip(curve.ks, curve.minimizers) if l1 <= k <= l2]
-    monkeypatch.setattr(prob, "grad_F", lambda u, problem, q: geo.scale(u, 0.0))
+    grad_F = prob.grad_F
+
+    def flat_window(u, problem, q):
+        stacked = u.coeffs.ndim > u.geometry.d_eff
+        return geo.scale(u, 0.0) if stacked else grad_F(u, problem, q)
+
+    monkeypatch.setattr(prob, "grad_F", flat_window)
     mp = mountain_pass(toy64, 4.0, end1.v, u2, interior_seeds=seeds)
     assert mp.iterations == 1 and len(mp.history) == 1
     assert mp.converged and mp.report.flags["polished"]
@@ -348,44 +367,10 @@ def test_refine_critical_point_from_path_seed(toy_pipeline, toy64):
 
 
 def _toy_path(toy_pipeline, toy64, stride=1):
-    """A path over every ``stride``-th stalled toy node and the last one.
-
-    Its barriers lie between the endpoint masses.
-    """
+    """A path over every ``stride``-th stalled toy node and the last one."""
     _, _, _, mp = toy_pipeline
-    q = 4.0
     nodes = mp.nodes[:-1:stride] + mp.nodes[-1:]
-    k1, k2 = geo.lp_mass(nodes[0], q), geo.lp_mass(nodes[-1], q)
-    return _Path(toy64, q, nodes, np.geomspace(k1, k2, 13)[1:-1])
-
-
-def _scalar_crossing_ts(path, j):
-    """The field-by-field bisection the lockstep crossings replaced."""
-    ma, mb = path.m_nodes[j], path.m_nodes[j + 1]
-    out = []
-    for kref in path.barriers:
-        if (ma - kref) * (mb - kref) >= 0.0:
-            continue
-        lo, hi = 0.0, 1.0
-        f_lo = ma - kref
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            val = geo.lp_mass(path._point(j, mid), path.q) - kref
-            if (val > 0) == (f_lo > 0):
-                lo = mid
-            else:
-                hi = mid
-        out.append(0.5 * (lo + hi))
-    return out
-
-
-def test_lockstep_crossings_match_scalar_bisection(toy_pipeline, toy64):
-    path = _toy_path(toy_pipeline, toy64)
-    segs = list(range(len(path.nodes) - 1))
-    got = path._crossing_ts(segs)
-    assert sum(len(ts) for ts in got.values()) >= 5
-    for j in segs:
-        assert got[j] == _scalar_crossing_ts(path, j)
+    return _Path(toy64, 4.0, nodes)
 
 
 def test_path_energies_match_single_field_evaluation(toy_pipeline, toy64):
@@ -395,7 +380,7 @@ def test_path_energies_match_single_field_evaluation(toy_pipeline, toy64):
     for sweep, n_ts in ((path.honest_max, 3), (path.final_check, 19)):
         sweep()
         for j, samples in enumerate(path._seg):
-            assert len(samples) >= n_ts
+            assert len(samples) == n_ts
             for t, e in samples:
                 assert e == prob.eval_F(path._point(j, t), toy64, q)
 
