@@ -13,6 +13,14 @@ limit argument (mass bound, bilaplacian bound, negative energies, the
 sign of int f |v|^N and the limiting level bound) is verified along the
 way.  The splitting parameters (eta, sigma) are frozen from one
 certificate so the bounds are comparable across the schedule.
+
+The run checks the discrete model, as the probe-set embedding remainder
+does.  With d_eff <= 2, H2 embeds in L^inf, so q = N is not an
+embedding-critical exponent of the computed problem and nothing can
+concentrate: the checks verify the paper's bounds but cannot exercise
+its loss of compactness.  On configs/bundled.json the final critical
+solution has F = -0.7759426286228175 to all 16 digits at grid sizes 64,
+128, 256 and 512.
 """
 
 from __future__ import annotations

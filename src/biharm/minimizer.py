@@ -146,11 +146,6 @@ def _retract_sphere(u: SpectralField, q: float, k: float) -> SpectralField:
     return geo.scale(u, [k ** (1.0 / q) / nrm for nrm in norms])
 
 
-def _project_span(u: SpectralField, basis) -> SpectralField:
-    """L2-orthogonal projection onto the span of an orthonormal basis."""
-    return geo.combination(basis, [geo.inner(u, e) for e in basis])
-
-
 class _Start:
     """Per-start state of the lockstep iteration in ``_bb_minimize``."""
 

@@ -42,7 +42,6 @@ from .minimizer import (
     MuCurve,
     make_report,
     _metric,
-    _project_span,
     _retract_sphere,
 )
 from .problem import ProblemData
@@ -82,7 +81,6 @@ def refine_critical_point(
     problem: ProblemData,
     q: float,
     u0: SpectralField,
-    subspace=None,
 ) -> tuple[SpectralField, float, bool]:
     """Damped Newton-Krylov iteration on the stationarity residual of F_q.
 
@@ -94,12 +92,11 @@ def refine_critical_point(
     stays well posed at saddles, where H is indefinite, and the damping
     never sweeps a Hessian eigenvalue through zero; translation
     quasi-symmetries leave a near-null direction that an undamped solve
-    would overshoot.  On the grid the step is right-preconditioned by
-    the descent metric ``_metric`` at the iterate's mass, which takes
-    the |2 pi m|^4 growth out of H; in a subspace the unknowns are the
-    basis coefficients and the step is unpreconditioned.  On the grid
-    the seed and every step are replaced by their real-field part
-    (``_real_part``), so the residual can fall to the rounding floor.
+    would overshoot.  The step is right-preconditioned by the descent
+    metric ``_metric`` at the iterate's mass, which takes the
+    |2 pi m|^4 growth out of H.  The seed and every step are
+    replaced by their real-field part (``_real_part``), so the residual
+    can fall to the rounding floor.
 
     A step is taken only if it lowers the residual, else the damping lm
     grows 16-fold (giving up above 1e3).  Runs at most 40 Newton steps
@@ -109,47 +106,27 @@ def refine_critical_point(
     residual_norm, converged).
     """
     g = problem.geometry
-    basis = list(subspace) if subspace is not None else None
 
-    if basis is None:
-        res_norm = geo.l2_norm
+    def system(u, r):
+        P = _metric(problem, q, geo.lp_mass(u, q))
 
-        def system(u, r):
-            P = _metric(problem, q, geo.lp_mass(u, q))
+        def step(x):
+            return _real_part(g.field_from_coeffs(P * g.field(x.reshape(g.shape)).coeffs))
 
-            def step(x):
-                return _real_part(g.field_from_coeffs(P * g.field(x.reshape(g.shape)).coeffs))
+        def matvec(x):
+            return _hessian_apply(problem, q, u, step(x)).samples.ravel()
 
-            def matvec(x):
-                return _hessian_apply(problem, q, u, step(x)).samples.ravel()
+        def rmatvec(y):
+            Hy = _hessian_apply(problem, q, u, g.field(y.reshape(g.shape)))
+            return g.field_from_coeffs(P * Hy.coeffs).samples.ravel()
 
-            def rmatvec(y):
-                Hy = _hessian_apply(problem, q, u, g.field(y.reshape(g.shape)))
-                return g.field_from_coeffs(P * Hy.coeffs).samples.ravel()
+        n = g.size
+        op = LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec, dtype=float)
+        return op, -r.samples.ravel(), step
 
-            n = g.size
-            op = LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec, dtype=float)
-            return op, -r.samples.ravel(), step
-    else:
-
-        def project(r):
-            return np.array([geo.inner(e, r) for e in basis])
-
-        def res_norm(r):
-            # within a subspace only the projected stationarity can vanish
-            return float(np.linalg.norm(project(r)))
-
-        def system(u, r):
-            def matvec(c):
-                return project(_hessian_apply(problem, q, u, geo.combination(basis, c)))
-
-            k = len(basis)
-            op = LinearOperator((k, k), matvec=matvec, rmatvec=matvec, dtype=float)
-            return op, -project(r), lambda c: geo.combination(basis, c)
-
-    u = u0 if basis is not None else _real_part(u0)
+    u = _real_part(u0)
     r = geo.scale(prob.grad_F(u, problem, q), 0.5)
-    rn = res_norm(r)
+    rn = geo.l2_norm(r)
     scale0 = 1.0 + abs(prob.eval_F(u, problem, q))
     lm = 0.0
     for _ in range(40):
@@ -159,7 +136,7 @@ def refine_critical_point(
         x = lsqr(op, rhs, damp=math.sqrt(lm), atol=1e-13, btol=1e-13, iter_lim=800)[0]
         trial = geo.add(u, to_field(x), 1.0)
         rt = geo.scale(prob.grad_F(trial, problem, q), 0.5)
-        rtn = res_norm(rt)
+        rtn = geo.l2_norm(rt)
         at_floor = rn <= 1e-9 * scale0 and not rtn <= 0.5 * rn
         if rtn < rn:
             u, r, rn = trial, rt, rtn
@@ -193,7 +170,7 @@ class MountainPassResult:
     converged: bool
 
 
-def _init_path(problem, q, u1, u2, n_nodes, interior_seeds, subspace):
+def _init_path(problem, q, u1, u2, n_nodes, interior_seeds):
     """Initial path with monotone masses and sign-coherent nodes.
 
     The energy is even, so every seed is defined only up to sign;
@@ -210,14 +187,9 @@ def _init_path(problem, q, u1, u2, n_nodes, interior_seeds, subspace):
         if interior_seeds:
             # nearest curve minimizer in log-mass, rescaled to the target
             logm = math.log(masses[j])
-            seed_k, seed_u = min(
-                interior_seeds, key=lambda s: abs(math.log(s[0]) - logm)
-            )
-            w = seed_u
+            w = min(interior_seeds, key=lambda s: abs(math.log(s[0]) - logm))[1]
         else:
             w = geo.add(geo.scale(u1, 1.0 - t), u2, t)
-        if subspace is not None:
-            w = _project_span(w, subspace)
         if geo.inner(w, nodes[-1]) < 0.0:
             w = geo.scale(w, -1.0)
         nodes.append(_retract_sphere(w, q, masses[j]))
@@ -370,7 +342,6 @@ def mountain_pass(
     u1: SpectralField,
     u2: SpectralField,
     interior_seeds=None,
-    subspace=None,
 ) -> MountainPassResult:
     """Deform a discrete path of 41 nodes from u1 to u2 until its maximum stalls.
 
@@ -402,9 +373,7 @@ def mountain_pass(
 
     n_nodes = 41
     collapse_tol = 1e-8
-    path = _Path(
-        problem, q, _init_path(problem, q, u1, u2, n_nodes, interior_seeds, subspace)
-    )
+    path = _Path(problem, q, _init_path(problem, q, u1, u2, n_nodes, interior_seeds))
     f_ends = max(path.e_nodes[0], path.e_nodes[-1])
     profile_rows = []
     history = []
@@ -435,26 +404,17 @@ def mountain_pass(
             for j, w in zip(range(jmax - 2, jmax + 3), (0.25, 0.5, 1.0, 0.5, 0.25))
             if 0 < j < n - 1
         ]
-        stacked = prob.grad_F(
-            geo.stack([path.nodes[j] for j, _ in window]), problem, q
-        )
-        grads = {}
-        for i, (j, _) in enumerate(window):
-            gj = stacked[i]
-            if subspace is not None:
-                gj = _project_span(gj, subspace)
-            grads[j] = gj
+        grads = prob.grad_F(geo.stack([path.nodes[j] for j, _ in window]), problem, q)
+        dirs = [
+            g.field_from_coeffs(-_metric(problem, q, path.m_nodes[j]) * grads[i].coeffs)
+            for i, (j, _) in enumerate(window)
+        ]
 
         t = tau
         for _ in range(25):
-            touched = {}
-            for j, wgt in window:
-                Pj = _metric(problem, q, path.m_nodes[j])
-                d = g.field_from_coeffs(-Pj * grads[j].coeffs)
-                if subspace is not None:
-                    d = _project_span(d, subspace)
-                touched[j] = geo.add(path.nodes[j], d, t * wgt)
-            trial = path.with_nodes(touched)
+            trial = path.with_nodes(
+                {j: geo.add(path.nodes[j], d, t * wgt) for (j, wgt), d in zip(window, dirs)}
+            )
             trial_nu, _, _ = trial.honest_max()
             if trial_nu < nu - 1e-16 * (1.0 + abs(nu)):
                 path = trial
@@ -469,9 +429,7 @@ def mountain_pass(
     nu_path, jmax, _ = path.final_check()
 
     v_raw = path.nodes[jmax]
-    v, res_polish, polished = refine_critical_point(
-        problem, q, v_raw, subspace=subspace
-    )
+    v, res_polish, polished = refine_critical_point(problem, q, v_raw)
     flags = {"polish_residual": res_polish, "polished": polished}
     F_v = prob.eval_F(v, problem, q)
     if not (f_ends + collapse_tol < F_v <= nu_path * (1.0 + 1e-6) + 1e-12):

@@ -130,7 +130,6 @@ class ProblemData:
         self.a_sup = float(np.max(np.abs(self.a_fine)))
         self.h_sup = float(np.max(np.abs(self.h_fine)))
         self.h_min = float(np.min(self.h_fine))
-        self.h_max = float(np.max(self.h_fine))
         self.f_max = float(np.max(self.f_fine))
         self.f_plus_sup = float(np.max(self.f_plus_fine))
         self.f_sup = float(np.max(np.abs(self.f_fine)))

@@ -255,7 +255,9 @@ def test_criterion_7_mountain_pass_oracle(seed):
     t0 = time.time()
     from scipy import ndimage
 
-    g = TorusGeometry(6, 1, 64)
+    # on 4 points the band is {1, cos, sin}; f is even, so the plane
+    # {1, cos} is invariant and the deformation stays in the oracle's plane
+    g = TorusGeometry(6, 1, 4)
     toy = ProblemData.from_expressions(g, "0.2", "-1", "10*cos(2*pi*x1) - 1")
     q = 4.0
     x = np.arange(8192) / 8192.0
@@ -341,8 +343,13 @@ def test_criterion_7_mountain_pass_oracle(seed):
     e1 = g.field(s2 * np.cos(TWO_PI * g.coordinates()[0]))
     u1 = geo.combination([e0, e1], [a1, b1])
     u2 = geo.combination([e0, e1], [a2, b2])
-    mp_res = mountain_pass(toy, q, u1, u2, subspace=[e0, e1])
+    mp_res = mountain_pass(toy, q, u1, u2)
     assert mp_res.nu == pytest.approx(nu_oracle, rel=1e-3)
+    v = mp_res.v
+    in_plane = geo.combination([e0, e1], [geo.inner(v, e0), geo.inner(v, e1)])
+    assert geo.l2_norm(geo.add(v, in_plane, -1.0)) <= 1e-12 * geo.l2_norm(v)
+    rep = mp_res.report
+    assert rep.residual_equation <= 1e-9 * (1.0 + abs(rep.energy))
     elapsed = time.time() - t0
     assert elapsed < 60.0
     _announce(

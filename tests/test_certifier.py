@@ -113,6 +113,21 @@ def test_embedding_remainder_covers_probes(geom64, rng, monkeypatch):
         assert lhs <= rhs * (1.0 + 1e-9)
 
 
+def test_embedding_remainder_stops_at_a_stationary_probe(geom64, monkeypatch):
+    # the constant probe wins with ratio 1 and an exactly zero ratio
+    # gradient: one gradient evaluation, no ascent trials
+    calls = []
+    direction = prob.constraint_direction
+
+    def counted(u, p):
+        calls.append(p)
+        return direction(u, p)
+
+    monkeypatch.setattr(prob, "constraint_direction", counted)
+    assert embedding_remainder(geom64, 0.1, seed=0) == 1.0
+    assert len(calls) == 1
+
+
 # ----------------------------------------------------------------------
 # masked Rayleigh quotient
 

@@ -164,7 +164,7 @@ def test_small_ball_energy_negative(toy64, geom64):
     for t in (1e-3, 1e-2, 0.1):
         c = geom64.constant(t)
         F = prob.eval_F(c, toy64, q)
-        bound = t * t * (toy64.h_max - t ** (q - 2.0) * toy64.int_f)
+        bound = t * t * (float(np.max(toy64.h_fine)) - t ** (q - 2.0) * toy64.int_f)
         assert F <= bound + 1e-12 * (1.0 + abs(bound))
         assert F < 0.0
 

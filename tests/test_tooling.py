@@ -96,7 +96,7 @@ def test_certifier_imports_only_the_numeric_core():
     assert _package_imports(PACKAGE / "certifier.py", modules) == {"errors", "geometry", "problem"}
 
 
-OPTIONAL_PARAMETER_CEILING = 22
+OPTIONAL_PARAMETER_CEILING = 19
 
 
 def _optional_parameters(path):
