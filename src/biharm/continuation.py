@@ -4,23 +4,31 @@ The negative-energy solutions exist for every subcritical exponent; as
 q -> N = 2n/(n-4) their masses stay below the window edge l_q and their
 H2 norms below an explicit bound, which is what lets the family converge
 to a solution of the critical equation.  On a fixed grid the limit is
-replaced by warm-started direct solves along the geometric schedule
+replaced by following the branch along the geometric schedule
 
     q_j = N - (N - q0) 2^(-j),     q0 = (2 + N) / 2,
 
-finishing with a solve at q = N exactly; every checkable identity of the
-limit argument (mass bound, bilaplacian bound, negative energies, the
-sign of int f |v|^N and the limiting level bound) is verified along the
-way.  The splitting parameters (eta, sigma) are frozen from one
-certificate so the bounds are comparable across the schedule.
+finishing at q = N exactly.  One multistart ball solve at q0 finds the
+branch; from then on it is an interior, nondegenerate minimizer, so
+each step is a Newton corrector (Allgower & Georg, Introduction to
+Numerical Continuation Methods, SIAM 2003): the previous step's
+solution is polished into a critical point at the new exponent.  A
+corrected point stands only if it is interior to the ball, has negative
+energy and has Morse index 0; otherwise the step falls back to a ball
+solve warm-started from the previous solution.  Every checkable
+identity of the limit argument (mass bound, bilaplacian bound, negative
+energies, the sign of int f |v|^N and the limiting level bound) is
+verified along the way.  The splitting parameters (eta, sigma) are
+frozen from one certificate so the bounds are comparable across the
+schedule.
 
 The run checks the discrete model, as the probe-set embedding remainder
 does.  With d_eff <= 2, H2 embeds in L^inf, so q = N is not an
 embedding-critical exponent of the computed problem and nothing can
 concentrate: the checks verify the paper's bounds but cannot exercise
 its loss of compactness.  On configs/bundled.json the final critical
-solution has F = -0.7759426286228175 to all 16 digits at grid sizes 64,
-128, 256 and 512.
+solution has F = -0.775942628622817 to 15 digits at grid sizes 64, 128,
+256 and 512.
 """
 
 from __future__ import annotations
@@ -31,9 +39,10 @@ from dataclasses import dataclass, field as dataclass_field
 from . import geometry as geo
 from . import problem as prob
 from .certifier import HypothesisReport, grad_interp_constant, window_cap, window_edge
-from .errors import DivergingNorms, NonConvergence
+from .errors import DivergingNorms
 from .geometry import SpectralField
-from .minimizer import CriticalPointReport, first_solution
+from .minimizer import CriticalPointReport, first_solution, make_report
+from .mountainpass import morse_index, refine_critical_point
 from .problem import ProblemData
 
 
@@ -59,6 +68,25 @@ def critical_residual(u: SpectralField, problem: ProblemData) -> float:
 SCHEDULE_STEPS = 8    # subcritical exponents before the solve at q = N
 
 
+def _corrected(problem, q, l_q, seed_field, tag):
+    """The Newton-polished critical point from seed_field, or None when it is off the branch.
+
+    The branch's points are converged, interior (mass below
+    l_q (1 - 1e-9)), negative-energy critical points of Morse index 0;
+    the report's flags carry the ball cap and the seed ``tag``.
+    """
+    v, _, converged = refine_critical_point(problem, q, seed_field)
+    rep = make_report(problem, q, v, 0.0, converged, {"ball_cap": l_q, "seed": tag})
+    if (
+        converged
+        and rep.mass < l_q * (1.0 - 1e-9)
+        and rep.energy < 0.0
+        and morse_index(problem, q, v) == 0
+    ):
+        return rep
+    return None
+
+
 def continue_to_critical(
     problem: ProblemData,
     certificate: HypothesisReport,
@@ -70,9 +98,18 @@ def continue_to_critical(
     (eta, sigma) set the ball radius l_q at every step.  Whether the
     hypotheses hold is the caller's decision; a certificate with no
     admissible eta (it fails condition (2)) falls back to eta = 0.5.
-    Each step is a ball solve at solver ``seed`` warm-started from the
-    previous step's solution; a step whose solve raises NonConvergence
-    is retried once, cold, at ``seed + 1``.
+    The ball solve at q0, at solver ``seed``, is the only multistart
+    solve.  Each step, q0 included, polishes a seed field with the
+    Newton corrector ``refine_critical_point``: at q0 the ball solve's
+    minimizer, at each later exponent the previous step's solution.
+    The corrected point is accepted when the polish converged, its mass
+    is interior (below l_q (1 - 1e-9), as ``first_solution`` tests it),
+    its energy is negative and ``morse_index`` is 0.  Otherwise the
+    step runs ``first_solution`` warm-started from the previous
+    solution and polishes its minimizer the same way; when that polish
+    is not accepted either, the ball solve's minimizer stands.  The
+    report's ``flags["seed"]`` says how the step was found: "newton"
+    for a corrector step, else the winning start of the ball solve.
 
     Aborts with DivergingNorms when the explicit bilaplacian bound
 
@@ -80,7 +117,7 @@ def continue_to_critical(
             <= (2 sup(a+) C(sigma) + sup|h|) l_q^(2/q) + sup|f| l_q
 
     fails at some step (the discrete family cannot be bounded), and with
-    NonConvergence when a step fails even after the retry.
+    NonConvergence when a ball solve fails.
     """
     g = problem.geometry
     N = g.critical_exponent
@@ -93,13 +130,13 @@ def continue_to_critical(
 
     records = []
     reports = []
-    warm = None
+    v = None
     for q in schedule:
         l_q = window_edge(problem, q, eta, sigma)
-        try:
-            rep = first_solution(problem, q, l_q, seed, init=warm)
-        except NonConvergence:
-            rep = first_solution(problem, q, l_q, seed + 1)
+        rep = None if v is None else _corrected(problem, q, l_q, v, "newton")
+        if rep is None:
+            ball = first_solution(problem, q, l_q, seed, init=v)
+            rep = _corrected(problem, q, l_q, ball.variational, ball.flags["seed"]) or ball
         v = rep.variational
         mass = rep.mass
         delta_sq = geo.bilap_energy(v)
@@ -132,7 +169,6 @@ def continue_to_critical(
             rec["energy_floor_ok"] = rep.energy >= rec["energy_floor"] - 1e-9
         records.append(rec)
         reports.append(rep)
-        warm = v
 
     final = reports[-1]
     l_N = records[-1]["l_q"]

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, lsqr
 
 from . import geometry as geo
@@ -62,6 +63,51 @@ def _hessian_apply(problem, q, u, v):
     """Action of half the Hessian of F_q at u on v."""
     w = 0.5 * q * (q - 1.0) * problem.f_fine * np.abs(u.fine_values) ** (q - 2.0)
     return problem.geometry.field_from_coeffs(prob.apply_operator(problem, v, w))
+
+
+def _band_basis(g) -> np.ndarray:
+    """Coefficients of an L2-orthonormal basis of the band's real fields, one per row.
+
+    The constant, then sqrt2 cos and sqrt2 sin of every retained mode
+    pair {m, -m}; the Nyquist modes are not in the band, so no row
+    carries them.
+    """
+    idx = np.flatnonzero(g.band_mask)
+    mirror = np.ravel_multi_index(
+        tuple(-m % g.grid_size for m in np.unravel_index(idx, g.shape)), g.shape
+    )
+    own, pair, partner = idx[idx == mirror], idx[idx < mirror], mirror[idx < mirror]
+    k, p = own.size, pair.size
+    basis = np.zeros((k + 2 * p, g.size), dtype=np.complex128)
+    basis[np.arange(k), own] = 1.0
+    cos_rows, sin_rows = k + np.arange(p), k + p + np.arange(p)
+    s = math.sqrt(0.5)
+    basis[cos_rows, pair] = s
+    basis[cos_rows, partner] = s
+    basis[sin_rows, pair] = 1j * s
+    basis[sin_rows, partner] = -1j * s
+    return basis
+
+
+def morse_index(problem: ProblemData, q: float, u: SpectralField) -> int:
+    """Number of negative eigenvalues of half the Hessian of F_q at u on the band's real fields.
+
+    The Hessian is assembled densely in the orthonormal band basis of
+    ``_band_basis`` (``_hessian_apply`` on the basis as stacks of at
+    most ``_CHUNK`` fields) and diagonalized by ``scipy.linalg.eigh``.
+    The band restriction matters: on grid samples the Nyquist direction
+    is an exact null vector of the Hessian action, and a count over
+    samples reads its rounding-level eigenvalue as a sign.
+    """
+    g = problem.geometry
+    basis = _band_basis(g)
+    fields = basis.reshape((-1,) + g.shape)
+    H = np.concatenate([
+        _hessian_apply(problem, q, u, g.field_from_coeffs(fields[rows])).coeffs
+        for rows in _chunks(len(basis))
+    ]).reshape(len(basis), -1)
+    A = (basis.conj() @ H.T).real
+    return int(np.count_nonzero(eigh(0.5 * (A + A.T), eigvals_only=True) < 0.0))
 
 
 def _real_part(u: SpectralField) -> SpectralField:

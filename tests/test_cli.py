@@ -332,24 +332,30 @@ def test_solver_block_takes_only_the_seed(tmp_path):
     assert err["error"] == "ConfigError" and "tol_scale" in err["message"]
 
 
-def test_solve_critical_exits_nonconvergence_when_the_retry_fails(tmp_path, monkeypatch):
+def test_solve_critical_exits_nonconvergence_when_the_fallback_fails(tmp_path, monkeypatch):
+    # no polish is accepted, so the q0 ball solve stands and the next
+    # step falls back to a warm ball solve, which fails
     import biharm.cli as cli
     import biharm.continuation as continuation
     from biharm.errors import NonConvergence
 
     seeds = []
+    solve = continuation.first_solution
 
-    def failing(problem, q, cap, seed, init=None):
+    def failing_fallback(problem, q, cap, seed, init=None):
         seeds.append((seed, init is None))
-        raise NonConvergence("ball minimization did not reach negative energy")
+        if init is not None:
+            raise NonConvergence("ball minimization did not reach negative energy")
+        return solve(problem, q, cap, seed, init=init)
 
-    monkeypatch.setattr(continuation, "first_solution", failing)
+    monkeypatch.setattr(continuation, "first_solution", failing_fallback)
+    monkeypatch.setattr(continuation, "refine_critical_point", lambda problem, q, u: (u, 1.0, False))
     cfg = write_config(tmp_path)
     out = tmp_path / "o"
     code = cli.main(["solve-critical", "--force", "--config", str(cfg), "--out", str(out),
                      "--seed", "2"])
     assert code == 5
-    assert seeds == [(2, True), (3, True)]         # first step, then its cold retry
+    assert seeds == [(2, True), (2, False)]        # the q0 ball solve, then the fallback
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "NonConvergence" and err["exit_code"] == 5
     assert not list(out.glob("solution_*"))

@@ -13,6 +13,8 @@ from biharm.continuation import (
     window_edge,
 )
 from biharm.errors import NonConvergence
+from biharm.minimizer import first_solution
+from biharm.mountainpass import _hessian_apply, morse_index
 from biharm.problem import ProblemData
 
 TWO_PI = 2.0 * math.pi
@@ -133,40 +135,119 @@ def test_schedule_refinement_continuity(bundled64, monkeypatch):
     assert t16.final.energy == pytest.approx(t8.final.energy, rel=1e-6)
 
 
-def _flaky_first_solution(monkeypatch, failing):
-    """Patch the continuation's ball solver to raise NonConvergence on the calls in ``failing``.
+def _ball_solve_branch(problem, trace, seed):
+    """Energies of the branch when every exponent gets a warm-started multistart ball solve."""
+    energies, warm = [], None
+    for q in trace.schedule:
+        l_q = window_edge(problem, q, trace.eta, trace.sigma)
+        rep = first_solution(problem, q, l_q, seed, init=warm)
+        energies.append(rep.energy)
+        warm = rep.variational
+    return energies
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_corrector_matches_ball_solves_at_every_exponent(bundled64, seed):
+    trace = continue_to_critical(bundled64, _certificate(bundled64, seed), seed)
+    reference = _ball_solve_branch(bundled64, trace, seed)
+    assert len(reference) == len(trace.records)
+    for rec, F in zip(trace.records, reference):
+        assert rec["energy"] == pytest.approx(F, rel=1e-12)
+        assert rec["residual_eq"] <= 1e-12 * (1.0 + abs(rec["energy"]))
+    for key, value in trace.checks.items():
+        if isinstance(value, bool):
+            assert value, key
+
+
+def test_every_step_is_an_interior_index_0_minimizer(trace64, bundled64):
+    # the ball solve at q0 finds the branch; the corrector follows it
+    assert [r.flags["seed"] for r in trace64.reports[1:]] == ["newton"] * 8
+    for rep, rec in zip(trace64.reports, trace64.records):
+        assert rep.converged
+        assert rec["mass"] < rec["l_q"] * (1.0 - 1e-9)
+        assert morse_index(bundled64, rep.q, rep.variational) == 0
+
+
+def test_nyquist_null_direction_is_not_counted(trace64, bundled64):
+    # on grid samples the Hessian action at the critical minimizer has
+    # the band's spectrum plus the Nyquist direction, an exact null
+    # vector whose computed eigenvalue is rounding of either sign; the
+    # band count does not see it
+    g = bundled64.geometry
+    N, v = g.critical_exponent, trace64.final.variational
+    S = _hessian_apply(bundled64, N, v, g.field(np.eye(g.size))).samples.T
+    nyquist = (-1.0) ** np.arange(g.size) / math.sqrt(g.size)
+    assert not np.any(_hessian_apply(bundled64, N, v, g.field(nyquist)).coeffs)
+    ev, vecs = np.linalg.eigh(0.5 * (S + S.T))
+    null = int(np.argmin(np.abs(ev)))
+    assert abs(ev[null]) <= 1e-12 * np.abs(ev).max()
+    assert abs(vecs[:, null] @ nyquist) == pytest.approx(1.0, abs=1e-9)
+    assert np.delete(ev, null).min() > 1.0
+    assert morse_index(bundled64, N, v) == 0
+
+
+def _record_first_solution(monkeypatch, failing=()):
+    """Patch the continuation's ball solver to record its calls; the calls in ``failing`` raise.
 
     Returns the list of (q, seed, init) of every call, in order.
     """
     calls = []
     solve = continuation.first_solution
 
-    def flaky(problem, q, cap, seed, init=None):
+    def recorded(problem, q, cap, seed, init=None):
         calls.append((q, seed, init))
         if len(calls) in failing:
             raise NonConvergence("ball minimization did not reach negative energy")
         return solve(problem, q, cap, seed, init=init)
 
-    monkeypatch.setattr(continuation, "first_solution", flaky)
+    monkeypatch.setattr(continuation, "first_solution", recorded)
     return calls
 
 
-def test_failed_step_is_retried_cold_at_the_next_seed(bundled64, monkeypatch):
+def _reject_call(monkeypatch, name, rejected, value):
+    """Patch the continuation's ``name`` so that call number ``rejected`` returns ``value(*args)``."""
+    calls = []
+    real = getattr(continuation, name)
+
+    def patched(*args):
+        calls.append(args)
+        return value(*args) if len(calls) == rejected else real(*args)
+
+    monkeypatch.setattr(continuation, name, patched)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("refine_critical_point", lambda problem, q, u: (u, 1.0, False)),
+        ("morse_index", lambda problem, q, u: 1),
+    ],
+    ids=["unconverged-corrector", "index-1"],
+)
+def test_rejected_step_falls_back_to_a_warm_ball_solve(bundled64, monkeypatch, name, value):
+    # schedule q0, q1, q2: the third polish and the third index check
+    # belong to the corrector step at q2
     certificate = _certificate(bundled64, 0)
-    calls = _flaky_first_solution(monkeypatch, failing={3})
     monkeypatch.setattr(continuation, "SCHEDULE_STEPS", 2)
+    calls = _record_first_solution(monkeypatch)
+    checked = _reject_call(monkeypatch, name, 3, value)
     trace = continue_to_critical(bundled64, certificate, 4)
-    assert len(trace.records) == 3
     q0, q1, q2 = trace.schedule
-    assert [(q, seed) for q, seed, _ in calls] == [(q0, 4), (q1, 4), (q2, 4), (q2, 5)]
-    assert calls[0][2] is None and calls[1][2] is not None and calls[2][2] is not None
-    assert calls[3][2] is None                     # the retry is a cold solve
+    assert [(q, seed) for q, seed, _ in calls] == [(q0, 4), (q2, 4)]
+    assert calls[0][2] is None
+    assert calls[1][2] is trace.reports[1].variational     # warm from the q1 step
+    assert len(checked) == 4                               # the fallback is polished too
+    assert [r.flags["seed"] for r in trace.reports[1:]] == ["newton", "warm"]
+    assert trace.reports[2].converged
+    assert all(r["energy"] < 0.0 for r in trace.records)
 
 
-def test_failed_retry_propagates(bundled64, monkeypatch):
+def test_failed_fallback_propagates(bundled64, monkeypatch):
     certificate = _certificate(bundled64, 0)
-    calls = _flaky_first_solution(monkeypatch, failing={2, 3})
     monkeypatch.setattr(continuation, "SCHEDULE_STEPS", 2)
+    calls = _record_first_solution(monkeypatch, failing={2})
+    _reject_call(monkeypatch, "refine_critical_point", 2, lambda problem, q, u: (u, 1.0, False))
     with pytest.raises(NonConvergence):
         continue_to_critical(bundled64, certificate, 0)
-    assert [(seed, init is None) for _, seed, init in calls] == [(0, True), (0, False), (1, True)]
+    assert [(seed, init is None) for _, seed, init in calls] == [(0, True), (0, False)]

@@ -15,6 +15,7 @@ from biharm.geometry import TorusGeometry
 from biharm.minimizer import MuCurve, minimize_on_sphere, trace_mu_curve
 from biharm.mountainpass import (
     _Path,
+    morse_index,
     mountain_pass,
     refine_critical_point,
     second_solution,
@@ -366,6 +367,78 @@ def test_refine_critical_point_from_path_seed(toy_pipeline, toy64):
     _, _, _, mp = toy_pipeline
     assert mp.report.flags["polished"]
     assert mp.report.flags["polish_residual"] <= 1e-10 * (1.0 + mp.nu)
+
+
+# ----------------------------------------------------------------------
+# Morse index on the band's real fields
+
+
+def _band_hessian_oracle(problem, q, u, eps=1e-3):
+    """Eigenvalues of half the Hessian of F_q at u, from an explicit band basis (1-D).
+
+    The basis is sampled: 1, sqrt2 cos(2 pi m x) and sqrt2 sin(2 pi m x)
+    for 0 < m < M/2; each column is a central difference of half the
+    gradient, exact up to O(eps^2) for q = 4.
+    """
+    g = problem.geometry
+    x = g.coordinates()[0]
+    rows = [np.ones_like(x)]
+    for m in range(1, g.grid_size // 2):
+        rows += [math.sqrt(2.0) * np.cos(TWO_PI * m * x), math.sqrt(2.0) * np.sin(TWO_PI * m * x)]
+    basis = g.field(np.array(rows))
+    B = basis.coeffs
+    assert np.abs(B.conj() @ B.T - np.eye(len(rows))).max() <= 1e-13
+    plus = prob.grad_F(geo.add(u, basis, eps), problem, q).coeffs
+    minus = prob.grad_F(geo.add(u, basis, -eps), problem, q).coeffs
+    A = (B.conj() @ ((plus - minus) / (4.0 * eps)).T).real
+    return np.linalg.eigvalsh(0.5 * (A + A.T))
+
+
+def test_morse_index_matches_the_dense_band_oracle(toy_pipeline, toy64):
+    # the zero field, the saddle, a scaled saddle and the minimizer
+    _, (l1, _, _), _, mp = toy_pipeline
+    points = [toy64.geometry.constant(0.0), mp.v, geo.scale(mp.v, 8.0),
+              mz.first_solution(toy64, 4.0, float(l1), 0).variational]
+    spectra = [_band_hessian_oracle(toy64, 4.0, u) for u in points]
+    counts = [int(np.count_nonzero(ev < 0.0)) for ev in spectra]
+    assert counts == [1, 1, 2, 0]
+    assert [morse_index(toy64, 4.0, u) for u in points] == counts
+    for ev in spectra:
+        assert np.abs(ev).min() > 0.5                # no sign is in doubt
+    # the saddle's lowest eigenvalues
+    assert spectra[1][:2] == pytest.approx([-14.41, 1568.5], abs=0.05)
+
+
+@pytest.mark.parametrize("d, grid", [(1, 64), (2, 8)], ids=["1d-64", "2d-8"])
+def test_band_basis_spans_the_real_band_fields(d, grid):
+    # the index is counted over these rows: (M - 1)^d orthonormal real
+    # fields with no Nyquist component
+    g = TorusGeometry(6 + d - 1, d, grid)
+    basis = mpass._band_basis(g)
+    assert basis.shape == ((grid - 1) ** d, g.size)
+    assert np.abs(basis.conj() @ basis.T - np.eye(len(basis))).max() <= 1e-15
+    assert not np.any(basis[:, ~g.band_mask.ravel()])
+    # real fields: c[-m] = conj(c[m]) in every row
+    c = basis.reshape((-1,) + g.shape)
+    axes = tuple(range(1, d + 1))
+    assert np.array_equal(np.conj(np.roll(np.flip(c, axis=axes), 1, axis=axes)), c)
+
+
+@pytest.mark.parametrize("m_top", [0, 5, 31])
+def test_morse_index_counts_band_modes_only(geom64, m_top):
+    # at a constant c the half Hessian is diagonal in the modes:
+    # (2 pi m)^4 - 1 - 6 c^2 for a = 0, h = -1, f = 1, q = 4.  The weight
+    # puts the sign change between modes m_top and m_top + 1, so the
+    # count is 1 + 2 m_top.  At m_top = 31 = M/2 - 1 the next mode is
+    # the Nyquist mode: it would be negative too, but it is no band
+    # field (its samples are a null vector of the Hessian action), so
+    # it is not counted.
+    problem = prob.ProblemData.from_expressions(geom64, "0", "-1", "1")
+    w = 0.5 * ((TWO_PI * m_top) ** 4 + (TWO_PI * (m_top + 1)) ** 4) - 1.0
+    u = geom64.constant(math.sqrt(w / 6.0))
+    nyquist = geom64.field((-1.0) ** np.arange(geom64.grid_size))
+    assert not np.any(nyquist.coeffs)
+    assert morse_index(problem, 4.0, u) == 1 + 2 * m_top
 
 
 # ----------------------------------------------------------------------
