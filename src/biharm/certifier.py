@@ -28,6 +28,9 @@ randomized start is drawn from a generator seeded by the integer
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
@@ -331,6 +334,11 @@ def _nonneg_quotient_min(form: _MaskedForm, mask: np.ndarray, v0: np.ndarray):
     return v, r_val
 
 
+def _mask(problem: ProblemData) -> np.ndarray:
+    """The node mask {f^- <= tau} of the masked quotients, tau = 1e-12 * sup|f|."""
+    return np.maximum(-problem.f.samples, 0.0) <= 1e-12 * problem.f_sup
+
+
 def masked_rayleigh(problem: ProblemData, operator: str, seed: int) -> tuple[float, float]:
     """(nonnegative, unsigned) infimum of quad(u)/|u|^2 on the mask.
 
@@ -350,7 +358,7 @@ def masked_rayleigh(problem: ProblemData, operator: str, seed: int) -> tuple[flo
     answer whenever the ground state is one-signed or a degenerate +/-
     pair.
     """
-    mask = np.maximum(-problem.f.samples, 0.0) <= 1e-12 * problem.f_sup
+    mask = _mask(problem)
     if not mask.any():
         return math.inf, math.inf
     form = _MaskedForm(problem, operator)
@@ -822,6 +830,14 @@ _NOTE_GRAD_EXPONENT = (
 )
 
 
+def _solve(problem: ProblemData, q: float, seed: int, task):
+    """One of certify's independent solves: ``masked_rayleigh`` for an
+    operator name, ``moment_rayleigh`` for an eta."""
+    if isinstance(task, str):
+        return masked_rayleigh(problem, task, seed)
+    return moment_rayleigh(problem, task, q, seed)
+
+
 def certify(
     problem: ProblemData,
     q: float,
@@ -834,11 +850,36 @@ def certify(
     (0.1, 0.01), and the configuration with the largest admissible ratio
     threshold C wins.  ``seed`` seeds every randomized start.
     All conditions are reported with margins; nothing raises on failure.
+
+    The five heavy solves do not depend on each other: ``masked_rayleigh``
+    for "bilap-a" and "grad" (the latter only when the measure criterion
+    needs it) and ``moment_rayleigh`` at each eta.  They run in forked
+    worker processes, one per available CPU up to five, longest first,
+    and the pool is closed before ``certify`` returns.  Each solve is a
+    pure function of its arguments, so the report is bit-identical to a
+    serial run; there is no option to change this.  An error raised in a
+    solve reaches the caller with its type and message.  The embedding
+    remainders are computed here, on first use, after the pool.
     """
     g = problem.geometry
     problem.exponents(q)
+    meas = float(np.mean(problem.f.samples >= 0.0))
 
-    lam_nonneg, lam_unsigned = masked_rayleigh(problem, "bilap-a", seed)
+    tasks = [0.02, "bilap-a", "grad", 0.1, 0.5]     # longest first
+    if not (meas > 0.0 and _mask(problem).any()):
+        tasks.remove("grad")
+    workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        solves = {task: pool.submit(_solve, problem, q, seed, task) for task in tasks}
+        lam_nonneg, lam_unsigned = solves["bilap-a"].result()
+        moment_values = {}
+        for eta in (0.5, 0.1, 0.02):
+            try:
+                moment_values[eta] = solves[eta].result()
+            except InfeasibleConstraint:
+                moment_values[eta] = math.inf   # infimum over an empty constraint set
+
     gap = (
         lam_nonneg - lam_unsigned
         if math.isfinite(lam_nonneg) and math.isfinite(lam_unsigned)
@@ -859,13 +900,7 @@ def certify(
         return remainders[eps]
 
     best: CoercivityConstants | None = None
-    moment_values = {}
-    for eta in (0.5, 0.1, 0.02):
-        try:
-            lam_eq = moment_rayleigh(problem, eta, q, seed)
-        except InfeasibleConstraint:
-            lam_eq = math.inf       # infimum over an empty constraint set
-        moment_values[eta] = lam_eq
+    for eta, lam_eq in moment_values.items():
         if lam_eq - problem.h_sup <= 0.0:
             continue                # NonPositiveEps0 at every eps
         for eps in (0.1, 0.01):
@@ -896,11 +931,10 @@ def certify(
 
     # measure criterion: small positivity set forces a large quotient
     n = g.n_ambient
-    meas = float(np.mean(problem.f.samples >= 0.0))
     if meas > 0.0 and math.isfinite(lam_nonneg):
         eps_m = best.eps if math.isfinite(best.eps) else 0.1
         rem_m = remainder(eps_m)
-        mu_grad = masked_rayleigh(problem, "grad", seed)[0]
+        mu_grad = solves["grad"].result()[0]    # submitted: the mask is nonempty
         k2_sq = sharp_sobolev_constant(n) ** 2
         rhs = (meas ** (-4.0 / n) - rem_m - mu_grad * problem.a_sup) / (
             k2_sq * (1.0 + eps_m)

@@ -342,6 +342,12 @@ class SpectralField:
     def __setattr__(self, name, value):
         raise AttributeError("SpectralField is immutable")
 
+    def __reduce__(self):
+        # pickle and copy.deepcopy cannot restore the slots through
+        # __setattr__; both caches travel, since the refined-grid values
+        # that arithmetic carries are not a fresh transform of coeffs
+        return (_restore_field, (self.geometry, self.coeffs, self._samples, self._fine))
+
     def __getitem__(self, index) -> "SpectralField":
         if self.coeffs.ndim == self.geometry.d_eff:
             raise TypeError("a single field has no fields to index; stack fields first")
@@ -369,6 +375,15 @@ class SpectralField:
     def __repr__(self):
         g = self.geometry
         return f"SpectralField(grid={g.shape}, n={g.n_ambient})"
+
+
+def _restore_field(geometry, coeffs, samples, fine) -> SpectralField:
+    """The field ``SpectralField.__reduce__`` describes, caches included."""
+    u = SpectralField(geometry, coeffs, fine)
+    if samples is not None:
+        samples.flags.writeable = False
+        object.__setattr__(u, "_samples", samples)
+    return u
 
 
 # ----------------------------------------------------------------------

@@ -48,11 +48,12 @@ from .minimizer import (
 from .problem import ProblemData
 
 _CHUNK = 128  # fields per stacked evaluation: bounds a sweep's memory
+_INDEX_CHUNK = 32  # band fields per stacked Hessian action: bounds the Morse index's memory
 
 
-def _chunks(n):
-    """Slices of range(n) of at most _CHUNK rows each."""
-    return [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+def _chunks(n, size):
+    """Slices of range(n) of at most ``size`` rows each."""
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +95,7 @@ def morse_index(problem: ProblemData, q: float, u: SpectralField) -> int:
 
     The Hessian is assembled densely in the orthonormal band basis of
     ``_band_basis`` (``_hessian_apply`` on the basis as stacks of at
-    most ``_CHUNK`` fields) and diagonalized by ``scipy.linalg.eigh``.
+    most ``_INDEX_CHUNK`` fields) and diagonalized by ``scipy.linalg.eigh``.
     The band restriction matters: on grid samples the Nyquist direction
     is an exact null vector of the Hessian action, and a count over
     samples reads its rounding-level eigenvalue as a sign.
@@ -104,7 +105,7 @@ def morse_index(problem: ProblemData, q: float, u: SpectralField) -> int:
     fields = basis.reshape((-1,) + g.shape)
     H = np.concatenate([
         _hessian_apply(problem, q, u, g.field_from_coeffs(fields[rows])).coeffs
-        for rows in _chunks(len(basis))
+        for rows in _chunks(len(basis), _INDEX_CHUNK)
     ]).reshape(len(basis), -1)
     A = (basis.conj() @ H.T).real
     return int(np.count_nonzero(eigh(0.5 * (A + A.T), eigvals_only=True) < 0.0))
@@ -283,7 +284,7 @@ class _Path:
         # lp_mass caches each node's refined values; the stacks carry them
         self.m_nodes = [geo.lp_mass(u, q) for u in self.nodes]
         self.e_nodes = []
-        for rows in _chunks(len(self.nodes)):
+        for rows in _chunks(len(self.nodes), _CHUNK):
             self.e_nodes += prob.eval_F(geo.stack(self.nodes[rows]), problem, q)
         self.ts = self.SUB
         self._seg: list = [None] * (len(self.nodes) - 1)
@@ -294,7 +295,7 @@ class _Path:
     def _sample_energies(self, rows):
         """eval_F at (1 - t) a + t b for (segment, t) rows, one stack per chunk."""
         out = []
-        for chunk in _chunks(len(rows)):
+        for chunk in _chunks(len(rows), _CHUNK):
             part = rows[chunk]
             a = geo.stack([self.nodes[s] for s, _ in part])
             b = geo.stack([self.nodes[s + 1] for s, _ in part])

@@ -521,19 +521,70 @@ def test_certify_runs_the_unsigned_masked_minimizations_once(
     import biharm.certifier as cert
     from biharm import serialize as ser
 
-    calls = []
+    # the calls run in the certifier's worker processes: each one appends
+    # a line to a file; the two operators may run at the same time, so
+    # their lines are read in sorted order
+    log = tmp_path / "calls.txt"
     real = cert._unsigned_quotient_min
 
     def counted(form, *args, **kwargs):
-        calls.append(form.operator)
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(form.operator + "\n")
         return real(form, *args, **kwargs)
 
     monkeypatch.setattr(cert, "_unsigned_quotient_min", counted)
     rep = certify(bundled128, 2.5, seed)        # configs/bundled.json
+    calls = sorted(log.read_text(encoding="utf-8").splitlines())
     assert calls == ["bilap-a"] * 3 + ["grad"] * 3
     ser.write_json(tmp_path / "report.json", ser.hypothesis_report_dict(rep))
     assert_golden_certificate(json.loads((tmp_path / "report.json").read_text()))
 
+
+@pytest.mark.parametrize("case", ["bundled128", "plate"])
+def test_certify_pool_equals_in_process_solves(case, bundled128, geom2d, seed):
+    # the report's solve results equal direct calls in this process, bit for bit
+    if case == "plate":         # the problem of test_certify_2d_smoke
+        p = ProblemData.from_expressions(
+            geom2d, "0.1", "-1", "cos(2*pi*x1)*cos(2*pi*x2) - 0.25"
+        )
+        q = 3.0
+    else:
+        p, q = bundled128, 2.5
+    rep = certify(p, q, seed)
+    nonneg, unsigned = masked_rayleigh(p, "bilap-a", seed)
+    assert rep.rayleigh_masked == nonneg
+    assert rep.rayleigh_masked_unsigned == unsigned
+    assert rep.moment_values == {eta: moment_rayleigh(p, eta, q, seed) for eta in (0.5, 0.1, 0.02)}
+    assert list(rep.moment_values) == [0.5, 0.1, 0.02]
+    # the measure bound from the grad quotient computed here
+    mu_grad = masked_rayleigh(p, "grad", seed)[0]
+    eps_m = rep.eps if math.isfinite(rep.eps) else 0.1
+    n = p.geometry.n_ambient
+    rem = embedding_remainder(p.geometry, eps_m, seed=seed)
+    rhs = (rep.positivity_measure ** (-4.0 / n) - rem - mu_grad * p.a_sup) / (
+        sharp_sobolev_constant(n) ** 2 * (1.0 + eps_m)
+    )
+    assert rep.measure_lower_bound == rhs
+
+
+def test_certify_task_error_reaches_the_caller(bundled64, seed, monkeypatch):
+    import multiprocessing
+
+    from biharm.errors import NonConvergence
+
+    real = certifier.moment_rayleigh
+
+    def failing(problem, eta, q, seed):
+        if eta == 0.1:
+            raise NonConvergence(f"moment solve failed at eta {eta}")
+        return real(problem, eta, q, seed)
+
+    certify(bundled64, 2.5, seed)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(certifier, "moment_rayleigh", failing)
+    with pytest.raises(NonConvergence, match="^moment solve failed at eta 0.1$"):
+        certify(bundled64, 2.5, seed)
+    assert multiprocessing.active_children() == []
 
 
 def _same(a, b):

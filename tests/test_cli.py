@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +99,20 @@ def test_certify_golden_report(assert_golden_certificate):
         assert res.returncode == 4      # bundled example fails the ratio cond
         got = json.loads(Path(tmp, "report.json").read_text())
     assert_golden_certificate(got)
+
+
+def test_certify_report_is_the_same_on_one_cpu(tmp_path):
+    """A certify run pinned to one CPU (a one-worker pool) writes the same bytes."""
+    one_cpu = {min(os.sched_getaffinity(0))}
+    outs = []
+    for name, pin in (("pool", None), ("one_cpu", lambda: os.sched_setaffinity(0, one_cpu))):
+        out = tmp_path / name
+        cmd = [sys.executable, "-m", "biharm.cli", "certify",
+               "--config", str(CONFIGS / "bundled.json"), "--out", str(out)]
+        res = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=pin, timeout=300)
+        assert res.returncode == 4, res.stderr
+        outs.append((out / "report.json").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_mu_curve_outputs_and_force_gate(tmp_path):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -393,3 +395,48 @@ def test_stack_rows_are_fields_of_their_own(dim, geom64, geom2d, monkeypatch):
         g.field(np.zeros((2, 2) + g.shape))
     with pytest.raises(TypeError):
         fields[0][0]
+
+
+# ----------------------------------------------------------------------
+# pickle and deepcopy: the certifier's worker processes receive the problem by pickle
+
+
+def _pickle_round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+def _same_bits(u, v):
+    return all(
+        a.tobytes() == b.tobytes() and a.shape == b.shape
+        for a, b in ((u.coeffs, v.coeffs), (u.samples, v.samples), (u.fine_values, v.fine_values))
+    )
+
+
+@pytest.mark.parametrize("duplicate", [_pickle_round_trip, copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_fields_and_problems_survive_pickle_and_deepcopy(duplicate, geom64, toy64):
+    rng = np.random.default_rng(5)
+    u, v = geom64.random_smooth(rng), geom64.random_smooth(rng)
+    u.fine_values, v.fine_values
+    mixed = geo.add(geo.scale(u, 0.7), v, -0.3)     # refined values carried by arithmetic
+    assert mixed._fine is not None and mixed._samples is None
+    stacked = geo.stack([u, mixed, v])
+    for w in (u, mixed, stacked):
+        twin = duplicate(w)
+        assert twin.geometry.compatible(w.geometry)
+        # the carried refined values travel as they are, not re-transformed
+        assert twin._fine.tobytes() == w._fine.tobytes()
+        assert (twin._samples is None) == (w._samples is None)
+        assert _same_bits(twin, w)
+        for arr in (twin.coeffs, twin.samples, twin.fine_values):
+            assert not arr.flags.writeable
+        with pytest.raises(AttributeError):
+            twin.coeffs = w.coeffs
+
+    twin = duplicate(toy64)
+    for name in ("a", "h", "f"):
+        assert _same_bits(getattr(twin, name), getattr(toy64, name))
+    for name, value in vars(toy64).items():
+        if isinstance(value, np.ndarray):
+            assert getattr(twin, name).tobytes() == value.tobytes(), name
+        elif isinstance(value, (float, bool, dict)):
+            assert getattr(twin, name) == value, name
