@@ -25,7 +25,8 @@ must be a finite number (not a string or a bool) in (2, N], N = 2n/(n-4)
 the critical exponent.  The geometry keys and ``curve.k_steps`` are
 integers and ``curve.k_min``/``k_max`` finite numbers (a float or a bool
 where an integer belongs is an error, not truncated); the curve settings
-are checked before any solve.
+are checked before any solve.  The ``exponent``, ``curve`` and ``solver``
+sections may be absent or null; any other non-object is an error.
 
 The hypothesis gate lives here and nowhere else: ``mu-curve``,
 ``solve-sub`` and ``mountain-pass`` need conditions (1), (2) and (3) of
@@ -38,8 +39,9 @@ the certificate's numbers (window edge, eta, sigma) and check nothing.
 Exit codes: 0 success (for ``certify``: conditions (1) and (2) hold),
 2 configuration/validation error, 3 numeric failure, 4 hypothesis gate
 failed, 5 non-convergence (for the mountain pass also a saddle whose
-Newton polish was not accepted, or whose energy lies below the hump
-maximum ``mu_lo``), 6 curve shape not found, 7 path collapse.
+Newton polish did not converge, that is not of Morse index 1, or whose
+energy lies below the hump maximum ``mu_lo``), 6 curve shape not found,
+7 path collapse.
 """
 
 from __future__ import annotations
@@ -89,6 +91,14 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _section(cfg: dict, section: str) -> dict:
+    """An optional config section: absent or null is {}, any other non-object an error."""
+    block = cfg.get(section)
+    if block is not None and not isinstance(block, dict):
+        raise ConfigError(f"config section {section!r} must be an object, got {block!r}")
+    return block or {}
+
+
 def _require(cfg: dict, section: str, keys) -> dict:
     block = cfg.get(section)
     if not isinstance(block, dict):
@@ -134,9 +144,7 @@ def _build_problem(cfg: dict, require_f_minus: bool) -> ProblemData:
 
 def _seed(cfg: dict, args) -> int:
     """The solver seed: ``--seed``, else ``solver.seed``, else 0."""
-    block = cfg.get("solver", {}) or {}
-    if not isinstance(block, dict):
-        raise ConfigError("config section 'solver' must be an object")
+    block = _section(cfg, "solver")
     unknown = sorted(set(block) - {"seed"})
     if unknown:
         raise ConfigError(f"unknown solver setting {', '.join(unknown)}: only seed is accepted")
@@ -148,13 +156,13 @@ def _seed(cfg: dict, args) -> int:
 
 def _exponent(cfg: dict, args, problem: ProblemData) -> float:
     """The exponent: ``--q``, else ``exponent.q``; a finite number in (2, N]."""
+    block = _section(cfg, "exponent")
     if getattr(args, "q", None) is not None:
         q = args.q
-    else:
-        block = cfg.get("exponent", {}) or {}
-        if "q" not in block:
-            raise ConfigError("exponent q missing: set exponent.q or pass --q")
+    elif "q" in block:
         q = block["q"]
+    else:
+        raise ConfigError("exponent q missing: set exponent.q or pass --q")
     if not _is_finite_number(q):
         raise ConfigError(f"exponent.q must be a finite number, got {q!r}")
     q = float(q)
@@ -166,7 +174,7 @@ def _exponent(cfg: dict, args, problem: ProblemData) -> float:
 
 
 def _k_range(cfg: dict, args) -> tuple[float, float, int]:
-    block = cfg.get("curve", {}) or {}
+    block = _section(cfg, "curve")
     k_min = args.k_min if args.k_min is not None else block.get("k_min")
     k_max = args.k_max if args.k_max is not None else block.get("k_max")
     k_steps = args.k_steps if args.k_steps is not None else block.get("k_steps", 48)

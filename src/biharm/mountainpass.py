@@ -15,13 +15,14 @@ and dominant interior points become nodes.  When the level stalls, the
 maximal node is polished into a genuine critical point by damped
 Newton-Krylov steps on the stationarity residual: ``lsqr`` on the
 matrix-free Hessian action, preconditioned by the spectral descent
-metric of the path deformation.  The report's energy is that of the
-polished critical point; the reported ``nu`` is the stalled honest
-maximum, raised to that energy when the polish is accepted (a path
-threaded through the saddle attains it).  Every path between the zero
-masses crosses each sphere between them, so the saddle's energy is at
-least the hump maximum mu_lo; ``second_solution`` checks that once, for
-the accepted saddle.
+metric of the path deformation.  The report describes the polished
+point; ``nu`` is the stalled honest maximum, raised to the polished
+energy when the polish converged (a path threaded through the saddle
+attains it).  ``second_solution`` alone accepts the saddle: its polish
+converged, its energy is at least the hump maximum mu_lo (every path
+between the zero masses crosses each sphere between them) and its Morse
+index is 1, that of a nondegenerate mountain-pass point (Hofer, Proc.
+AMS 91, 1984).
 """
 
 from __future__ import annotations
@@ -201,13 +202,12 @@ def refine_critical_point(
 
 @dataclass
 class MountainPassResult:
-    """The polished saddle, the final path ``nodes`` and the level ``history``.
+    """The level ``nu``, the polished point's ``report``, the path ``nodes`` and ``history``.
 
     Accepted steps never raise the level; it rises only in rows whose
     node insertions sharpen the estimate of the polyline maximum.
     """
 
-    v: SpectralField
     nu: float
     report: CriticalPointReport
     nodes: list
@@ -408,12 +408,13 @@ def mountain_pass(
     way the Newton polish takes over.
     Raises Collapse when the path maximum falls to within 1e-8 of the
     endpoint level (no hump), NonConvergence when ``MAX_PATH_ITER``
-    steps end with a moving maximum.  The report describes the
-    Newton-polished critical point seeded by the maximal node.  The returned ``nu`` is
-    the stalled honest path maximum after a denser final sweep, or the
-    polished point's energy F(v) when the polish is accepted and F(v)
-    is higher; ``profile_rows`` holds every node energy of every
-    iteration.
+    steps end with a moving maximum.  The report describes the point the
+    Newton polish reaches from the maximal node, saddle or not
+    (``second_solution`` decides); ``converged`` means the path stalled
+    and the polish converged.  The returned ``nu`` is the stalled honest
+    path maximum after a denser final sweep, raised to the polished
+    energy F(v) when the polish converged; ``profile_rows`` holds every
+    node energy of every iteration.
     """
     g = problem.geometry
     problem.exponents(q)
@@ -474,24 +475,14 @@ def mountain_pass(
             break
 
     nu_path, jmax, _ = path.final_check()
-
-    v_raw = path.nodes[jmax]
-    v, res_polish, polished = refine_critical_point(problem, q, v_raw)
+    v, res_polish, polished = refine_critical_point(problem, q, path.nodes[jmax])
     flags = {"polish_residual": res_polish, "polished": polished}
-    F_v = prob.eval_F(v, problem, q)
-    if not (f_ends + collapse_tol < F_v <= nu_path * (1.0 + 1e-6) + 1e-12):
-        # polish escaped the hump; keep the raw node
-        v = v_raw
-        flags["polish_rejected"] = True
-        polished = False
-    else:
-        # the path threaded through the polished saddle attains F(v)
-        nu_path = max(nu_path, F_v)
     converged = polished and stalled
     report = make_report(problem, q, v, 0.0, converged, flags)
-    result = MountainPassResult(
-        v, nu_path, report, path.nodes, history, profile_rows, it, converged
-    )
+    if polished:
+        # the path threaded through the polished saddle attains F(v)
+        nu_path = max(nu_path, report.energy)
+    result = MountainPassResult(nu_path, report, path.nodes, history, profile_rows, it, converged)
     if not stalled:
         raise NonConvergence(
             f"path deformation still moving after {it} iterations", best=result
@@ -510,12 +501,12 @@ def second_solution(problem: ProblemData, q: float, curve: MuCurve):
     of its bisection at l1 and l2; nothing is solved on a sphere here.
     The curve minimizers in [l1, l2] seed the path.  Returns ((l1, l2,
     l_o), (result at l1, sign-aligned field at l2), MountainPassResult).
-    A saddle whose Newton polish was not accepted, or whose energy lies
-    below the hump maximum ``mu_lo`` (every path from l1 to l2 crosses
-    each sphere between them, so the mountain-pass level cannot), raises
-    NonConvergence with the result as ``best``.  Raises ShapeNotFound
-    unless the tracer found the negative minimum / positive hump /
-    negative tail shape.
+    The saddle is accepted when its polish converged, its energy is at
+    least the hump maximum ``mu_lo`` (every path from l1 to l2 crosses
+    each sphere between them) and its Morse index is 1; otherwise
+    NonConvergence names the failed condition, with the result as
+    ``best``.  Raises ShapeNotFound unless the tracer found the negative
+    minimum / positive hump / negative tail shape.
     """
     ann = curve.annotations
     if ann.get("shape") != "neg-min/hump/neg-tail":
@@ -526,15 +517,13 @@ def second_solution(problem: ProblemData, q: float, curve: MuCurve):
     # the energy is even: use the endpoint representative aligned with u1
     u2 = align_sign(end2.v, end1.v)
     mp = mountain_pass(problem, q, end1.v, u2, interior_seeds=seeds)
+    rep, mu_lo = mp.report, ann["mu_lo"]
     if not mp.converged:
-        raise NonConvergence(
-            f"saddle polish not accepted (equation residual {mp.report.residual_equation})",
-            best=mp,
-        )
-    mu_lo = ann["mu_lo"]
-    if mp.report.energy < mu_lo - 1e-8 * (1.0 + abs(mu_lo)):
-        raise NonConvergence(
-            f"saddle energy {mp.report.energy} lies below the hump maximum {mu_lo}",
-            best=mp,
-        )
-    return (l1, l2, l_o), (end1, u2), mp
+        failure = f"saddle polish did not converge (equation residual {rep.residual_equation})"
+    elif rep.energy < mu_lo - 1e-8 * (1.0 + abs(mu_lo)):
+        failure = f"saddle energy {rep.energy} lies below the hump maximum {mu_lo}"
+    elif (index := morse_index(problem, q, rep.variational)) != 1:
+        failure = f"saddle has Morse index {index}, not 1"
+    else:
+        return (l1, l2, l_o), (end1, u2), mp
+    raise NonConvergence(failure, best=mp)

@@ -345,7 +345,7 @@ def test_criterion_7_mountain_pass_oracle(seed):
     u2 = geo.combination([e0, e1], [a2, b2])
     mp_res = mountain_pass(toy, q, u1, u2)
     assert mp_res.nu == pytest.approx(nu_oracle, rel=1e-3)
-    v = mp_res.v
+    v = mp_res.report.variational
     in_plane = geo.combination([e0, e1], [geo.inner(v, e0), geo.inner(v, e1)])
     assert geo.l2_norm(geo.add(v, in_plane, -1.0)) <= 1e-12 * geo.l2_norm(v)
     rep = mp_res.report

@@ -128,6 +128,32 @@ def test_embedding_remainder_stops_at_a_stationary_probe(geom64, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_constant_probe_is_a_strict_local_maximum_of_the_ratio(n, eps):
+    # along u = 1 + t sqrt2 cos(2 pi x1) the probe ratio is
+    # 1 + t^2 (N - 2 - K2^2 (1+eps) (2 pi)^4) + O(t^4) (odd orders vanish
+    # by the half-period shift), so the constant is a strict local
+    # maximum exactly when K2^2 (1+eps) (2 pi)^4 > N - 2
+    g = TorusGeometry(n, 1, 64)
+    N = g.critical_exponent
+    k2_term = sharp_sobolev_constant(n) ** 2 * (1.0 + eps)
+    assert k2_term * TWO_PI**4 > N - 2.0
+    phi = g.field(math.sqrt(2.0) * np.cos(TWO_PI * g.coordinates()[0]))
+
+    def ratio(t):
+        u = geo.add(g.constant(1.0), phi, t)
+        return (geo.lp_norm(u, N) ** 2 - k2_term * geo.bilap_energy(u)) / geo.l2_norm(u) ** 2
+
+    t = 1e-3
+    assert ratio(0.0) == pytest.approx(1.0, abs=1e-14)
+    assert ratio(t) < 1.0 and ratio(-t) < 1.0
+    second_difference = (ratio(t) - 2.0 * ratio(0.0) + ratio(-t)) / t**2
+    assert second_difference == pytest.approx(
+        2.0 * (N - 2.0 - k2_term * TWO_PI**4), rel=1e-5
+    )
+
+
 # ----------------------------------------------------------------------
 # masked Rayleigh quotient
 

@@ -251,7 +251,7 @@ def test_nonconvergence_error_keeps_best_iterate(tmp_path, monkeypatch):
     def exhausted(problem, q, u1, u2, **kwargs):
         report = make_report(problem, q, u1, 0.0, False)
         reports.append(report)
-        best = MountainPassResult(u1, 1.25, report, [], [], [], 17, False)
+        best = MountainPassResult(1.25, report, [], [], [], 17, False)
         raise NonConvergence("path budget exhausted", best=best)
 
     monkeypatch.setattr(mountainpass, "mountain_pass", exhausted)
@@ -281,9 +281,9 @@ def test_unaccepted_saddle_polish_exits_nonconvergence(tmp_path, monkeypatch, co
     from biharm.mountainpass import MountainPassResult
 
     def unpolished(problem, q, u1, u2, **kwargs):
-        # the path stalled, but the Newton polish of its top node was rejected
-        report = make_report(problem, q, u1, 0.0, False, {"polish_rejected": True})
-        return MountainPassResult(u1, 1.25, report, [], [], [], 17, False)
+        # the path stalled, but the Newton polish of its top node did not converge
+        report = make_report(problem, q, u1, 0.0, False, {"polished": False})
+        return MountainPassResult(1.25, report, [], [], [], 17, False)
 
     monkeypatch.setattr(mountainpass, "mountain_pass", unpolished)
     cfg = write_config(tmp_path, curve={"k_steps": 12})
@@ -294,6 +294,24 @@ def test_unaccepted_saddle_polish_exits_nonconvergence(tmp_path, monkeypatch, co
     assert err["error"] == "NonConvergence" and err["exit_code"] == 5
     assert err["best"]["converged"] is False
     assert err["best"]["nu"] == 1.25 and err["best"]["iterations"] == 17
+    assert not (out / "solution_mp.report.json").exists()
+
+
+def test_saddle_not_of_index_one_exits_nonconvergence(tmp_path, monkeypatch):
+    # the path stalls and the polish converges above the hump, but a
+    # saddle of Morse index 2 is not the mountain-pass point
+    import biharm.cli as cli
+    import biharm.mountainpass as mountainpass
+
+    monkeypatch.setattr(mountainpass, "morse_index", lambda problem, q, u: 2)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    code = cli.main(["solve-sub", "--force", "--config", str(cfg), "--out", str(out)])
+    assert code == 5
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NonConvergence" and err["exit_code"] == 5
+    assert "Morse index 2" in err["message"]
+    assert err["best"]["converged"] is True and err["best"]["energy"] > 0.0
     assert not (out / "solution_mp.report.json").exists()
 
 
@@ -387,9 +405,13 @@ def test_solve_critical_exits_nonconvergence_when_the_fallback_fails(tmp_path, m
         ("mu-curve", "curve", {"k_max": float("inf")}, "curve.k_max"),   # JSON 1e999 loads as inf
         ("certify", "exponent", {"q": "2.5"}, "exponent.q"),
         ("certify", "exponent", {"q": True}, "exponent.q"),
+        ("certify", "exponent", ["q"], "'exponent'"),
+        ("mu-curve", "curve", "x", "'curve'"),
+        ("certify", "solver", [], "'solver'"),
     ],
     ids=["grid-size-float", "n-ambient-float", "d-eff-bool", "k-min-string",
-         "k-steps-float", "k-max-inf", "q-string", "q-bool"],
+         "k-steps-float", "k-max-inf", "q-string", "q-bool", "exponent-list",
+         "curve-string", "solver-empty-list"],
 )
 def test_config_numbers_are_checked_before_any_solve(
     tmp_path, monkeypatch, command, section, values, key

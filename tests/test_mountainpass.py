@@ -199,8 +199,9 @@ def test_two_mode_toy_matches_grid_search_oracle():
     assert mp.nu == pytest.approx(nu_oracle, rel=1e-3)
     assert mp.report.energy == pytest.approx(nu_oracle, rel=1e-3)
     # the polished saddle stays in the plane and solves the full equation
-    in_plane = geo.combination([e0, e1], [geo.inner(mp.v, e0), geo.inner(mp.v, e1)])
-    assert geo.l2_norm(geo.add(mp.v, in_plane, -1.0)) <= 1e-12 * geo.l2_norm(mp.v)
+    v = mp.report.variational
+    in_plane = geo.combination([e0, e1], [geo.inner(v, e0), geo.inner(v, e1)])
+    assert geo.l2_norm(geo.add(v, in_plane, -1.0)) <= 1e-12 * geo.l2_norm(v)
     assert mp.report.residual_equation <= 1e-9 * (1.0 + abs(mp.report.energy))
 
 
@@ -248,6 +249,34 @@ def test_saddle_below_the_hump_raises_nonconvergence(toy_pipeline, toy64):
         second_solution(toy64, 4.0, raised)
     assert exc.value.best.converged
     assert exc.value.best.report.energy == mp.report.energy
+
+
+def test_saddle_not_of_index_one_raises_nonconvergence(toy_pipeline, toy64, monkeypatch):
+    # a converged polish above the hump is still not the mountain-pass
+    # point when its Morse index is not 1
+    curve, _, _, mp = toy_pipeline
+    monkeypatch.setattr(mpass, "morse_index", lambda problem, q, u: 2)
+    with pytest.raises(NonConvergence, match="Morse index 2") as exc:
+        second_solution(toy64, 4.0, curve)
+    assert exc.value.best.converged
+    assert exc.value.best.report.energy == mp.report.energy
+
+
+def test_saddle_between_the_exact_zeros_is_accepted(toy_pipeline, toy64):
+    # endpoints at the exact zeros of mu: the path stalls far above the
+    # saddle, and the polish still reaches the index-1 saddle
+    curve, _, _, mp = toy_pipeline
+    l1, l2 = 1.38982499258, 45.5850746017
+    exact = copy.copy(curve)
+    exact.annotations = dict(curve.annotations, l1=l1, l2=l2)
+    exact.zero_minimizers = [
+        minimize_on_sphere(toy64, 4.0, k, 0, init=z.v)
+        for k, z in zip((l1, l2), curve.zero_minimizers)
+    ]
+    _, _, at_zeros = second_solution(toy64, 4.0, exact)
+    assert at_zeros.report.energy == pytest.approx(4.152753636079604, rel=1e-10)
+    assert morse_index(toy64, 4.0, at_zeros.report.variational) == 1
+    assert at_zeros.nu > 8.0
 
 
 def test_endpoints_never_move(toy_pipeline):
@@ -326,7 +355,6 @@ def test_no_descent_stalls_at_once(toy_pipeline, toy64, monkeypatch):
     mp = mountain_pass(toy64, 4.0, end1.v, u2, interior_seeds=seeds)
     assert mp.iterations == 1 and len(mp.history) == 1
     assert mp.converged and mp.report.flags["polished"]
-    assert "polish_rejected" not in mp.report.flags
 
 
 def test_collapse_detected(toy64, seed):
@@ -397,7 +425,8 @@ def _band_hessian_oracle(problem, q, u, eps=1e-3):
 def test_morse_index_matches_the_dense_band_oracle(toy_pipeline, toy64):
     # the zero field, the saddle, a scaled saddle and the minimizer
     _, (l1, _, _), _, mp = toy_pipeline
-    points = [toy64.geometry.constant(0.0), mp.v, geo.scale(mp.v, 8.0),
+    v = mp.report.variational
+    points = [toy64.geometry.constant(0.0), v, geo.scale(v, 8.0),
               mz.first_solution(toy64, 4.0, float(l1), 0).variational]
     spectra = [_band_hessian_oracle(toy64, 4.0, u) for u in points]
     counts = [int(np.count_nonzero(ev < 0.0)) for ev in spectra]
@@ -546,3 +575,28 @@ def test_mountain_pass_transform_count(toy_pipeline, toy64, monkeypatch):
     assert 0 < len(calls) <= 2000
     assert 0 < len(rows) <= 600
     assert max(rows) <= mpass._CHUNK
+
+
+# ----------------------------------------------------------------------
+# two solutions on the 2-D plate
+
+
+def test_plate_two_solutions():
+    # the 16 x 16 plate of the benchmark, traced far enough (k up to 1e13)
+    # for mu to fall back below zero
+    from biharm.certifier import certify
+
+    q = 3.0
+    plate = prob.ProblemData.from_expressions(
+        TorusGeometry(7, 2, 16), "0.1", "-1", "cos(2*pi*x1)*cos(2*pi*x2) - 0.25"
+    )
+    certificate = certify(plate, q, 0)
+    curve = trace_mu_curve(plate, q, 0.5, 1e13, 40, 0, certificate=certificate)
+    mu_lo = curve.annotations["mu_lo"]
+    assert mu_lo == pytest.approx(366_359_819.58, rel=1e-10)
+    _, _, mp = second_solution(plate, q, curve)
+    saddle = mp.report
+    assert saddle.energy == pytest.approx(378_015_422.3436, rel=1e-9)
+    assert saddle.energy >= mu_lo
+    assert morse_index(plate, q, saddle.variational) == 1
+    assert mz.first_solution(plate, q, certificate.k_low, 0).energy < 0.0
