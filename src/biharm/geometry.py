@@ -19,8 +19,10 @@ coefficients on first read and cached (idempotent, read-only caches).
 ``scale``, ``add`` and ``combination`` carry the cached refined-grid
 values of their inputs, which they are linear in, and ``inner`` and
 ``l2_norm`` use Parseval on the coefficients, so linear arithmetic makes
-no transform.  Every transform of the package is a ``scipy.fft`` call
-made here, through ``TorusGeometry.forward`` and ``inverse``.
+no transform.  Every transform of the package is made here, through
+``TorusGeometry.forward`` and ``inverse``, as one call of the pocketfft
+kernel that ``scipy.fft.fftn``/``ifftn`` wrap (see the transforms
+section of ``TorusGeometry``).
 
 A field may hold a stack of fields along one leading axis (``stack``;
 ``u[i]`` takes one out).  Transforms, padding, truncation, the
@@ -52,7 +54,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import fftn, ifftn
+from scipy.fft._pocketfft.pypocketfft import c2c
 
 from .errors import GeometryMismatch
 
@@ -122,6 +124,11 @@ class TorusGeometry:
         self._off_band = ~self.band_mask
         # the field axes, last first; leading (stack) axes are left alone
         self._axes = tuple(range(-1, -d - 1, -1))
+        # the same axes as the kernel takes them (non-negative), per rank:
+        # a field, a stack, and the gradient components of a stack
+        self._kernel_axes = {
+            rank: tuple(rank + a for a in self._axes) for rank in range(d, d + 3)
+        }
 
     # ------------------------------------------------------------------
     # basic descriptors
@@ -159,11 +166,23 @@ class TorusGeometry:
     # numpy's; the power-of-two normalization is exact.  Only the last
     # d_eff axes are transformed: a stack is transformed field by field in
     # one call.
+    #
+    # Both call pocketfft's ``c2c`` directly, with the arguments that
+    # scipy.fft.fftn/ifftn(..., norm="forward") pass it, so the values are
+    # those of scipy.fft, bit for bit (tests/test_geometry.py pins this).
+    # The grids are small (64 to 1024 points per field in the shipped
+    # configs), and scipy.fft's per-call dispatch and axis normalization
+    # cost about 11 us a call, 1-8x the transform itself.  ``inorm`` 2
+    # divides by the number of transformed points and 0 leaves the sum
+    # as it is: norm="forward".  The kernel runs a real-to-complex
+    # transform on real input, which rounds differently, so ``forward``
+    # casts to complex first; the last two arguments are no output
+    # buffer and one thread.
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Coefficients DFT(values) / N of values on a grid of N points (native or refined)."""
         values = np.asarray(values, dtype=np.complex128)
-        return fftn(values, axes=self._axes, norm="forward")
+        return c2c(values, self._kernel_axes[values.ndim], True, 2, None, 1)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Real part of the grid values of a coefficient array (inverse of ``forward``).
@@ -171,7 +190,7 @@ class TorusGeometry:
         A contiguous copy: it frees the complex buffer and keeps later
         pointwise arithmetic on unit strides.
         """
-        return ifftn(coeffs, axes=self._axes, norm="forward").real.copy()
+        return c2c(coeffs, self._kernel_axes[coeffs.ndim], False, 0, None, 1).real.copy()
 
     # ------------------------------------------------------------------
     # field constructors

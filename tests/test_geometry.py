@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -208,6 +209,37 @@ def test_product_projection_exactness(geom64, rng):
 
 
 # ----------------------------------------------------------------------
+# transforms: one pocketfft kernel call each, pinned to scipy.fft
+
+
+@pytest.mark.parametrize("d_eff, M", [(1, 64), (1, 128), (2, 16)])
+def test_transforms_equal_scipy_fft_bitwise(d_eff, M):
+    """``forward``/``inverse`` are the kernel behind ``scipy.fft.fftn``/``ifftn``.
+
+    They call scipy's private ``pypocketfft.c2c`` with the arguments
+    ``scipy.fft`` passes it; if a scipy release moves or changes that
+    kernel, this fails instead of every result drifting.  Native and
+    refined grids; a field, a stack and the gradient components of a
+    stack; real and complex input to both directions.
+    """
+    g = TorusGeometry(6, d_eff, M)
+    rng = np.random.default_rng(M)
+    for grid in (g.shape, g.fine_shape):
+        for lead in ((), (3,), (d_eff, 2)):
+            x = rng.standard_normal(lead + grid)
+            for values in (x, x + 1j * rng.standard_normal(x.shape)):
+                got = g.forward(values)
+                want = scipy.fft.fftn(
+                    np.asarray(values, np.complex128), axes=g._axes, norm="forward"
+                )
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                got = g.inverse(values)
+                want = scipy.fft.ifftn(values, axes=g._axes, norm="forward").real
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert got.flags.c_contiguous
+
+
+# ----------------------------------------------------------------------
 # lazy values: transformed on first read, carried through linear ops
 
 PROPERTY = settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -287,14 +319,13 @@ def test_construction_and_linear_ops_make_no_transform(dim, geom64, geom2d, monk
     plain = [g.field_from_coeffs(f.coeffs) for f in cached]
     calls = []
 
-    def counting(fn):
-        def wrapped(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
+    def counting(kernel):
+        def wrapped(a, axes, forward, *args):
+            calls.append("fftn" if forward else "ifftn")   # the scipy.fft name
+            return kernel(a, axes, forward, *args)
         return wrapped
 
-    monkeypatch.setattr(geo, "fftn", counting(geo.fftn))
-    monkeypatch.setattr(geo, "ifftn", counting(geo.ifftn))
+    monkeypatch.setattr(geo, "c2c", counting(geo.c2c))
     for u, v in (cached, plain):
         g.field_from_coeffs(u.coeffs)
         geo.scale(u, 2.0)
@@ -374,8 +405,8 @@ def test_stack_rows_are_fields_of_their_own(dim, geom64, geom2d, monkeypatch):
     g = _geom(dim, geom64, geom2d)
     fields = _cached_fields(g, 5, 3)
     calls = []
-    real = geo.ifftn
-    monkeypatch.setattr(geo, "ifftn", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = geo.c2c
+    monkeypatch.setattr(geo, "c2c", lambda *a: calls.append(1) or real(*a))
     u = geo.stack(fields)
     first = u[0]
     assert first.coeffs.shape == g.shape and first.coeffs.base is None

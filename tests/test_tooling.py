@@ -15,8 +15,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "biharm"
 PERFBENCH = ROOT / "perfbench"
 
-# fft, ifft, fftn, ifftn, fft2, rfft, irfft, rfftn, irfftn, ... (not fftfreq)
-TRANSFORM = re.compile(r"^i?r?fft[n2]?$")
+# fft, ifft, fftn, ifftn, fft2, rfft, irfft, rfftn, irfftn, ... (not fftfreq),
+# and pocketfft's kernels c2c, r2c, c2r, which geometry calls directly
+TRANSFORM = re.compile(r"^(i?r?fft[n2]?|[rc]2[rc])$")
 
 
 def _transform_names(tree):
@@ -35,7 +36,10 @@ def _transform_names(tree):
 
 
 def test_transform_pattern():
-    for name in ("fft", "ifft", "fftn", "ifftn", "fft2", "rfft", "irfft", "rfftn", "irfftn"):
+    for name in (
+        "fft", "ifft", "fftn", "ifftn", "fft2", "rfft", "irfft", "rfftn", "irfftn",
+        "c2c", "r2c", "c2r",
+    ):
         assert TRANSFORM.match(name), name
     for name in ("fftfreq", "rfftfreq", "fftshift", "forward", "inverse"):
         assert not TRANSFORM.match(name), name
