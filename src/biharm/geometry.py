@@ -32,7 +32,8 @@ bit for bit, as it would alone, and one transform call serves the whole
 stack.  ``scale`` and ``add`` take one weight per field of a stack;
 ``lp_mass`` and ``bilap_energy`` return one value per field.
 ``inner``, ``l2_norm``, ``lp_norm`` and the other scalar functionals are
-for single fields.
+for single fields.  ``TorusGeometry.from_band``/``to_band`` map the
+band's real fields to their real coordinates in one orthonormal basis.
 
 Multiplier table (angular frequency w = 2 pi m, sign convention
 Delta = -div grad):
@@ -119,6 +120,12 @@ class TorusGeometry:
         self.lam_sq = self.lam**2              # multiplier of the bilaplacian
         self.deriv_mult = [1j * TWO_PI * g.astype(np.float64) for g in grids]
 
+        # flat indices of the band's self-conjugate modes and of its pairs m, -m
+        idx = np.flatnonzero(self.band_mask)
+        mirror = np.ravel_multi_index([-m.ravel()[idx] % M for m in grids], self.shape)
+        self._band_modes = (idx[idx == mirror], idx[idx < mirror], mirror[idx < mirror])
+        self.band_size = idx.size  # (M - 1)^d
+
         # position of coarse mode m inside the refined spectrum
         self._fine_index = np.ix_(*([m_axis % self.fine_size] * d))
         self._off_band = ~self.band_mask
@@ -191,6 +198,30 @@ class TorusGeometry:
         pointwise arithmetic on unit strides.
         """
         return c2c(coeffs, self._kernel_axes[coeffs.ndim], False, 0, None, 1).real.copy()
+
+    # ------------------------------------------------------------------
+    # real band coordinates
+
+    def from_band(self, x) -> np.ndarray:
+        """Coefficients of the real band field(s) with coordinates x on the last axis.
+
+        The L2-orthonormal basis: the constant, then sqrt2 cos and sqrt2 sin
+        of 2 pi m.x for each pair {m, -m}; c[-m] = conj(c[m]) exactly.
+        """
+        own, pair, partner = self._band_modes
+        k, p = own.size, own.size + pair.size
+        coeffs = np.zeros(x.shape[:-1] + (self.size,), dtype=np.complex128)
+        coeffs[..., own] = x[..., :k]
+        z = math.sqrt(0.5) * (x[..., k:p] + 1j * x[..., p:])
+        coeffs[..., pair], coeffs[..., partner] = z, z.conj()
+        return coeffs.reshape(x.shape[:-1] + self.shape)
+
+    def to_band(self, coeffs) -> np.ndarray:
+        """The real adjoint of ``from_band``: anti-Hermitian parts and off-band entries drop out."""
+        own, pair, partner = self._band_modes
+        c = coeffs.reshape(coeffs.shape[: coeffs.ndim - self.d_eff] + (self.size,))
+        a, b, s = c[..., pair], c[..., partner], math.sqrt(0.5)
+        return np.concatenate([c[..., own].real, s * (a + b).real, s * (a - b).imag], axis=-1)
 
     # ------------------------------------------------------------------
     # field constructors

@@ -67,62 +67,26 @@ def _hessian_apply(problem, q, u, v):
     return problem.geometry.field_from_coeffs(prob.apply_operator(problem, v, w))
 
 
-def _band_basis(g) -> np.ndarray:
-    """Coefficients of an L2-orthonormal basis of the band's real fields, one per row.
-
-    The constant, then sqrt2 cos and sqrt2 sin of every retained mode
-    pair {m, -m}; the Nyquist modes are not in the band, so no row
-    carries them.
-    """
-    idx = np.flatnonzero(g.band_mask)
-    mirror = np.ravel_multi_index(
-        tuple(-m % g.grid_size for m in np.unravel_index(idx, g.shape)), g.shape
+def _band_hessian(problem, q, u):
+    """Half the Hessian of F_q at u as a map of band coordinates (a stack row by row)."""
+    g = problem.geometry
+    return lambda x: g.to_band(
+        _hessian_apply(problem, q, u, SpectralField(g, g.from_band(x))).coeffs
     )
-    own, pair, partner = idx[idx == mirror], idx[idx < mirror], mirror[idx < mirror]
-    k, p = own.size, pair.size
-    basis = np.zeros((k + 2 * p, g.size), dtype=np.complex128)
-    basis[np.arange(k), own] = 1.0
-    cos_rows, sin_rows = k + np.arange(p), k + p + np.arange(p)
-    s = math.sqrt(0.5)
-    basis[cos_rows, pair] = s
-    basis[cos_rows, partner] = s
-    basis[sin_rows, pair] = 1j * s
-    basis[sin_rows, partner] = -1j * s
-    return basis
 
 
 def morse_index(problem: ProblemData, q: float, u: SpectralField) -> int:
     """Number of negative eigenvalues of half the Hessian of F_q at u on the band's real fields.
 
-    The Hessian is assembled densely in the orthonormal band basis of
-    ``_band_basis`` (``_hessian_apply`` on the basis as stacks of at
-    most ``_INDEX_CHUNK`` fields) and diagonalized by ``scipy.linalg.eigh``.
-    The band restriction matters: on grid samples the Nyquist direction
-    is an exact null vector of the Hessian action, and a count over
-    samples reads its rounding-level eigenvalue as a sign.
+    The Hessian is assembled densely as ``to_band(_hessian_apply(from_band(I)))``,
+    in stacks of at most ``_INDEX_CHUNK`` rows, and diagonalized by
+    ``scipy.linalg.eigh``.  The band restriction matters: on grid samples the
+    Nyquist direction is an exact null vector of the Hessian action, and a
+    count over samples reads its rounding-level eigenvalue as a sign.
     """
-    g = problem.geometry
-    basis = _band_basis(g)
-    fields = basis.reshape((-1,) + g.shape)
-    H = np.concatenate([
-        _hessian_apply(problem, q, u, g.field_from_coeffs(fields[rows])).coeffs
-        for rows in _chunks(len(basis), _INDEX_CHUNK)
-    ]).reshape(len(basis), -1)
-    A = (basis.conj() @ H.T).real
+    H, eye = _band_hessian(problem, q, u), np.eye(problem.geometry.band_size)
+    A = np.concatenate([H(eye[rows]) for rows in _chunks(len(eye), _INDEX_CHUNK)])
     return int(np.count_nonzero(eigh(0.5 * (A + A.T), eigvals_only=True) < 0.0))
-
-
-def _real_part(u: SpectralField) -> SpectralField:
-    """The real field nearest u: each c[m] averaged with conj(c[-m]).
-
-    A forward transform of real samples leaves an anti-Hermitian rounding
-    part in the coefficients, the coefficients of no real field; the
-    bilaplacian amplifies it in the residual norm, where no Newton step
-    built from real samples could remove it.
-    """
-    axes = tuple(range(u.coeffs.ndim))
-    mirror = np.conj(np.roll(np.flip(u.coeffs, axis=axes), 1, axis=axes))
-    return u.geometry.field_from_coeffs(0.5 * (u.coeffs + mirror))
 
 
 def refine_critical_point(
@@ -142,9 +106,9 @@ def refine_critical_point(
     quasi-symmetries leave a near-null direction that an undamped solve
     would overshoot.  The step is right-preconditioned by the descent
     metric ``_metric`` at the iterate's mass, which takes the
-    |2 pi m|^4 growth out of H.  The seed and every step are
-    replaced by their real-field part (``_real_part``), so the residual
-    can fall to the rounding floor.
+    |2 pi m|^4 growth out of H.  The unknowns are band coordinates
+    (``TorusGeometry.from_band``), so the iterate is exactly real and
+    r = to_band(grad F) / 2 drops the anti-Hermitian rounding |2 pi m|^4 amplifies.
 
     A step is taken only if it lowers the residual, else the damping lm
     grows 16-fold (giving up above 1e3).  Runs at most 40 Newton steps
@@ -154,37 +118,26 @@ def refine_critical_point(
     residual_norm, converged).
     """
     g = problem.geometry
+    n = g.band_size
 
-    def system(u, r):
-        P = _metric(problem, q, geo.lp_mass(u, q))
+    def residual(u):
+        r = 0.5 * g.to_band(prob.grad_F(u, problem, q).coeffs)
+        return r, float(np.linalg.norm(r))
 
-        def step(x):
-            return _real_part(g.field_from_coeffs(P * g.field(x.reshape(g.shape)).coeffs))
-
-        def matvec(x):
-            return _hessian_apply(problem, q, u, step(x)).samples.ravel()
-
-        def rmatvec(y):
-            Hy = _hessian_apply(problem, q, u, g.field(y.reshape(g.shape)))
-            return g.field_from_coeffs(P * Hy.coeffs).samples.ravel()
-
-        n = g.size
-        op = LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec, dtype=float)
-        return op, -r.samples.ravel(), step
-
-    u = _real_part(u0)
-    r = geo.scale(prob.grad_F(u, problem, q), 0.5)
-    rn = geo.l2_norm(r)
+    u = SpectralField(g, g.from_band(g.to_band(u0.coeffs)))
+    r, rn = residual(u)
     scale0 = 1.0 + abs(prob.eval_F(u, problem, q))
     lm = 0.0
     for _ in range(40):
         if rn <= 1e-13 * scale0:
             break
-        op, rhs, to_field = system(u, r)
-        x = lsqr(op, rhs, damp=math.sqrt(lm), atol=1e-13, btol=1e-13, iter_lim=800)[0]
-        trial = geo.add(u, to_field(x), 1.0)
-        rt = geo.scale(prob.grad_F(trial, problem, q), 0.5)
-        rtn = geo.l2_norm(rt)
+        # diagonal in band coordinates (it depends on |m| only): apply it to the ones
+        P = g.to_band(_metric(problem, q, geo.lp_mass(u, q)) * g.from_band(np.ones(n)))
+        H = _band_hessian(problem, q, u)
+        op = LinearOperator((n, n), lambda x: H(P * x), rmatvec=lambda y: P * H(y), dtype=float)
+        x = lsqr(op, -r, damp=math.sqrt(lm), atol=1e-13, btol=1e-13, iter_lim=800)[0]
+        trial = geo.add(u, SpectralField(g, g.from_band(P * x)), 1.0)
+        rt, rtn = residual(trial)
         at_floor = rn <= 1e-9 * scale0 and not rtn <= 0.5 * rn
         if rtn < rn:
             u, r, rn = trial, rt, rtn

@@ -239,6 +239,33 @@ def test_transforms_equal_scipy_fft_bitwise(d_eff, M):
                 assert got.flags.c_contiguous
 
 
+@pytest.mark.parametrize("d, grid", [(1, 64), (2, 8)], ids=["1d-64", "2d-8"])
+def test_band_basis_spans_the_real_band_fields(d, grid):
+    # the Morse index is counted over these rows: (M - 1)^d orthonormal
+    # real fields with no Nyquist component
+    g = TorusGeometry(6 + d - 1, d, grid)
+    c = g.from_band(np.eye(g.band_size))
+    basis = c.reshape(len(c), -1)
+    assert basis.shape == ((grid - 1) ** d, g.size)
+    assert np.abs(basis.conj() @ basis.T - np.eye(len(basis))).max() <= 1e-15
+    assert not np.any(basis[:, ~g.band_mask.ravel()])
+    # real fields: c[-m] = conj(c[m]) in every row
+    axes = tuple(range(1, d + 1))
+    assert np.array_equal(np.conj(np.roll(np.flip(c, axis=axes), 1, axis=axes)), c)
+    # to_band inverts from_band and discards anti-Hermitian and Nyquist parts
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.0, 1.0, (3, g.band_size))
+    assert np.abs(g.to_band(g.from_band(x)) - x).max() <= 1e-15
+    anti = 1j * g.from_band(x)
+    anti[:, ~g.band_mask] = rng.standard_normal((3, g.size - g.band_size))
+    assert not np.any(g.to_band(anti))
+    # a stack maps row by row, bit for bit
+    coeffs = g.forward(rng.standard_normal((3,) + g.shape)) + 1j * g.from_band(x)
+    for i in range(3):
+        assert np.array_equal(g.from_band(x)[i], g.from_band(x[i]))
+        assert np.array_equal(g.to_band(coeffs)[i], g.to_band(coeffs[i]))
+
+
 # ----------------------------------------------------------------------
 # lazy values: transformed on first read, carried through linear ops
 

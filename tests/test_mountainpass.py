@@ -11,7 +11,7 @@ from biharm import mountainpass as mpass
 from biharm import problem as prob
 from biharm.errors import Collapse, NonConvergence, ShapeNotFound
 from biharm.expressions import parse_coefficient
-from biharm.geometry import TorusGeometry
+from biharm.geometry import SpectralField, TorusGeometry
 from biharm.minimizer import MuCurve, minimize_on_sphere, trace_mu_curve
 from biharm.mountainpass import (
     _Path,
@@ -390,6 +390,27 @@ def test_refine_critical_point_from_rough_seed(d, grid, bound):
     assert rn <= bound * (1.0 + abs(F))
 
 
+def test_refine_critical_point_returns_a_real_band_field():
+    # the seed's coefficients carry an anti-Hermitian part, Nyquist entry
+    # included: the coefficients of no real field.  The polish works on
+    # its real band part, so the polished field is real to the bit and its
+    # full residual, anti-Hermitian rounding included, reaches the floor
+    q = 4.0
+    g = TorusGeometry(6, 1, 64)
+    problem = prob.ProblemData.from_expressions(g, "0.2", "-1", "10*cos(2*pi*x1) - 1")
+    x = g.coordinates()[0]
+    noise = 1e-12j * g.forward(np.random.default_rng(0).standard_normal(g.shape))
+    seed = SpectralField(g, g.field(2.1 + 0.35 * np.cos(TWO_PI * x)).coeffs + noise)
+    v, rn, converged = refine_critical_point(problem, q, seed)
+    c = v.coeffs
+    assert np.array_equal(np.conj(np.roll(np.flip(c), 1)), c)
+    assert not np.any(c[~g.band_mask])
+    F = prob.eval_F(v, problem, q)
+    assert F == pytest.approx(4.15275, abs=1e-3)
+    assert converged
+    assert 0.5 * geo.l2_norm(prob.grad_F(v, problem, q)) <= 1e-10 * (1.0 + abs(F))
+
+
 def test_refine_critical_point_from_path_seed(toy_pipeline, toy64):
     # seeded from the stalled path node the polish reaches deep residuals
     _, _, _, mp = toy_pipeline
@@ -436,21 +457,6 @@ def test_morse_index_matches_the_dense_band_oracle(toy_pipeline, toy64):
         assert np.abs(ev).min() > 0.5                # no sign is in doubt
     # the saddle's lowest eigenvalues
     assert spectra[1][:2] == pytest.approx([-14.41, 1568.5], abs=0.05)
-
-
-@pytest.mark.parametrize("d, grid", [(1, 64), (2, 8)], ids=["1d-64", "2d-8"])
-def test_band_basis_spans_the_real_band_fields(d, grid):
-    # the index is counted over these rows: (M - 1)^d orthonormal real
-    # fields with no Nyquist component
-    g = TorusGeometry(6 + d - 1, d, grid)
-    basis = mpass._band_basis(g)
-    assert basis.shape == ((grid - 1) ** d, g.size)
-    assert np.abs(basis.conj() @ basis.T - np.eye(len(basis))).max() <= 1e-15
-    assert not np.any(basis[:, ~g.band_mask.ravel()])
-    # real fields: c[-m] = conj(c[m]) in every row
-    c = basis.reshape((-1,) + g.shape)
-    axes = tuple(range(1, d + 1))
-    assert np.array_equal(np.conj(np.roll(np.flip(c, axis=axes), 1, axis=axes)), c)
 
 
 @pytest.mark.parametrize("m_top", [0, 5, 31])

@@ -57,6 +57,22 @@ def test_only_geometry_calls_the_fft(path):
         assert not found, f"{path.name} calls the FFT directly: {found}"
 
 
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
+)
+def test_only_geometry_computes_band_mirrors(path):
+    """Band coordinates live in ``geometry``: no other module pairs mode m with -m."""
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if getattr(node, "attr", getattr(node, "id", None)) == "ravel_multi_index"
+    ]
+    if path.name == "geometry.py":
+        assert found, "geometry.py should hold the band's mirror indices"
+    else:
+        assert not found, f"{path.name} computes band mirror indices at lines {found}"
+
+
 @pytest.mark.parametrize("schema", ["cli docstring", "README"])
 def test_config_schemas_list_every_solver_option(schema):
     """The documented ``solver`` block holds the seed and nothing else."""
