@@ -40,7 +40,10 @@ Exit codes: 0 success (for ``certify``: conditions (1) and (2) hold),
 2 configuration/validation error, 3 numeric failure, 4 hypothesis gate
 failed, 5 non-convergence (for the mountain pass also a saddle whose
 Newton polish did not converge, that is not of Morse index 1, or whose
-energy lies below the hump maximum ``mu_lo``), 6 curve shape not found,
+energy lies below the hump maximum ``mu_lo``; for ``solve-sub`` and
+``solve-critical`` also a negative-energy solution whose polish did not
+converge, whose mass is not interior to the ball, whose energy is not
+negative or that is not of Morse index 0), 6 curve shape not found,
 7 path collapse.
 """
 
@@ -67,7 +70,7 @@ from .errors import (
 )
 from .geometry import TorusGeometry
 from .minimizer import first_solution, trace_mu_curve
-from .mountainpass import second_solution
+from .mountainpass import polish_minimizer, second_solution
 from .problem import ProblemData
 
 _EXIT_CONFIG = 2
@@ -293,7 +296,9 @@ def cmd_solve_sub(args) -> int:
     cfg, problem, seed, out = _setup(args)
     q = _exponent(cfg, args, problem)
     certificate, mp, summary = _two_solutions(problem, q, cfg, args, seed, out)
-    rep_min = first_solution(problem, q, certificate.k_low, seed)
+    cap = certificate.k_low
+    ball = first_solution(problem, q, cap, seed)
+    rep_min = polish_minimizer(problem, q, cap, ball.variational, ball.flags["seed"])
     _dump_solution(out, "solution_min", rep_min)
     _dump_solution(out, "solution_mp", mp.report)
     ordering_ok = rep_min.energy < 0.0 < mp.report.energy

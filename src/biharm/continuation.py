@@ -12,10 +12,10 @@ finishing at q = N exactly.  One multistart ball solve at q0 finds the
 branch; from then on it is an interior, nondegenerate minimizer, so
 each step is a Newton corrector (Allgower & Georg, Introduction to
 Numerical Continuation Methods, SIAM 2003): the previous step's
-solution is polished into a critical point at the new exponent.  A
-corrected point stands only if it is interior to the ball, has negative
-energy and has Morse index 0; otherwise the step falls back to a ball
-solve warm-started from the previous solution.  Every checkable
+solution is polished into a critical point at the new exponent.
+``polish_minimizer`` accepts a corrected point only if it is interior
+to the ball, has negative energy and has Morse index 0; a step it
+rejects ends the run with NonConvergence.  Every checkable
 identity of the limit argument (mass bound, bilaplacian bound, negative
 energies, the sign of int f |v|^N and the limiting level bound) is
 verified along the way.  The splitting parameters (eta, sigma) are
@@ -41,8 +41,8 @@ from . import problem as prob
 from .certifier import HypothesisReport, grad_interp_constant, window_cap, window_edge
 from .errors import DivergingNorms
 from .geometry import SpectralField
-from .minimizer import CriticalPointReport, first_solution, make_report
-from .mountainpass import morse_index, refine_critical_point
+from .minimizer import CriticalPointReport, first_solution
+from .mountainpass import polish_minimizer
 from .problem import ProblemData
 
 
@@ -68,25 +68,6 @@ def critical_residual(u: SpectralField, problem: ProblemData) -> float:
 SCHEDULE_STEPS = 8    # subcritical exponents before the solve at q = N
 
 
-def _corrected(problem, q, l_q, seed_field, tag):
-    """The Newton-polished critical point from seed_field, or None when it is off the branch.
-
-    The branch's points are converged, interior (mass below
-    l_q (1 - 1e-9)), negative-energy critical points of Morse index 0;
-    the report's flags carry the ball cap and the seed ``tag``.
-    """
-    v, _, converged = refine_critical_point(problem, q, seed_field)
-    rep = make_report(problem, q, v, 0.0, converged, {"ball_cap": l_q, "seed": tag})
-    if (
-        converged
-        and rep.mass < l_q * (1.0 - 1e-9)
-        and rep.energy < 0.0
-        and morse_index(problem, q, v) == 0
-    ):
-        return rep
-    return None
-
-
 def continue_to_critical(
     problem: ProblemData,
     certificate: HypothesisReport,
@@ -99,17 +80,11 @@ def continue_to_critical(
     hypotheses hold is the caller's decision; a certificate with no
     admissible eta (it fails condition (2)) falls back to eta = 0.5.
     The ball solve at q0, at solver ``seed``, is the only multistart
-    solve.  Each step, q0 included, polishes a seed field with the
-    Newton corrector ``refine_critical_point``: at q0 the ball solve's
-    minimizer, at each later exponent the previous step's solution.
-    The corrected point is accepted when the polish converged, its mass
-    is interior (below l_q (1 - 1e-9), as ``first_solution`` tests it),
-    its energy is negative and ``morse_index`` is 0.  Otherwise the
-    step runs ``first_solution`` warm-started from the previous
-    solution and polishes its minimizer the same way; when that polish
-    is not accepted either, the ball solve's minimizer stands.  The
-    report's ``flags["seed"]`` says how the step was found: "newton"
-    for a corrector step, else the winning start of the ball solve.
+    solve.  Each step, q0 included, runs ``polish_minimizer`` on a seed
+    field: at q0 the ball solve's minimizer, at each later exponent the
+    previous step's solution.  The report's ``flags["seed"]`` says how
+    the step was found: "newton" for a corrector step, else the winning
+    start of the ball solve.
 
     Aborts with DivergingNorms when the explicit bilaplacian bound
 
@@ -117,7 +92,8 @@ def continue_to_critical(
             <= (2 sup(a+) C(sigma) + sup|h|) l_q^(2/q) + sup|f| l_q
 
     fails at some step (the discrete family cannot be bounded), and with
-    NonConvergence when a ball solve fails.
+    NonConvergence when the ball solve fails or ``polish_minimizer``
+    rejects a step.
     """
     g = problem.geometry
     N = g.critical_exponent
@@ -130,14 +106,12 @@ def continue_to_critical(
 
     records = []
     reports = []
-    v = None
-    for q in schedule:
-        l_q = window_edge(problem, q, eta, sigma)
-        rep = None if v is None else _corrected(problem, q, l_q, v, "newton")
-        if rep is None:
-            ball = first_solution(problem, q, l_q, seed, init=v)
-            rep = _corrected(problem, q, l_q, ball.variational, ball.flags["seed"]) or ball
-        v = rep.variational
+    edges = [window_edge(problem, q, eta, sigma) for q in schedule]
+    ball = first_solution(problem, schedule[0], edges[0], seed)
+    v, tag = ball.variational, ball.flags["seed"]
+    for q, l_q in zip(schedule, edges):
+        rep = polish_minimizer(problem, q, l_q, v, tag)
+        v, tag = rep.variational, "newton"
         mass = rep.mass
         delta_sq = geo.bilap_energy(v)
         bound_rhs = cap * l_q ** (2.0 / q) + problem.f_sup * l_q

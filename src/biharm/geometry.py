@@ -78,18 +78,15 @@ class TorusGeometry:
         N = 2n/(n-4).
     d_eff : int
         Number of coordinates the fields actually vary along (1 or 2).
-    grid_size : int, optional
-        Samples per effective axis; a power of two.  Defaults to 128 on
-        one effective axis and 64 on two.
+    grid_size : int
+        Samples per effective axis; a power of two.
     """
 
-    def __init__(self, n_ambient: int, d_eff: int = 1, grid_size: int | None = None):
+    def __init__(self, n_ambient: int, d_eff: int, grid_size: int):
         if n_ambient < 5:
             raise ValueError(f"n_ambient must be >= 5, got {n_ambient}")
         if d_eff not in (1, 2):
             raise ValueError(f"d_eff must be 1 or 2, got {d_eff}")
-        if grid_size is None:
-            grid_size = 128 if d_eff == 1 else 64
         if not _is_power_of_two(grid_size):
             raise ValueError(f"grid_size must be a power of two, got {grid_size}")
         self.n_ambient = int(n_ambient)

@@ -24,11 +24,10 @@ start, with the arithmetic of a start run alone, so each start returns
 exactly what it would return alone; single solves are stacks of one.
 
 The budgets are module constants: a start has converged when its
-residual is at most ``TOL_SCALE`` (1 + |F|); warm starts, the ball's
-constant start and the winner's polish run for up to ``MAX_ITER``
-iterations, the battery's probes for up to ``BATTERY_ITER``.  Every
-solver takes one integer ``seed``, which draws the battery's random
-fields, so a solve is deterministic given its seed.
+residual is at most ``TOL_SCALE`` (1 + |F|), and every start runs for up
+to ``MAX_ITER`` iterations.  Every solver takes one integer ``seed``,
+which draws the battery's random fields, so a solve is deterministic
+given its seed.
 
 ``trace_mu_curve`` sweeps a geometric k-grid upward once, each point
 warm-started from its neighbor's minimizer plus a fixed multistart
@@ -54,8 +53,7 @@ from .problem import ProblemData
 _EPS = np.finfo(np.float64).eps
 
 TOL_SCALE = 1e-8        # gradient tolerance: TOL_SCALE * (1 + |F|)
-MAX_ITER = 5000         # iteration cap of warm starts and of the winner's polish
-BATTERY_ITER = 600      # iteration cap of the multistart battery
+MAX_ITER = 5000         # iteration cap of every start
 
 
 @dataclass
@@ -66,7 +64,7 @@ class SphereResult:
     residual: float
     iterations: int
     converged: bool
-    seed_tag: str = ""
+    seed_tag: str
 
 
 @dataclass
@@ -149,8 +147,8 @@ def _retract_sphere(u: SpectralField, q: float, k: float) -> SpectralField:
 class _Start:
     """Per-start state of the lockstep iteration in ``_bb_minimize``."""
 
-    def __init__(self, u, F, grad, cap):
-        self.u, self.F, self.grad, self.cap = u, F, grad, cap
+    def __init__(self, u, F, grad):
+        self.u, self.F, self.grad = u, F, grad
         self.hist = [F]
         self.tau = 1.0
         self.prev_coeffs = None
@@ -196,11 +194,11 @@ def _line_search(problem, q, retract, u, d, stepping, it, tol):
         stepping[j][0].finish(it, tol)
 
 
-def _bb_minimize(problem: ProblemData, q: float, starts, caps, k: float, ball: bool):
+def _bb_minimize(problem: ProblemData, q: float, starts, k: float, ball: bool):
     """Preconditioned BB descent on the sphere |u|_q^q = k (the ball <= k if ``ball``).
 
-    Runs the fields ``starts`` in lockstep, start i for at most
-    ``caps[i]`` iterations.  Each step makes one energy/gradient
+    Runs the fields ``starts`` in lockstep, each for at most
+    ``MAX_ITER`` iterations.  Each step makes one energy/gradient
     evaluation, one constraint direction and, per line-search round, one
     retraction and trial evaluation for the stack of starts still
     running; the BB step, the nonmonotone line search, convergence and
@@ -228,10 +226,7 @@ def _bb_minimize(problem: ProblemData, q: float, starts, caps, k: float, ball: b
 
     u = retract(geo.stack(starts))
     Fs, grad = prob.energy_and_grad(u, problem, q)
-    runs = [
-        _Start(u[i], prob._finite(F), grad.coeffs[i], cap)
-        for i, (F, cap) in enumerate(zip(Fs, caps))
-    ]
+    runs = [_Start(u[i], prob._finite(F), grad.coeffs[i]) for i, F in enumerate(Fs)]
     active = list(runs)
 
     it = 0
@@ -302,7 +297,7 @@ def _bb_minimize(problem: ProblemData, q: float, starts, caps, k: float, ball: b
                 problem, q, retract, u[rows], SpectralField(g, np.stack(D)), stepping, it, tol
             )
         for run in active:
-            if run.result is None and it >= run.cap:
+            if run.result is None and it >= MAX_ITER:
                 run.finish(it, tol)
         active = [run for run in active if run.result is None]
 
@@ -337,26 +332,17 @@ def default_seeds(problem: ProblemData, q: float, k: float, seed: int):
 
 
 def _multistart(problem, q, k, ball, tagged) -> SphereResult:
-    """Run tagged starts (tag, field, cap) as one stack; the winner, run to full tolerance.
+    """Run tagged starts (tag, field) as one stack; the winner's result.
 
     The winner is the earliest start whose energy ties the lowest:
     energies within 1e-12 (1 + |F_min|) of it count as tied, so a
     rounding-level change in the numerics cannot flip the winning seed.
-    A winner that did not converge runs on for up to ``MAX_ITER`` more
-    iterations, which add to its count.
     """
-    results = _bb_minimize(
-        problem, q, [s for _, s, _ in tagged], [c for _, _, c in tagged], k, ball
-    )
+    results = _bb_minimize(problem, q, [s for _, s in tagged], k, ball)
     F_min = min(F for _, F, *_ in results)
     tol = 1e-12 * (1.0 + abs(F_min))
-    tag, (u, F, lam, res, its, conv) = next(
-        (tag, r) for (tag, _, _), r in zip(tagged, results) if r[1] <= F_min + tol
-    )
-    if not conv:
-        [(u, F, lam, res, more, conv)] = _bb_minimize(problem, q, [u], [MAX_ITER], k, ball)
-        its += more
-    return SphereResult(u, F, lam, res, its, conv, tag)
+    tag, r = next((tag, r) for (tag, _), r in zip(tagged, results) if r[1] <= F_min + tol)
+    return SphereResult(*r, tag)
 
 
 # ----------------------------------------------------------------------
@@ -372,18 +358,17 @@ def minimize_on_sphere(
 ) -> SphereResult:
     """Minimize F_q over the sphere |u|_q^q = k.
 
-    Runs the warm start (if given) for up to ``MAX_ITER`` iterations and
-    the battery of ``default_seeds`` for up to ``BATTERY_ITER``, all as
-    one stack; the winner (warm start first among ties) is chosen and
-    run to full tolerance by ``_multistart``.  The output always
-    satisfies the constraint exactly by retraction.
+    Runs the warm start (if given) and the battery of ``default_seeds``
+    as one stack; ``_multistart`` chooses the winner, the warm start
+    first among ties.  The output always satisfies the constraint
+    exactly by retraction.
     """
     if k <= 0.0:
         raise ValueError(f"sphere mass k must be positive, got {k}")
     problem.exponents(q)
 
-    tagged = [("warm", init, MAX_ITER)] if init is not None else []
-    tagged += [(tag, s, BATTERY_ITER) for tag, s in default_seeds(problem, q, k, seed)]
+    tagged = [("warm", init)] if init is not None else []
+    tagged += default_seeds(problem, q, k, seed)
     return _multistart(problem, q, k, False, tagged)
 
 
@@ -392,13 +377,11 @@ def minimize_on_ball(
     q: float,
     cap: float,
     seed: int,
-    init: SpectralField | None = None,
 ) -> SphereResult:
     """Minimize F_q over the ball |u|_q^q <= cap (inequality retraction).
 
-    Starts are the warm start (if given), the best constant, then the
-    battery, run as one stack; the winner is chosen as in
-    ``minimize_on_sphere``.
+    Starts are the best constant, then the battery, run as one stack;
+    the winner is chosen as in ``minimize_on_sphere``.
     """
     if cap <= 0.0:
         raise ValueError(f"ball cap must be positive, got {cap}")
@@ -411,11 +394,7 @@ def minimize_on_ball(
     vals = cs**2 * problem.int_h - np.abs(cs) ** q * problem.int_f
     c_best = float(cs[int(np.argmin(vals))])
 
-    tagged = [("const-scan", g.constant(c_best), MAX_ITER)]
-    if init is not None:
-        tagged.insert(0, ("warm", init, MAX_ITER))
-    seeds = default_seeds(problem, q, 0.05 * cap, seed)
-    tagged += [(tag, s, BATTERY_ITER) for tag, s in seeds]
+    tagged = [("const-scan", g.constant(c_best))] + default_seeds(problem, q, 0.05 * cap, seed)
     return _multistart(problem, q, cap, True, tagged)
 
 
@@ -425,7 +404,7 @@ def make_report(
     v: SpectralField,
     lagrange: float,
     converged: bool,
-    flags: dict | None = None,
+    flags: dict,
 ) -> CriticalPointReport:
     """Assemble the identity checks for a critical-point candidate v."""
     F = prob.eval_F(v, problem, q)
@@ -447,7 +426,7 @@ def make_report(
         h2_norm=geo.h2_norm(u_eq),
         q_norm=geo.lp_norm(u_eq, q),
         converged=converged,
-        flags=dict(flags or {}),
+        flags=dict(flags),
     )
 
 
@@ -456,7 +435,6 @@ def first_solution(
     q: float,
     cap: float,
     seed: int,
-    init: SpectralField | None = None,
 ) -> CriticalPointReport:
     """Negative-energy solution from minimization over the ball |u|_q^q <= l_q.
 
@@ -467,15 +445,7 @@ def first_solution(
     the candidate is a free critical point); a boundary-active minimum
     is flagged as degenerate.
     """
-    res = minimize_on_ball(problem, q, cap, seed, init=init)
-    v = res.v
-    if init is not None and geo.inner(v, init) < 0.0:
-        # the energy is even; report the representative aligned with the seed
-        v = geo.scale(v, -1.0)
-        res = SphereResult(
-            v, res.mu, res.lagrange, res.residual, res.iterations,
-            res.converged, res.seed_tag,
-        )
+    res = minimize_on_ball(problem, q, cap, seed)
     flags = {"ball_cap": cap, "seed": res.seed_tag}
     mass = geo.lp_mass(res.v, q)
     interior = mass < cap * (1.0 - 1e-9)

@@ -22,7 +22,9 @@ attains it).  ``second_solution`` alone accepts the saddle: its polish
 converged, its energy is at least the hump maximum mu_lo (every path
 between the zero masses crosses each sphere between them) and its Morse
 index is 1, that of a nondegenerate mountain-pass point (Hofer, Proc.
-AMS 91, 1984).
+AMS 91, 1984).  ``polish_minimizer`` accepts the negative-energy
+solution with the same two tools: its polish converged, its mass is
+interior to the ball, its energy is negative and its Morse index is 0.
 """
 
 from __future__ import annotations
@@ -147,6 +149,37 @@ def refine_critical_point(
         if at_floor or lm > 1e3:
             break
     return u, rn, rn <= 1e-9 * scale0
+
+
+def polish_minimizer(
+    problem: ProblemData,
+    q: float,
+    cap: float,
+    v: SpectralField,
+    tag: str,
+) -> CriticalPointReport:
+    """The negative-energy solution of the ball |u|_q^q <= cap, Newton-polished from v.
+
+    ``refine_critical_point`` polishes v.  The point is accepted when
+    the polish converged, its mass is interior (below cap (1 - 1e-9)),
+    its energy is negative and its Morse index is 0: a nondegenerate
+    interior minimizer of the ball.  Otherwise NonConvergence names the
+    first failed condition, with the report as ``best``.  The report's
+    flags carry the ball ``cap`` and the seed ``tag``.
+    """
+    u, _, converged = refine_critical_point(problem, q, v)
+    rep = make_report(problem, q, u, 0.0, converged, {"ball_cap": cap, "seed": tag})
+    if not converged:
+        failure = f"minimizer polish did not converge (equation residual {rep.residual_equation})"
+    elif not rep.mass < cap * (1.0 - 1e-9):
+        failure = f"minimizer mass {rep.mass} is not interior to the ball of mass {cap}"
+    elif not rep.energy < 0.0:
+        failure = f"minimizer energy {rep.energy} is not negative"
+    elif (index := morse_index(problem, q, u)) != 0:
+        failure = f"minimizer has Morse index {index}, not 0"
+    else:
+        return rep
+    raise NonConvergence(failure, best=rep)
 
 
 # ----------------------------------------------------------------------

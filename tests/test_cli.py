@@ -149,6 +149,9 @@ def test_solve_sub_outputs(tmp_path):
         assert (out / f"{stem}.field.csv").exists()
         spec = json.loads((out / f"{stem}.spectral.json").read_text())
         assert spec["grid_size"] == 64 and spec["modes"]
+    # the negative-energy solution is Newton-polished to the rounding floor
+    rep_min = json.loads((out / "solution_min.report.json").read_text())
+    assert rep_min["residual_equation"] <= 1e-12 * (1.0 + abs(rep_min["energy"]))
     assert (out / "path_profile.csv").exists()
     with open(out / "path_profile.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -249,7 +252,7 @@ def test_nonconvergence_error_keeps_best_iterate(tmp_path, monkeypatch):
     reports = []
 
     def exhausted(problem, q, u1, u2, **kwargs):
-        report = make_report(problem, q, u1, 0.0, False)
+        report = make_report(problem, q, u1, 0.0, False, {})
         reports.append(report)
         best = MountainPassResult(1.25, report, [], [], [], 17, False)
         raise NonConvergence("path budget exhausted", best=best)
@@ -365,32 +368,21 @@ def test_solver_block_takes_only_the_seed(tmp_path):
     assert err["error"] == "ConfigError" and "tol_scale" in err["message"]
 
 
-def test_solve_critical_exits_nonconvergence_when_the_fallback_fails(tmp_path, monkeypatch):
-    # no polish is accepted, so the q0 ball solve stands and the next
-    # step falls back to a warm ball solve, which fails
+@pytest.mark.parametrize("command", ["solve-critical", "solve-sub"])
+def test_rejected_minimizer_exits_nonconvergence(tmp_path, monkeypatch, command):
+    # every Hessian has one negative eigenvalue: the saddle passes its
+    # index check and the negative-energy solution fails its own
     import biharm.cli as cli
-    import biharm.continuation as continuation
-    from biharm.errors import NonConvergence
+    import biharm.mountainpass as mountainpass
 
-    seeds = []
-    solve = continuation.first_solution
-
-    def failing_fallback(problem, q, cap, seed, init=None):
-        seeds.append((seed, init is None))
-        if init is not None:
-            raise NonConvergence("ball minimization did not reach negative energy")
-        return solve(problem, q, cap, seed, init=init)
-
-    monkeypatch.setattr(continuation, "first_solution", failing_fallback)
-    monkeypatch.setattr(continuation, "refine_critical_point", lambda problem, q, u: (u, 1.0, False))
+    monkeypatch.setattr(mountainpass, "morse_index", lambda problem, q, u: 1)
     cfg = write_config(tmp_path)
     out = tmp_path / "o"
-    code = cli.main(["solve-critical", "--force", "--config", str(cfg), "--out", str(out),
-                     "--seed", "2"])
-    assert code == 5
-    assert seeds == [(2, True), (2, False)]        # the q0 ball solve, then the fallback
+    assert cli.main([command, "--force", "--config", str(cfg), "--out", str(out)]) == 5
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "NonConvergence" and err["exit_code"] == 5
+    assert "Morse index 1, not 0" in err["message"]
+    assert err["best"]["energy"] < 0.0 and err["best"]["converged"] is True
     assert not list(out.glob("solution_*"))
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biharm import continuation
+from biharm import continuation, mountainpass
 from biharm import geometry as geo
 from biharm import problem as prob
 from biharm.certifier import certify
@@ -136,13 +136,11 @@ def test_schedule_refinement_continuity(bundled64, monkeypatch):
 
 
 def _ball_solve_branch(problem, trace, seed):
-    """Energies of the branch when every exponent gets a warm-started multistart ball solve."""
-    energies, warm = [], None
+    """Energies of the branch when every exponent gets a cold multistart ball solve."""
+    energies = []
     for q in trace.schedule:
         l_q = window_edge(problem, q, trace.eta, trace.sigma)
-        rep = first_solution(problem, q, l_q, seed, init=warm)
-        energies.append(rep.energy)
-        warm = rep.variational
+        energies.append(first_solution(problem, q, l_q, seed).energy)
     return energies
 
 
@@ -186,68 +184,42 @@ def test_nyquist_null_direction_is_not_counted(trace64, bundled64):
     assert morse_index(bundled64, N, v) == 0
 
 
-def _record_first_solution(monkeypatch, failing=()):
-    """Patch the continuation's ball solver to record its calls; the calls in ``failing`` raise.
-
-    Returns the list of (q, seed, init) of every call, in order.
-    """
+def _reject_call(monkeypatch, module, name, rejected, value):
+    """Patch ``module.name`` so that call number ``rejected`` returns ``value(*args)``."""
     calls = []
-    solve = continuation.first_solution
-
-    def recorded(problem, q, cap, seed, init=None):
-        calls.append((q, seed, init))
-        if len(calls) in failing:
-            raise NonConvergence("ball minimization did not reach negative energy")
-        return solve(problem, q, cap, seed, init=init)
-
-    monkeypatch.setattr(continuation, "first_solution", recorded)
-    return calls
-
-
-def _reject_call(monkeypatch, name, rejected, value):
-    """Patch the continuation's ``name`` so that call number ``rejected`` returns ``value(*args)``."""
-    calls = []
-    real = getattr(continuation, name)
+    real = getattr(module, name)
 
     def patched(*args):
         calls.append(args)
         return value(*args) if len(calls) == rejected else real(*args)
 
-    monkeypatch.setattr(continuation, name, patched)
+    monkeypatch.setattr(module, name, patched)
     return calls
 
 
 @pytest.mark.parametrize(
-    "name, value",
+    "module, name, value, condition",
     [
-        ("refine_critical_point", lambda problem, q, u: (u, 1.0, False)),
-        ("morse_index", lambda problem, q, u: 1),
+        (mountainpass, "refine_critical_point", lambda problem, q, u: (u, 1.0, False),
+         "polish did not converge"),
+        (mountainpass, "morse_index", lambda problem, q, u: 1, "Morse index 1, not 0"),
+        (continuation, "window_edge", lambda problem, q, eta, sigma: 1e-12,
+         "is not interior to the ball"),
     ],
-    ids=["unconverged-corrector", "index-1"],
+    ids=["unconverged-corrector", "index-1", "boundary-mass"],
 )
-def test_rejected_step_falls_back_to_a_warm_ball_solve(bundled64, monkeypatch, name, value):
-    # schedule q0, q1, q2: the third polish and the third index check
-    # belong to the corrector step at q2
+def test_rejected_step_raises_nonconvergence(bundled64, monkeypatch, module, name, value,
+                                             condition):
+    # schedule q0, q1, q2: the second polish, index count and window
+    # edge belong to the corrector step at q1
     certificate = _certificate(bundled64, 0)
     monkeypatch.setattr(continuation, "SCHEDULE_STEPS", 2)
-    calls = _record_first_solution(monkeypatch)
-    checked = _reject_call(monkeypatch, name, 3, value)
-    trace = continue_to_critical(bundled64, certificate, 4)
-    q0, q1, q2 = trace.schedule
-    assert [(q, seed) for q, seed, _ in calls] == [(q0, 4), (q2, 4)]
-    assert calls[0][2] is None
-    assert calls[1][2] is trace.reports[1].variational     # warm from the q1 step
-    assert len(checked) == 4                               # the fallback is polished too
-    assert [r.flags["seed"] for r in trace.reports[1:]] == ["newton", "warm"]
-    assert trace.reports[2].converged
-    assert all(r["energy"] < 0.0 for r in trace.records)
-
-
-def test_failed_fallback_propagates(bundled64, monkeypatch):
-    certificate = _certificate(bundled64, 0)
-    monkeypatch.setattr(continuation, "SCHEDULE_STEPS", 2)
-    calls = _record_first_solution(monkeypatch, failing={2})
-    _reject_call(monkeypatch, "refine_critical_point", 2, lambda problem, q, u: (u, 1.0, False))
-    with pytest.raises(NonConvergence):
+    balls = _reject_call(monkeypatch, continuation, "first_solution", None, None)  # recorded only
+    _reject_call(monkeypatch, module, name, 2, value)
+    with pytest.raises(NonConvergence, match=condition) as exc:
         continue_to_critical(bundled64, certificate, 0)
-    assert [(seed, init is None) for _, seed, init in calls] == [(0, True), (0, False)]
+    N = bundled64.geometry.critical_exponent
+    best = exc.value.best
+    assert best.q == N - 0.5 * (N - 0.5 * (2.0 + N))
+    assert best.flags["seed"] == "newton"
+    assert len(balls) == 1                      # the q0 ball solve, and no other

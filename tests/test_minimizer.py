@@ -221,7 +221,7 @@ def _fake_bb(energies):
     """Stand-in for ``_bb_minimize``: converged at the given energies, in start order."""
     it = iter(energies)
 
-    def fake(problem, q, starts, caps, k, ball):
+    def fake(problem, q, starts, k, ball):
         return [(u0, next(it), 0.0, 0.0, 1, True) for u0 in starts]
 
     return fake
@@ -285,14 +285,13 @@ def _assert_same_run(got, want):
 def test_stack_matches_stacks_of_one(bundled64, plate2d, dim, solver, seed, n):
     problem, q, kb = _setup(dim, solver, bundled64, plate2d)
     starts = _random_starts(problem, seed, n)
-    caps = [40 + 15 * i for i in range(n)]
-    stacked = mz._bb_minimize(problem, q, starts, caps, *kb)
+    stacked = mz._bb_minimize(problem, q, starts, *kb)
     assert len(stacked) == n
-    for s, cap, got in zip(starts, caps, stacked):
-        [alone] = mz._bb_minimize(problem, q, [s], [cap], *kb)
+    for s, got in zip(starts, stacked):
+        [alone] = mz._bb_minimize(problem, q, [s], *kb)
         _assert_same_run(got, alone)
     # reversing the starts permutes the results and changes nothing else
-    backward = mz._bb_minimize(problem, q, starts[::-1], caps[::-1], *kb)
+    backward = mz._bb_minimize(problem, q, starts[::-1], *kb)
     for got, want in zip(backward[::-1], stacked):
         assert got[1:] == want[1:]
         assert np.array_equal(got[0].coeffs, want[0].coeffs)
@@ -300,16 +299,18 @@ def test_stack_matches_stacks_of_one(bundled64, plate2d, dim, solver, seed, n):
 
 @DIMS
 @SOLVERS
-def test_mixed_caps_in_one_stack(bundled64, plate2d, dim, solver):
+def test_mixed_caps_in_one_stack(bundled64, plate2d, dim, solver, monkeypatch):
+    # two starts stop at the cap MAX_ITER, a converged one leaves at
+    # iteration 1; each ends as it would alone
     problem, q, kb = _setup(dim, solver, bundled64, plate2d)
-    [(u_star, *_)] = mz._bb_minimize(problem, q, _random_starts(problem, 1, 1), [2000], *kb)
+    [(u_star, *_)] = mz._bb_minimize(problem, q, _random_starts(problem, 1, 1), *kb)
+    monkeypatch.setattr(mz, "MAX_ITER", 3)
     starts = _random_starts(problem, 2, 2) + [u_star]
-    caps = [3, 7, 50]
-    results = mz._bb_minimize(problem, q, starts, caps, *kb)
-    assert [r[4] for r in results] == [3, 7, 1]
+    results = mz._bb_minimize(problem, q, starts, *kb)
+    assert [r[4] for r in results] == [3, 3, 1]
     assert [r[5] for r in results] == [False, False, True]
-    for s, cap, got in zip(starts, caps, results):
-        [alone] = mz._bb_minimize(problem, q, [s], [cap], *kb)
+    for s, got in zip(starts, results):
+        [alone] = mz._bb_minimize(problem, q, [s], *kb)
         _assert_same_run(got, alone)
 
 
@@ -321,9 +322,8 @@ def test_negated_start_runs_to_the_exact_mirror(bundled64, plate2d, dim, solver)
     g = problem.geometry
     center = [0.25] * g.d_eff
     seeds = [g.bump(center, width=0.08), g.mode((1,) * g.d_eff)] + _random_starts(problem, 3, 1)
-    caps = [200] * len(seeds)
-    plus = mz._bb_minimize(problem, q, seeds, caps, *kb)
-    minus = mz._bb_minimize(problem, q, [geo.scale(s, -1.0) for s in seeds], caps, *kb)
+    plus = mz._bb_minimize(problem, q, seeds, *kb)
+    minus = mz._bb_minimize(problem, q, [geo.scale(s, -1.0) for s in seeds], *kb)
     for p, m in zip(plus, minus):
         assert m[1:] == p[1:]
         assert np.array_equal(m[0].coeffs, -p[0].coeffs)
@@ -367,6 +367,6 @@ def test_downward_warm_resolve_lowers_no_curve_point(toy64, seed):
     for i in range(len(curve.ks) - 2, -1, -1):
         k, mu = float(curve.ks[i]), float(curve.mus[i])
         start = mz._retract_sphere(warm, q, k)
-        [(v, F, *_)] = mz._bb_minimize(toy64, q, [start], [mz.MAX_ITER], k, False)
+        [(v, F, *_)] = mz._bb_minimize(toy64, q, [start], k, False)
         assert F >= mu - 1e-10 * (1.0 + abs(mu)), k
         warm = v if F < mu else curve.minimizers[i]

@@ -116,7 +116,7 @@ def test_certifier_imports_only_the_numeric_core():
     assert _package_imports(PACKAGE / "certifier.py", modules) == {"errors", "geometry", "problem"}
 
 
-OPTIONAL_PARAMETER_CEILING = 19
+OPTIONAL_PARAMETER_CEILING = 14
 
 
 def _optional_parameters(path):
