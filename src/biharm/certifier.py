@@ -35,7 +35,6 @@ from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import brentq
 
 from . import geometry as geo
 from . import problem as prob
@@ -391,6 +390,69 @@ def masked_rayleigh(problem: ProblemData, operator: str, seed: int) -> tuple[flo
 # moment-constrained Rayleigh quotient (band-limited space)
 
 
+def _brentq(f, xa, xb, xtol, rtol, maxiter):
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    Step for step the loop of scipy's ``brentq`` (its C source
+    ``Zeros/brentq.c``) in Python floats, so it returns the same bits;
+    the package keeps it so that no command loads scipy's optimize
+    package (about 13 MB and 0.09 s) for one root.
+    Signs are compared by their sign bits.  An exact zero at either end
+    returns that end.  Raises ValueError for ends of one sign or a NaN
+    value, and RuntimeError after ``maxiter`` iterations.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    def negative(v):
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)        # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)                # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry                             # short step
+            else:
+                spre = scur = sbis                                  # bisect
+        else:
+            spre = scur = sbis                                      # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method failed to converge after {maxiter} iterations")
+
+
 class _MomentSet:
     """The set {|u|_q^q = 1, int f^- |u|^q = eta int f^-} and its retraction.
 
@@ -421,9 +483,11 @@ class _MomentSet:
 
         The mixing weight t solves phi(t) = int f^- |v|^q - target
         int |v|^q = 0 with v = (1-t) u + t z on the refined-grid values,
-        one array expression per brentq step; only the final mix is a
-        field, scaled back to unit mass.  Raises InfeasibleConstraint for
-        a zero field or when phi has no sign change on [0, 1].
+        one array expression per ``_brentq`` step; only the final mix is
+        a field, scaled back to unit mass.  ``_brentq`` is scipy's Brent
+        loop copied step for step, so t is scipy's to the bit without
+        loading scipy's optimize package.  Raises InfeasibleConstraint
+        for a zero field or when phi has no sign change on [0, 1].
         """
         problem, q, target = self.problem, self.q, self.target
         g = problem.geometry
@@ -445,7 +509,7 @@ class _MomentSet:
             return g.integrate_fine(f_minus * power) - target * g.integrate_fine(power)
 
         try:
-            t_star = brentq(phi, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+            t_star = _brentq(phi, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=200)
         except ValueError:
             raise InfeasibleConstraint(
                 "moment retraction found no bracket; constraint set may be empty"
@@ -626,8 +690,11 @@ def moment_rayleigh(
     fields with |u|_q^q = 1 and int f^- |u|^q = eta int f^-.  Projected
     preconditioned descent with a two-constraint retraction: mass is
     restored by exact scaling and the moment by mixing toward a fixed
-    low- or high-moment profile, the mixing weight root-solved by brentq
-    on the refined-grid values (one array expression per step, no field).
+    low- or high-moment profile, the mixing weight root-solved by
+    ``_brentq`` on the refined-grid values (one array expression per
+    step, no field).  ``_brentq`` returns the bits of scipy's
+    ``brentq`` without importing its package, which would add about
+    13 MB and 0.09 s to every command for this one root.
 
     The three starts (the mixed profile, the constant, a perturbed
     constant) run as one lockstep stack, as the multistart sphere solves

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
+from scipy.optimize import brentq
 
 from biharm import certifier
 from biharm import geometry as geo
@@ -18,7 +21,7 @@ from biharm.certifier import (
     moment_rayleigh,
     sharp_sobolev_constant,
 )
-from biharm.certifier import _MaskedForm, _moment_descent, _MomentSet
+from biharm.certifier import _brentq, _MaskedForm, _moment_descent, _MomentSet
 from biharm.errors import BadSigma, InfeasibleConstraint, NonPositiveEps0
 from biharm.geometry import TorusGeometry
 from biharm.problem import ProblemData
@@ -290,6 +293,90 @@ def test_moment_rayleigh_feasibility(bundled64, seed):
     assert actual == pytest.approx(bundled64.int_f_minus_grid, rel=1e-12)
 
 
+# the retraction's call: _MomentSet.retract solves for t on [0, 1] with these
+RETRACT_TOL = {"xtol": 1e-15, "rtol": 8.9e-16, "maxiter": 200}
+
+
+def _smooth_root_function(kind, root, slope, bend, power):
+    """A smooth function with its one sign change at ``root`` in [0, 1]."""
+    if kind == "tanh":
+        return lambda t: math.tanh(slope * (t - root)) + bend * (t - root) ** 3
+    if kind == "exp":
+        return lambda t: math.expm1(slope * (t - root))
+    if kind == "sine":
+        return lambda t: (t - root) * (1.0 + abs(bend) + math.sin(slope * t) ** 2)
+    # the retraction's shape: a signed sum of q-th powers of two linear mixes
+    a, b = 1.0 - root, root + 0.5
+    return lambda t: abs((1.0 - t) + t * a) ** power * b - abs((1.0 - t) * b + t) ** power * a
+
+
+def _calls(solver, f, *args, **kwargs):
+    """The root and the hex of every point the solver evaluated f at."""
+    points = []
+
+    def recorded(x):
+        points.append(float(x).hex())
+        return f(x)
+
+    return solver(recorded, *args, **kwargs).hex(), points
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["tanh", "exp", "sine", "mix"]),
+    root=st.floats(0.0, 1.0),
+    slope=st.floats(0.05, 60.0),
+    bend=st.floats(-3.0, 3.0),
+    power=st.sampled_from([2.5, 3.0, 4.0, 6.0]),
+    xtol=st.sampled_from([RETRACT_TOL["xtol"], 1e-2, 0.1]),
+)
+# a coarse tolerance reaches the edge of the short-step test 2|s| < 3|sbis| - delta
+@example(kind="exp", root=0.37, slope=5.0, bend=0.0, power=3.0, xtol=0.1)
+def test_brentq_matches_scipy_bit_for_bit(kind, root, slope, bend, power, xtol):
+    f = _smooth_root_function(kind, root, slope, bend, power)
+    tol = {**RETRACT_TOL, "xtol": xtol}
+    try:
+        want = _calls(brentq, f, 0.0, 1.0, **tol)
+    except ValueError:
+        # no sign change at the ends: both refuse
+        with pytest.raises(ValueError):
+            _brentq(f, 0.0, 1.0, **tol)
+        return
+    assert _calls(_brentq, f, 0.0, 1.0, **tol) == want
+
+
+@pytest.mark.parametrize("root", [0.0, 1.0])
+def test_brentq_returns_an_exact_zero_end(root):
+    f = lambda t: (t - root) * (2.0 + t)
+    assert _calls(_brentq, f, 0.0, 1.0, **RETRACT_TOL) == _calls(brentq, f, 0.0, 1.0, **RETRACT_TOL)
+    assert _brentq(f, 0.0, 1.0, **RETRACT_TOL) == root
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda t: 1.0 + t,                                  # one sign at both ends
+        lambda t: -1.0 - t * t,
+        lambda t: math.nan if t == 1.0 else t - 0.5,        # NaN at an end
+        lambda t: math.nan if 0.0 < t < 1.0 else t - 0.3,   # NaN inside the bracket
+    ],
+)
+def test_brentq_raises_value_error_like_scipy(f):
+    with pytest.raises(ValueError):
+        brentq(f, 0.0, 1.0, **RETRACT_TOL)
+    with pytest.raises(ValueError):
+        _brentq(f, 0.0, 1.0, **RETRACT_TOL)
+
+
+def test_brentq_raises_after_maxiter_like_scipy():
+    f = lambda t: math.tanh(40.0 * (t - 0.3))
+    tol = {**RETRACT_TOL, "maxiter": 3}
+    with pytest.raises(RuntimeError):
+        brentq(f, 0.0, 1.0, **tol)
+    with pytest.raises(RuntimeError):
+        _brentq(f, 0.0, 1.0, **tol)
+
+
 def _moment_case(dim, bundled64, plate2d):
     return (bundled64, 2.5) if dim == 1 else (plate2d, 3.0)
 
@@ -355,6 +442,30 @@ def test_moment_descent_skips_an_infeasible_start(bundled64):
     runs = _moment_descent(bundled64, 2.5, mset, [g.constant(0.0), g.constant(1.0)], 20)
     assert runs[0] is None
     [alone] = _moment_descent(bundled64, 2.5, mset, [g.constant(1.0)], 20)
+    assert _outcome(runs[1]) == _outcome(alone)
+
+
+def _unbracketed(problem, monkeypatch):
+    # z_lo swapped for z_hi: a start above the target moment mixes toward a
+    # profile that is above it too, so phi keeps one sign on [0, 1]
+    mset = _MomentSet(problem, 0.5, 2.5)
+    monkeypatch.setattr(mset, "z_lo", mset.z_hi)
+    return mset
+
+
+def test_moment_retraction_without_a_bracket_is_infeasible(bundled64, monkeypatch):
+    mset = _unbracketed(bundled64, monkeypatch)
+    with pytest.raises(InfeasibleConstraint, match="no bracket"):
+        mset.retract(bundled64.geometry.constant(1.0))
+
+
+def test_moment_descent_skips_a_start_without_a_bracket(bundled64, monkeypatch):
+    start = _MomentSet(bundled64, 0.5, 2.5).z_lo    # below the target: mixes toward z_hi
+    mset = _unbracketed(bundled64, monkeypatch)
+    g = bundled64.geometry
+    runs = _moment_descent(bundled64, 2.5, mset, [g.constant(1.0), start], 20)
+    assert runs[0] is None
+    [alone] = _moment_descent(bundled64, 2.5, mset, [start], 20)
     assert _outcome(runs[1]) == _outcome(alone)
 
 

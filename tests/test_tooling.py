@@ -3,7 +3,10 @@
 import ast
 import graphlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,6 +117,39 @@ def test_certifier_imports_only_the_numeric_core():
     """The certifier takes numbers, not solver options: no solver module is imported."""
     modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
     assert _package_imports(PACKAGE / "certifier.py", modules) == {"errors", "geometry", "problem"}
+
+
+# the CLI's imports, then one moment quotient and one Newton polish in process
+RUNTIME_IMPORTS = """
+import sys
+import biharm.cli
+from biharm import certifier, mountainpass
+from biharm.geometry import TorusGeometry
+from biharm.problem import ProblemData
+
+g = TorusGeometry(6, 1, 32)
+problem = ProblemData.from_expressions(g, "0.2", "-1", "10*cos(2*pi*x1) - 1")
+certifier.moment_rayleigh(problem, 0.5, 2.5, 0)
+mountainpass.refine_critical_point(problem, 4.0, g.bump([0.5], width=0.2))
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_runtime_never_imports_scipy_optimize():
+    """scipy.optimize is a test-only oracle: the CLI and its solvers never load it."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    res = subprocess.run(
+        [sys.executable, "-c", RUNTIME_IMPORTS],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+def test_package_source_never_names_scipy_optimize():
+    """Not even a lazy import on a path the run above does not take."""
+    offenders = [p.name for p in PACKAGE.glob("*.py") if "scipy.optimize" in p.read_text(encoding="utf-8")]
+    assert not offenders
 
 
 OPTIONAL_PARAMETER_CEILING = 14
