@@ -69,7 +69,7 @@ from .errors import (
     ShapeNotFound,
 )
 from .geometry import TorusGeometry
-from .minimizer import first_solution, trace_mu_curve
+from .minimizer import trace_mu_curve
 from .mountainpass import polish_minimizer, second_solution
 from .problem import ProblemData
 
@@ -261,8 +261,8 @@ def cmd_mu_curve(args) -> int:
 def _two_solutions(problem, q, cfg, args, seed, out):
     """Shared pipeline: gate, curve, mountain pass.
 
-    Returns the certificate, the mountain-pass result and the summary
-    keys that ``mountain-pass`` and ``solve-sub`` both write.
+    Returns the certificate, the curve, the mountain-pass result and the
+    summary keys that ``mountain-pass`` and ``solve-sub`` both write.
     """
     k_range = _k_range(cfg, args)
     certificate = _gate(problem, q, seed, args.force)
@@ -279,13 +279,13 @@ def _two_solutions(problem, q, cfg, args, seed, out):
         "nu": mp.nu,
         "mu_lo": curve.annotations.get("mu_lo"),
     }
-    return certificate, mp, summary
+    return certificate, curve, mp, summary
 
 
 def cmd_mountain_pass(args) -> int:
     cfg, problem, seed, out = _setup(args)
     q = _exponent(cfg, args, problem)
-    _, mp, summary = _two_solutions(problem, q, cfg, args, seed, out)
+    _, _, mp, summary = _two_solutions(problem, q, cfg, args, seed, out)
     _dump_solution(out, "solution_mp", mp.report)
     summary.update(iterations=mp.iterations, converged=mp.converged)
     ser.write_json(out / "mountain_pass.json", summary)
@@ -295,10 +295,9 @@ def cmd_mountain_pass(args) -> int:
 def cmd_solve_sub(args) -> int:
     cfg, problem, seed, out = _setup(args)
     q = _exponent(cfg, args, problem)
-    certificate, mp, summary = _two_solutions(problem, q, cfg, args, seed, out)
-    cap = certificate.k_low
-    ball = first_solution(problem, q, cap, seed)
-    rep_min = polish_minimizer(problem, q, cap, ball.variational, ball.flags["seed"])
+    certificate, curve, mp, summary = _two_solutions(problem, q, cfg, args, seed, out)
+    # the curve's negative minimum is the minimum of F_q over small masses
+    rep_min = polish_minimizer(problem, q, certificate.k_low, curve.neg_minimizer, "curve")
     _dump_solution(out, "solution_min", rep_min)
     _dump_solution(out, "solution_mp", mp.report)
     ordering_ok = rep_min.energy < 0.0 < mp.report.energy

@@ -8,19 +8,20 @@ replaced by following the branch along the geometric schedule
 
     q_j = N - (N - q0) 2^(-j),     q0 = (2 + N) / 2,
 
-finishing at q = N exactly.  One multistart ball solve at q0 finds the
-branch; from then on it is an interior, nondegenerate minimizer, so
-each step is a Newton corrector (Allgower & Georg, Introduction to
-Numerical Continuation Methods, SIAM 2003): the previous step's
-solution is polished into a critical point at the new exponent.
-``polish_minimizer`` accepts a corrected point only if it is interior
-to the ball, has negative energy and has Morse index 0; a step it
-rejects ends the run with NonConvergence.  Every checkable
-identity of the limit argument (mass bound, bilaplacian bound, negative
-energies, the sign of int f |v|^N and the limiting level bound) is
-verified along the way.  The splitting parameters (eta, sigma) are
-frozen from one certificate so the bounds are comparable across the
-schedule.
+finishing at q = N exactly.  One multistart ball solve at q0
+(``first_solution``, the package's only ball solve, which accepts
+nothing) finds the branch; from then on it is an interior,
+nondegenerate minimizer, so each step is a Newton corrector (Allgower &
+Georg, Introduction to Numerical Continuation Methods, SIAM 2003): the
+previous step's solution is polished into a critical point at the new
+exponent.  ``polish_minimizer``, the one acceptance rule, takes a point
+(the ball minimizer at q0 included) only if it is interior to the ball,
+has negative energy and has Morse index 0; a step it rejects ends the
+run with NonConvergence.  Every checkable identity of the limit argument
+(mass bound, bilaplacian bound, negative energies, the sign of
+int f |v|^N and the limiting level bound) is verified along the way.
+The splitting parameters (eta, sigma) are frozen from one certificate
+so the bounds are comparable across the schedule.
 
 The run checks the discrete model, as the probe-set embedding remainder
 does.  With d_eff <= 2, H2 embeds in L^inf, so q = N is not an
@@ -92,8 +93,8 @@ def continue_to_critical(
             <= (2 sup(a+) C(sigma) + sup|h|) l_q^(2/q) + sup|f| l_q
 
     fails at some step (the discrete family cannot be bounded), and with
-    NonConvergence when the ball solve fails or ``polish_minimizer``
-    rejects a step.
+    NonConvergence when ``polish_minimizer`` rejects a step, the ball
+    minimizer at q0 included.
     """
     g = problem.geometry
     N = g.critical_exponent

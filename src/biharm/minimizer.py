@@ -33,8 +33,11 @@ given its seed.
 warm-started from its neighbor's minimizer plus a fixed multistart
 battery, and annotates the curve with the negative minimum,
 bisection-refined zero crossings and the certified coercivity window
-when a certificate is supplied.  The sphere minimizers at the two
-refined zeros stay on the curve as the mountain pass's endpoints.
+when a certificate is supplied.  The sphere minimizer at the negative
+minimum stays on the curve as the seed of the negative-energy
+solution, and those at the two refined zeros as the mountain pass's
+endpoints.  ``first_solution`` reports the raw minimizer of the ball
+|u|_q^q <= l_q and accepts nothing; it seeds the continuation at q0.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ import numpy as np
 
 from . import geometry as geo
 from . import problem as prob
-from .errors import NonConvergence
 from .geometry import SpectralField
 from .problem import ProblemData
 
@@ -100,9 +102,10 @@ class CriticalPointReport:
 class MuCurve:
     """Sampled map k -> inf of F_q on the sphere |u|_q^q = k.
 
-    ``zero_minimizers`` holds the sphere minimizers (``SphereResult``) at
-    the refined zeros l1 and l2, in that order, when the tracer found
-    them; it is not serialized.
+    ``neg_minimizer`` is the sphere minimizer at ``k_neg_min``, and
+    ``zero_minimizers`` holds the sphere minimizers (``SphereResult``)
+    at the refined zeros l1 and l2, in that order, when the tracer found
+    them; neither is serialized.
     """
 
     q: float
@@ -114,6 +117,7 @@ class MuCurve:
     flags: list
     minimizers: list
     annotations: dict = dataclass_field(default_factory=dict)
+    neg_minimizer: SpectralField | None = None
     zero_minimizers: list = dataclass_field(default_factory=list)
 
     def ok(self) -> np.ndarray:
@@ -402,11 +406,10 @@ def make_report(
     problem: ProblemData,
     q: float,
     v: SpectralField,
-    lagrange: float,
     converged: bool,
     flags: dict,
 ) -> CriticalPointReport:
-    """Assemble the identity checks for a critical-point candidate v."""
+    """Assemble the identity checks for a free critical-point candidate v (multiplier 0)."""
     F = prob.eval_F(v, problem, q)
     fw = prob.f_weighted_mass(v, problem, q)
     gap = abs(F - (0.5 * q - 1.0) * fw) / (1.0 + abs(F))
@@ -421,7 +424,7 @@ def make_report(
         f_weight=fw,
         identity_gap_rel=gap,
         residual_equation=prob.el_residual(u_eq, problem, q, 0.0, equation_normalized=True),
-        residual_variational=prob.el_residual(v, problem, q, lagrange),
+        residual_variational=prob.el_residual(v, problem, q, 0.0),
         grad_norm=geo.l2_norm(grad),
         h2_norm=geo.h2_norm(u_eq),
         q_norm=geo.lp_norm(u_eq, q),
@@ -436,31 +439,18 @@ def first_solution(
     cap: float,
     seed: int,
 ) -> CriticalPointReport:
-    """Negative-energy solution from minimization over the ball |u|_q^q <= l_q.
+    """Report of the raw minimizer of F_q over the ball |u|_q^q <= l_q.
 
     ``cap`` is l_q, the lower edge of the coercivity window
     (``HypothesisReport.k_low`` at the certificate's exponent,
     ``certifier.window_edge`` at others); whether the hypotheses hold is
-    the caller's decision.  The minimum is expected in the interior (so
-    the candidate is a free critical point); a boundary-active minimum
-    is flagged as degenerate.
+    the caller's decision.  Nothing is accepted here: the minimizer is a
+    seed for ``mountainpass.polish_minimizer``, which decides whether it
+    is an interior, negative-energy, index-0 critical point.  The flags
+    carry the ``ball_cap`` and the winning start as ``seed``.
     """
     res = minimize_on_ball(problem, q, cap, seed)
-    flags = {"ball_cap": cap, "seed": res.seed_tag}
-    mass = geo.lp_mass(res.v, q)
-    interior = mass < cap * (1.0 - 1e-9)
-    if not interior:
-        flags["degenerate_boundary"] = True
-    if not res.converged:
-        flags["nonconverged"] = True
-    report = make_report(problem, q, res.v, 0.0 if interior else res.lagrange,
-                         res.converged, flags)
-    if report.energy >= 0.0:
-        raise NonConvergence(
-            f"ball minimization did not reach negative energy (F={report.energy})",
-            best=report,
-        )
-    return report
+    return make_report(problem, q, res.v, res.converged, {"ball_cap": cap, "seed": res.seed_tag})
 
 
 # ----------------------------------------------------------------------
@@ -497,8 +487,9 @@ def trace_mu_curve(
     - ``certified_window`` and ``certified_bound_ok`` when a certificate
       with a nonempty coercivity window is supplied.
 
-    The sphere minimizers at l1 and l2 (the final solves of the
-    bisection) are kept on ``zero_minimizers``.
+    The sphere minimizer at ``k_neg_min`` is kept on ``neg_minimizer``,
+    and those at l1 and l2 (the final solves of the bisection) on
+    ``zero_minimizers``.
     """
     if not (0.0 < k_min < k_max):
         raise ValueError("need 0 < k_min < k_max")
@@ -553,6 +544,7 @@ def _annotate(curve: MuCurve, problem, q, seed, certificate):
         i_min = int(np.argmin(np.where(ok[lead], mus[lead], np.inf)))
         ann["k_neg_min"] = float(ks[i_min])
         ann["mu_neg_min"] = float(mus[i_min])
+        curve.neg_minimizer = curve.minimizers[i_min]
         # zero crossing l1 between the leading run and the hump
         warm = curve.minimizers[first_pos - 1]
         l1, end1 = _refine_zero(

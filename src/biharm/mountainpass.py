@@ -22,9 +22,11 @@ attains it).  ``second_solution`` alone accepts the saddle: its polish
 converged, its energy is at least the hump maximum mu_lo (every path
 between the zero masses crosses each sphere between them) and its Morse
 index is 1, that of a nondegenerate mountain-pass point (Hofer, Proc.
-AMS 91, 1984).  ``polish_minimizer`` accepts the negative-energy
-solution with the same two tools: its polish converged, its mass is
+AMS 91, 1984).  ``polish_minimizer`` alone accepts the negative-energy
+solution, with the same two tools: its polish converged, its mass is
 interior to the ball, its energy is negative and its Morse index is 0.
+``solve-sub`` seeds it with the curve's minimizer at ``k_neg_min``, the
+continuation with the ball minimizer at q0 and then each previous step.
 """
 
 from __future__ import annotations
@@ -165,10 +167,12 @@ def polish_minimizer(
     its energy is negative and its Morse index is 0: a nondegenerate
     interior minimizer of the ball.  Otherwise NonConvergence names the
     first failed condition, with the report as ``best``.  The report's
-    flags carry the ball ``cap`` and the seed ``tag``.
+    flags carry the ball ``cap`` and the seed ``tag``: "curve" for the
+    mu-curve's sphere minimizer at ``k_neg_min`` (``solve-sub``), the
+    winning ball start at the continuation's q0, "newton" after it.
     """
     u, _, converged = refine_critical_point(problem, q, v)
-    rep = make_report(problem, q, u, 0.0, converged, {"ball_cap": cap, "seed": tag})
+    rep = make_report(problem, q, u, converged, {"ball_cap": cap, "seed": tag})
     if not converged:
         failure = f"minimizer polish did not converge (equation residual {rep.residual_equation})"
     elif not rep.mass < cap * (1.0 - 1e-9):
@@ -464,7 +468,7 @@ def mountain_pass(
     v, res_polish, polished = refine_critical_point(problem, q, path.nodes[jmax])
     flags = {"polish_residual": res_polish, "polished": polished}
     converged = polished and stalled
-    report = make_report(problem, q, v, 0.0, converged, flags)
+    report = make_report(problem, q, v, converged, flags)
     if polished:
         # the path threaded through the polished saddle attains F(v)
         nu_path = max(nu_path, report.energy)

@@ -21,8 +21,8 @@ from biharm import problem as prob
 from biharm.certifier import certify, grad_interp_constant, sharp_sobolev_constant
 from biharm.continuation import continue_to_critical
 from biharm.geometry import TorusGeometry
-from biharm.minimizer import first_solution, trace_mu_curve
-from biharm.mountainpass import mountain_pass, second_solution
+from biharm.minimizer import trace_mu_curve
+from biharm.mountainpass import mountain_pass, polish_minimizer, second_solution
 from biharm.problem import ProblemData
 from conftest import hessian_sq_integral, laplacian
 
@@ -235,7 +235,8 @@ def test_criterion_6_two_solutions(acc_problem, seed):
     certificate = _get_certificate(acc_problem, seed)
     acc_curve = _get_curve(acc_problem, seed)
     _, _, mp_res = second_solution(acc_problem, q, acc_curve)
-    rep_min = first_solution(acc_problem, q, certificate.k_low, seed)
+    # solve-sub's negative-energy solution: the curve's minimum, polished and accepted
+    rep_min = polish_minimizer(acc_problem, q, certificate.k_low, acc_curve.neg_minimizer, "curve")
 
     assert rep_min.energy < 0.0 < mp_res.report.energy
     for rep in (rep_min, mp_res.report):

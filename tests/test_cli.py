@@ -159,6 +159,43 @@ def test_solve_sub_outputs(tmp_path):
     assert len(rows) > 10
 
 
+def test_solve_sub_polishes_the_curve_minimum_and_solves_no_ball(tmp_path, monkeypatch):
+    # both subcritical solutions are read off the one mu-curve
+    import biharm.cli as cli
+    import biharm.minimizer as minimizer
+
+    def no_ball_solve(*args, **kwargs):
+        raise AssertionError("solve-sub solved a ball problem")
+
+    monkeypatch.setattr(minimizer, "minimize_on_ball", no_ball_solve)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert cli.main(["solve-sub", "--force", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "solution_min.report.json").read_text())
+    assert rep["flags"]["seed"] == "curve"
+    assert rep["energy"] < 0.0 and rep["converged"] is True
+
+
+def test_solve_critical_makes_one_ball_solve(tmp_path, monkeypatch):
+    # the continuation finds its branch with the one ball solve at q0
+    import biharm.cli as cli
+    import biharm.minimizer as minimizer
+
+    caps = []
+    real = minimizer.minimize_on_ball
+
+    def counted(problem, q, cap, seed):
+        caps.append(cap)
+        return real(problem, q, cap, seed)
+
+    monkeypatch.setattr(minimizer, "minimize_on_ball", counted)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert cli.main(["solve-critical", "--force", "--config", str(cfg), "--out", str(out)]) == 0
+    trace = json.loads((out / "continuation.json").read_text())
+    assert caps == [trace["records"][0]["l_q"]]
+
+
 def test_solve_critical_outputs(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -252,7 +289,7 @@ def test_nonconvergence_error_keeps_best_iterate(tmp_path, monkeypatch):
     reports = []
 
     def exhausted(problem, q, u1, u2, **kwargs):
-        report = make_report(problem, q, u1, 0.0, False, {})
+        report = make_report(problem, q, u1, False, {})
         reports.append(report)
         best = MountainPassResult(1.25, report, [], [], [], 17, False)
         raise NonConvergence("path budget exhausted", best=best)
@@ -285,7 +322,7 @@ def test_unaccepted_saddle_polish_exits_nonconvergence(tmp_path, monkeypatch, co
 
     def unpolished(problem, q, u1, u2, **kwargs):
         # the path stalled, but the Newton polish of its top node did not converge
-        report = make_report(problem, q, u1, 0.0, False, {"polished": False})
+        report = make_report(problem, q, u1, False, {"polished": False})
         return MountainPassResult(1.25, report, [], [], [], 17, False)
 
     monkeypatch.setattr(mountainpass, "mountain_pass", unpolished)

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 import biharm.minimizer as mz
 from biharm import geometry as geo
 from biharm import problem as prob
+from biharm.errors import NonConvergence
 from biharm.minimizer import (
     first_solution,
     minimize_on_ball,
     minimize_on_sphere,
     trace_mu_curve,
 )
+from biharm.mountainpass import polish_minimizer
 from biharm.problem import ProblemData
 
 TWO_PI = 2.0 * math.pi
@@ -184,14 +186,18 @@ def test_first_solution_toy(toy64, seed):
 
 def test_first_solution_degenerate_f_zero(geom64, seed):
     # with f = 0 the f-term vanishes and the minimum sits on the ball
-    # boundary at the constant that minimizes the h-term: flagged
+    # boundary at the constant that minimizes the h-term
     p = ProblemData.from_expressions(geom64, "0", "-1", "0")
     rep = first_solution(p, 2.5, 1.0, seed)
     assert rep.energy < 0.0
-    assert rep.flags.get("degenerate_boundary", False)
     assert rep.mass == pytest.approx(1.0, rel=1e-9)
     # minimizer is the boundary constant
     assert np.ptp(rep.variational.samples) <= 1e-8
+    # the acceptance rule rejects it: the equation is linear, so the
+    # polish runs to its one critical point, the zero field, of energy 0
+    with pytest.raises(NonConvergence, match="energy 0.0 is not negative") as exc:
+        polish_minimizer(p, 2.5, 1.0, rep.variational, rep.flags["seed"])
+    assert exc.value.best.converged and exc.value.best.mass == 0.0
 
 
 def test_ball_minimizer_matches_sphere_envelope(toy64, seed):

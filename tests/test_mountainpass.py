@@ -17,6 +17,7 @@ from biharm.mountainpass import (
     _Path,
     morse_index,
     mountain_pass,
+    polish_minimizer,
     refine_critical_point,
     second_solution,
 )
@@ -317,6 +318,29 @@ def test_two_solutions_distinct(toy_pipeline, toy64, seed):
     assert gap > 0.1
 
 
+def _assert_curve_seed_matches_ball_seed(problem, q, cap, curve, seed):
+    """Oracle: polishing the curve's minimizer at k_neg_min gives the polished ball minimizer.
+
+    Both are accepted (converged, interior, negative, Morse index 0); F
+    is even, so the fields agree up to sign.
+    """
+    assert curve.annotations["k_neg_min"] < cap
+    from_curve = polish_minimizer(problem, q, cap, curve.neg_minimizer, "curve")
+    ball = mz.first_solution(problem, q, cap, seed)
+    from_ball = polish_minimizer(problem, q, cap, ball.variational, ball.flags["seed"])
+    assert from_curve.energy == pytest.approx(from_ball.energy, rel=1e-12)
+    a, b = from_curve.variational, from_ball.variational
+    gap = min(geo.l2_norm(geo.add(a, b, -1.0)), geo.l2_norm(geo.add(a, b, 1.0)))
+    assert gap <= 1e-10 * geo.l2_norm(b)
+
+
+@pytest.mark.parametrize("solver_seed", [0, 1, 2, 3])
+def test_curve_minimum_polishes_to_the_ball_minimizer(toy64, solver_seed):
+    q = 4.0
+    curve = trace_mu_curve(toy64, q, 0.05, 500.0, n_points=36, seed=solver_seed)
+    _assert_curve_seed_matches_ball_seed(toy64, q, curve.annotations["l1"], curve, solver_seed)
+
+
 def test_budget_exhausted_raises_nonconvergence(toy_pipeline, toy64, monkeypatch):
     # two iterations cannot flatten the level: the maximum is still moving
     _, _, (end1, u2), _ = toy_pipeline
@@ -606,3 +630,4 @@ def test_plate_two_solutions():
     assert saddle.energy >= mu_lo
     assert morse_index(plate, q, saddle.variational) == 1
     assert mz.first_solution(plate, q, certificate.k_low, 0).energy < 0.0
+    _assert_curve_seed_matches_ball_seed(plate, q, certificate.k_low, curve, 0)
