@@ -20,9 +20,12 @@ Everything the existence theory needs as a number is computed here:
 
 ``certify`` searches a small (eta, sigma, eps) grid for the weakest
 passing configuration and emits a HypothesisReport with every constant
-and margin; failures are reported as flags, never raised.  Every
-randomized start is drawn from a generator seeded by the integer
-``seed``, so the module needs nothing of the solvers but that number.
+and margin; failures are reported as flags, never raised.
+``start_certify`` and the ``PendingCertificate`` it returns are
+``certify`` cut in two, a start step and a collect step, for a caller
+that works on while the solves run.  Every randomized start is drawn
+from a generator seeded by the integer ``seed``, so the module needs
+nothing of the solvers but that number.
 """
 
 from __future__ import annotations
@@ -899,53 +902,43 @@ _NOTE_GRAD_EXPONENT = (
 
 def _solve(problem: ProblemData, q: float, seed: int, task):
     """One of certify's independent solves: ``masked_rayleigh`` for an
-    operator name, ``moment_rayleigh`` for an eta."""
-    if isinstance(task, str):
-        return masked_rayleigh(problem, task, seed)
-    return moment_rayleigh(problem, task, q, seed)
+    operator name, ``moment_rayleigh`` for an eta, ``embedding_remainder``
+    for an eps."""
+    kind, arg = task
+    if kind == "masked":
+        return masked_rayleigh(problem, arg, seed)
+    if kind == "moment":
+        return moment_rayleigh(problem, arg, q, seed)
+    return embedding_remainder(problem.geometry, arg, seed=seed)
 
 
-def certify(
-    problem: ProblemData,
-    q: float,
-    seed: int,
-) -> HypothesisReport:
-    """Hypothesis report at exponent q, searching (eta, sigma, eps).
+class PendingCertificate:
+    """The certificate at q while its solves run in ``start_certify``'s pool."""
 
-    sigma is fixed by 2 sigma sup(a+) = 1/2 when sup(a+) > 0 (else a
-    harmless default); eta ranges over (0.5, 0.1, 0.02) and eps over
-    (0.1, 0.01), and the configuration with the largest admissible ratio
-    threshold C wins.  ``seed`` seeds every randomized start.
-    All conditions are reported with margins; nothing raises on failure.
+    def __init__(self, problem: ProblemData, q: float, pool, solves, meas: float):
+        self._problem, self._q = problem, q
+        self._pool, self._solves, self._meas = pool, solves, meas
 
-    The five heavy solves do not depend on each other: ``masked_rayleigh``
-    for "bilap-a" and "grad" (the latter only when the measure criterion
-    needs it) and ``moment_rayleigh`` at each eta.  They run in forked
-    worker processes, one per available CPU up to five, longest first,
-    and the pool is closed before ``certify`` returns.  Each solve is a
-    pure function of its arguments, so the report is bit-identical to a
-    serial run; there is no option to change this.  An error raised in a
-    solve reaches the caller with its type and message.  The embedding
-    remainders are computed here, on first use, after the pool.
-    """
+    def result(self) -> HypothesisReport:
+        """Wait for the solves, close the pool and assemble the report.
+
+        An error raised in a solve that the report reads reaches the
+        caller here, with its type and message, after the pool is closed.
+        """
+        with self._pool:
+            return _assemble(self._problem, self._q, self._solves, self._meas)
+
+
+def _assemble(problem: ProblemData, q: float, solves, meas: float) -> HypothesisReport:
+    """The report from the solves' futures, keyed by task."""
     g = problem.geometry
-    problem.exponents(q)
-    meas = float(np.mean(problem.f.samples >= 0.0))
-
-    tasks = [0.02, "bilap-a", "grad", 0.1, 0.5]     # longest first
-    if not (meas > 0.0 and _mask(problem).any()):
-        tasks.remove("grad")
-    workers = min(len(tasks), len(os.sched_getaffinity(0)))
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-        solves = {task: pool.submit(_solve, problem, q, seed, task) for task in tasks}
-        lam_nonneg, lam_unsigned = solves["bilap-a"].result()
-        moment_values = {}
-        for eta in (0.5, 0.1, 0.02):
-            try:
-                moment_values[eta] = solves[eta].result()
-            except InfeasibleConstraint:
-                moment_values[eta] = math.inf   # infimum over an empty constraint set
+    lam_nonneg, lam_unsigned = solves["masked", "bilap-a"].result()
+    moment_values = {}
+    for eta in (0.5, 0.1, 0.02):
+        try:
+            moment_values[eta] = solves["moment", eta].result()
+        except InfeasibleConstraint:
+            moment_values[eta] = math.inf   # infimum over an empty constraint set
 
     gap = (
         lam_nonneg - lam_unsigned
@@ -958,14 +951,6 @@ def certify(
     a_plus = problem.a_plus_sup
     sigma = 0.25 / a_plus if a_plus > 0.0 else 1.0
 
-    remainders: dict[float, float] = {}
-
-    def remainder(eps: float) -> float:
-        """embedding_remainder at eps, computed on first use only."""
-        if eps not in remainders:
-            remainders[eps] = embedding_remainder(g, eps, seed=seed)
-        return remainders[eps]
-
     best: CoercivityConstants | None = None
     for eta, lam_eq in moment_values.items():
         if lam_eq - problem.h_sup <= 0.0:
@@ -974,7 +959,7 @@ def certify(
             try:
                 cc = coercivity_constants(
                     problem, q, eta, sigma, eps, lam_eta_q=lam_eq,
-                    remainder=remainder(eps),
+                    remainder=solves["remainder", eps].result(),
                 )
             except (NonPositiveEps0, BadSigma):
                 continue
@@ -1000,8 +985,8 @@ def certify(
     n = g.n_ambient
     if meas > 0.0 and math.isfinite(lam_nonneg):
         eps_m = best.eps if math.isfinite(best.eps) else 0.1
-        rem_m = remainder(eps_m)
-        mu_grad = solves["grad"].result()[0]    # submitted: the mask is nonempty
+        rem_m = solves["remainder", eps_m].result()
+        mu_grad = solves["masked", "grad"].result()[0]  # submitted: the mask is nonempty
         k2_sq = sharp_sobolev_constant(n) ** 2
         rhs = (meas ** (-4.0 / n) - rem_m - mu_grad * problem.a_sup) / (
             k2_sq * (1.0 + eps_m)
@@ -1038,3 +1023,58 @@ def certify(
         notes=[_NOTE_LIMIT_EXPONENT, _NOTE_REMAINDER, _NOTE_GRAD_EXPONENT],
         **asdict(best),
     )
+
+
+def start_certify(
+    problem: ProblemData,
+    q: float,
+    seed: int,
+    spare_cpus: int,
+) -> PendingCertificate:
+    """Fork the certificate's pool at exponent q and submit its solves.
+
+    The seven solves do not depend on each other: ``masked_rayleigh``
+    for "bilap-a" and "grad" (the latter only when the measure criterion
+    needs it), ``moment_rayleigh`` at each eta and ``embedding_remainder``
+    at each eps.  They run in forked worker processes, one per available
+    CPU less ``spare_cpus`` (at least one) up to one per solve, longest
+    first.  ``spare_cpus`` keeps CPUs for a caller that works on while
+    the pool runs.  The returned PendingCertificate's ``result`` waits
+    for the solves and closes the pool.
+    """
+    problem.exponents(q)
+    meas = float(np.mean(problem.f.samples >= 0.0))
+    tasks = [                               # longest first
+        ("moment", 0.02), ("masked", "bilap-a"), ("masked", "grad"),
+        ("moment", 0.1), ("moment", 0.5), ("remainder", 0.1), ("remainder", 0.01),
+    ]
+    if not (meas > 0.0 and _mask(problem).any()):
+        tasks.remove(("masked", "grad"))
+    cpus = max(1, len(os.sched_getaffinity(0)) - spare_cpus)
+    fork = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(min(len(tasks), cpus), mp_context=fork)
+    solves = {task: pool.submit(_solve, problem, q, seed, task) for task in tasks}
+    return PendingCertificate(problem, q, pool, solves, meas)
+
+
+def certify(
+    problem: ProblemData,
+    q: float,
+    seed: int,
+) -> HypothesisReport:
+    """Hypothesis report at exponent q, searching (eta, sigma, eps).
+
+    sigma is fixed by 2 sigma sup(a+) = 1/2 when sup(a+) > 0 (else a
+    harmless default); eta ranges over (0.5, 0.1, 0.02) and eps over
+    (0.1, 0.01), and the configuration with the largest admissible ratio
+    threshold C wins.  ``seed`` seeds every randomized start.
+    All conditions are reported with margins; nothing raises on failure.
+
+    This is ``start_certify`` followed by its ``result``: the solves run
+    in a forked pool that is closed before ``certify`` returns.  Each
+    solve is a pure function of its arguments, so the report is
+    bit-identical to a serial run, whatever the number of workers; there
+    is no option to change this.  An error raised in a solve reaches the
+    caller with its type and message.
+    """
+    return start_certify(problem, q, seed, 0).result()

@@ -33,8 +33,14 @@ The hypothesis gate lives here and nowhere else: ``mu-curve``,
 the certificate at their exponent q, ``solve-critical`` needs (1) and
 (2) at q0 = (2 + N)/2.  A failed gate exits 4 (``mu-curve`` writes the
 certificate to ``report.json`` first); ``--force`` proceeds anyway,
-since the conditions are sufficient, not necessary.  The solvers take
-the certificate's numbers (window edge, eta, sigma) and check nothing.
+since the conditions are sufficient, not necessary.  Without ``--force``
+the gate is decided before any solve.  With it nothing waits for the
+certificate: ``mu-curve``, ``solve-sub`` and ``mountain-pass`` start its
+solves in worker processes, trace the curve and run the mountain pass
+meanwhile, and collect it when its numbers are needed.  The artifacts
+are the same bytes either way, and an error of the certificate
+outranks one of the curve or the mountain pass.  The solvers take the
+certificate's numbers (window edge, eta, sigma) and check nothing.
 
 Exit codes: 0 success (for ``certify``: conditions (1) and (2) hold),
 2 configuration/validation error, 3 numeric failure, 4 hypothesis gate
@@ -55,7 +61,7 @@ import sys
 from pathlib import Path
 
 from . import serialize as ser
-from .certifier import certify
+from .certifier import certify, start_certify
 from .continuation import continue_to_critical
 from .errors import (
     BiharmError,
@@ -69,7 +75,7 @@ from .errors import (
     ShapeNotFound,
 )
 from .geometry import TorusGeometry
-from .minimizer import trace_mu_curve
+from .minimizer import annotate_certified_window, trace_mu_curve
 from .mountainpass import polish_minimizer, second_solution
 from .problem import ProblemData
 
@@ -237,20 +243,40 @@ def cmd_certify(args) -> int:
     return 0 if report.passed else _EXIT_HYPOTHESIS
 
 
-def _curve(problem, q, k_range, seed, certificate, out):
-    """Trace the mu-curve over ``_k_range`` and write ``mu.csv`` and ``annotations.json``."""
-    curve = trace_mu_curve(problem, q, *k_range, seed, certificate=certificate)
+def _certificate(problem, q, seed: int, force: bool, report_path=None):
+    """Collector of the certificate at q for the curve commands.
+
+    Without ``force`` the gate decides here, before any curve solve, and
+    the collector returns its report.  With ``force`` nothing waits for
+    the certificate: its solves start in worker processes, on one CPU
+    fewer than available since the caller traces the curve meanwhile,
+    and the collector waits for them.  Collect in a ``finally``: the pool
+    is closed then, and an error of the certificate outranks the
+    caller's, as when the certificate came first.
+    """
+    if force:
+        return start_certify(problem, q, seed, spare_cpus=1).result
+    report = _gate(problem, q, seed, False, report_path=report_path)
+    return lambda: report
+
+
+def _write_curve(out: Path, curve, certificate) -> None:
+    """``mu.csv`` and ``annotations.json``, with the certificate's window."""
+    annotate_certified_window(curve, certificate)
     ser.curve_to_csv(curve, out / "mu.csv")
     ser.write_json(out / "annotations.json", ser.curve_annotations_dict(curve))
-    return curve
 
 
 def cmd_mu_curve(args) -> int:
     cfg, problem, seed, out = _setup(args)
     q = _exponent(cfg, args, problem)
     k_range = _k_range(cfg, args)
-    certificate = _gate(problem, q, seed, args.force, report_path=out / "report.json")
-    _curve(problem, q, k_range, seed, certificate, out)
+    collect = _certificate(problem, q, seed, args.force, report_path=out / "report.json")
+    try:
+        curve = trace_mu_curve(problem, q, *k_range, seed)
+    finally:
+        certificate = collect()
+    _write_curve(out, curve, certificate)
     (out / "mu.gp").write_text(
         ser.gnuplot_script("mu.csv", f"constrained energy infimum, q={q}"),
         encoding="utf-8",
@@ -259,16 +285,25 @@ def cmd_mu_curve(args) -> int:
 
 
 def _two_solutions(problem, q, cfg, args, seed, out):
-    """Shared pipeline: gate, curve, mountain pass.
+    """Shared pipeline: certificate, curve, mountain pass.
 
     Returns the certificate, the curve, the mountain-pass result and the
     summary keys that ``mountain-pass`` and ``solve-sub`` both write.
+    When the curve or the mountain pass fails, the certificate and a traced
+    curve are written before the error is raised, as when the certificate
+    came first.
     """
     k_range = _k_range(cfg, args)
-    certificate = _gate(problem, q, seed, args.force)
-    ser.write_json(out / "certificate.json", ser.hypothesis_report_dict(certificate))
-    curve = _curve(problem, q, k_range, seed, certificate, out)
-    (l1, l2, l_o), _, mp = second_solution(problem, q, curve)
+    collect = _certificate(problem, q, seed, args.force)
+    curve = None
+    try:
+        curve = trace_mu_curve(problem, q, *k_range, seed)
+        (l1, l2, l_o), _, mp = second_solution(problem, q, curve)
+    finally:
+        certificate = collect()
+        ser.write_json(out / "certificate.json", ser.hypothesis_report_dict(certificate))
+        if curve is not None:
+            _write_curve(out, curve, certificate)
     ser.path_profile_csv(mp.profile_rows, out / "path_profile.csv")
     summary = {
         "schema_version": 1,

@@ -31,9 +31,9 @@ given its seed.
 
 ``trace_mu_curve`` sweeps a geometric k-grid upward once, each point
 warm-started from its neighbor's minimizer plus a fixed multistart
-battery, and annotates the curve with the negative minimum,
-bisection-refined zero crossings and the certified coercivity window
-when a certificate is supplied.  The sphere minimizer at the negative
+battery, and annotates the curve with the negative minimum and
+bisection-refined zero crossings; ``annotate_certified_window`` adds a
+certificate's coercivity window.  The sphere minimizer at the negative
 minimum stays on the curve as the seed of the negative-energy
 solution, and those at the two refined zeros as the mountain pass's
 endpoints.  ``first_solution`` reports the raw minimizer of the ball
@@ -470,7 +470,6 @@ def trace_mu_curve(
     k_max: float,
     n_points: int,
     seed: int,
-    certificate=None,
 ) -> MuCurve:
     """Sample k -> mu_k over a geometric grid with one warm-started sweep.
 
@@ -483,11 +482,10 @@ def trace_mu_curve(
       (argmin over the leading negative segment),
     - ``l1`` / ``l2``: zero crossings refined by bisection in k to a
       relative width of 1e-4,
-    - ``l_o`` / ``mu_lo``: the in-between maximum,
-    - ``certified_window`` and ``certified_bound_ok`` when a certificate
-      with a nonempty coercivity window is supplied.
+    - ``l_o`` / ``mu_lo``: the in-between maximum.
 
-    The sphere minimizer at ``k_neg_min`` is kept on ``neg_minimizer``,
+    ``annotate_certified_window`` adds a certificate's window to them
+    afterwards, so the sweep need not wait for the certificate.  The sphere minimizer at ``k_neg_min`` is kept on ``neg_minimizer``,
     and those at l1 and l2 (the final solves of the bisection) on
     ``zero_minimizers``.
     """
@@ -510,7 +508,7 @@ def trace_mu_curve(
         flags=["ok" if r.converged else "nonconverged" for r in results],
         minimizers=[r.v for r in results],
     )
-    _annotate(curve, problem, q, seed, certificate)
+    _annotate(curve, problem, q, seed)
     return curve
 
 
@@ -531,7 +529,7 @@ def _refine_zero(problem, q, k_lo, mu_lo, k_hi, warm, seed):
     return k_star, _curve_point(problem, q, k_star, warm, seed)
 
 
-def _annotate(curve: MuCurve, problem, q, seed, certificate):
+def _annotate(curve: MuCurve, problem, q, seed):
     ks, mus = curve.ks, curve.mus
     ok = curve.ok()
     ann: dict = {}
@@ -571,15 +569,24 @@ def _annotate(curve: MuCurve, problem, q, seed, certificate):
         if {"k_neg_min", "l1", "l2"} <= ann.keys()
         else "incomplete"
     )
-
-    if certificate is not None:
-        lo, hi = certificate.k_low, certificate.k_high_certified
-        ann["certified_window"] = [lo, hi]
-        inside = (ks >= lo) & (ks <= hi) & ok
-        if hi > lo and inside.any():
-            bound = 0.5 * certificate.mu_floor * ks[inside] ** (2.0 / q)
-            ann["certified_bound_ok"] = bool(np.all(mus[inside] >= bound - 1e-8))
-            ann["certified_bound_margin"] = float(np.min(mus[inside] - bound))
-        else:
-            ann["certified_bound_ok"] = None
     curve.annotations = ann
+
+
+def annotate_certified_window(curve: MuCurve, certificate) -> None:
+    """Add a certificate's coercivity window to the curve's annotations.
+
+    ``certified_window`` is [k_low, k_high_certified]; when it is
+    nonempty and holds converged samples, ``certified_bound_ok`` says
+    whether mu_k >= mu_floor/2 * k^(2/q) there (with the least margin as
+    ``certified_bound_margin``), else it is None.
+    """
+    ks, mus, ann = curve.ks, curve.mus, curve.annotations
+    lo, hi = certificate.k_low, certificate.k_high_certified
+    ann["certified_window"] = [lo, hi]
+    inside = (ks >= lo) & (ks <= hi) & curve.ok()
+    if hi > lo and inside.any():
+        bound = 0.5 * certificate.mu_floor * ks[inside] ** (2.0 / curve.q)
+        ann["certified_bound_ok"] = bool(np.all(mus[inside] >= bound - 1e-8))
+        ann["certified_bound_margin"] = float(np.min(mus[inside] - bound))
+    else:
+        ann["certified_bound_ok"] = None

@@ -21,7 +21,7 @@ from biharm import problem as prob
 from biharm.certifier import certify, grad_interp_constant, sharp_sobolev_constant
 from biharm.continuation import continue_to_critical
 from biharm.geometry import TorusGeometry
-from biharm.minimizer import trace_mu_curve
+from biharm.minimizer import annotate_certified_window, trace_mu_curve
 from biharm.mountainpass import mountain_pass, polish_minimizer, second_solution
 from biharm.problem import ProblemData
 from conftest import hessian_sq_integral, laplacian
@@ -56,10 +56,8 @@ def _get_certificate(problem, seed):
 
 def _get_curve(problem, seed):
     if "curve" not in _typical:
-        _typical["curve"] = trace_mu_curve(
-            problem, 2.5, 1.0, 1e15, n_points=48, seed=seed,
-            certificate=_get_certificate(problem, seed),
-        )
+        _typical["curve"] = trace_mu_curve(problem, 2.5, 1.0, 1e15, n_points=48, seed=seed)
+        annotate_certified_window(_typical["curve"], _get_certificate(problem, seed))
     return _typical["curve"]
 
 
@@ -209,8 +207,9 @@ def test_criterion_5_curve_shape(acc_problem, seed):
         assert rep.passed_subcritical and rep.k_low < rep.k_high_certified
         cc = trace_mu_curve(
             companion, q, rep.k_low * 0.5, rep.k_high_certified * 2.0,
-            n_points=12, seed=seed, certificate=rep,
+            n_points=12, seed=seed,
         )
+        annotate_certified_window(cc, rep)
         assert cc.annotations["certified_bound_ok"] is True
 
     # mesh doubling moves the annotated landmarks by < 2%

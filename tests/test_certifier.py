@@ -611,18 +611,20 @@ def test_certify_2d_smoke(geom2d, seed):
     assert rep.int_f_minus == pytest.approx(0.354738170622633016, rel=1e-12)
 
 
-def _count_remainder_calls(monkeypatch):
+def _count_remainder_calls(monkeypatch, log):
+    # the calls run in the certifier's worker processes: each one appends
+    # a line to ``log``; the lines are returned in sorted order
     import biharm.certifier as cert
 
-    calls = []
     real = cert.embedding_remainder
 
     def counted(geometry, eps, **kwargs):
-        calls.append(eps)
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{eps!r}\n")
         return real(geometry, eps, **kwargs)
 
     monkeypatch.setattr(cert, "embedding_remainder", counted)
-    return calls
+    return lambda: sorted(float(line) for line in log.read_text(encoding="utf-8").splitlines())
 
 
 def test_certify_computes_each_remainder_once(
@@ -632,21 +634,31 @@ def test_certify_computes_each_remainder_once(
 
     from biharm import serialize as ser
 
-    calls = _count_remainder_calls(monkeypatch)
+    calls = _count_remainder_calls(monkeypatch, tmp_path / "calls.txt")
     rep = certify(bundled128, 2.5, seed)        # configs/bundled.json
-    assert sorted(calls) == [0.01, 0.1]
+    assert calls() == [0.01, 0.1]
     ser.write_json(tmp_path / "report.json", ser.hypothesis_report_dict(rep))
     assert_golden_certificate(json.loads((tmp_path / "report.json").read_text()))
 
 
-def test_certify_remainder_is_lazy(geom64, seed, monkeypatch):
+def test_certify_measure_bound_uses_the_default_remainder_without_admissible_eta(
+    geom64, seed, monkeypatch, tmp_path
+):
     # h dominates every moment quotient: no (eta, eps) is admissible, so
-    # only the measure criterion asks for a remainder, at its default eps
+    # the measure criterion reads the remainder at its default eps 0.1;
+    # both remainders are pool tasks and run once each all the same
     p = ProblemData.from_expressions(geom64, "0", "-1e6", "cos(2*pi*x1) - 0.25")
-    calls = _count_remainder_calls(monkeypatch)
+    calls = _count_remainder_calls(monkeypatch, tmp_path / "calls.txt")
     rep = certify(p, 2.5, seed)
-    assert math.isnan(rep.eps)
-    assert calls == [0.1]
+    assert math.isnan(rep.eps) and math.isnan(rep.remainder)
+    assert calls() == [0.01, 0.1]
+    n = geom64.n_ambient
+    mu_grad = masked_rayleigh(p, "grad", seed)[0]
+    rem = embedding_remainder(geom64, 0.1, seed=seed)
+    rhs = (rep.positivity_measure ** (-4.0 / n) - rem - mu_grad * p.a_sup) / (
+        sharp_sobolev_constant(n) ** 2 * (1.0 + 0.1)
+    )
+    assert rep.measure_lower_bound == rhs
 
 
 def test_certify_runs_the_unsigned_masked_minimizations_once(
@@ -722,6 +734,23 @@ def test_certify_task_error_reaches_the_caller(bundled64, seed, monkeypatch):
     with pytest.raises(NonConvergence, match="^moment solve failed at eta 0.1$"):
         certify(bundled64, 2.5, seed)
     assert multiprocessing.active_children() == []
+
+
+def test_start_certify_beside_the_caller_equals_certify(bundled64, seed):
+    # keeping every CPU for the caller still leaves a one-worker pool, and
+    # the collected report is the blocking one, bit for bit
+    import multiprocessing
+    import os
+
+    from biharm import serialize as ser
+
+    want = ser.hypothesis_report_dict(certify(bundled64, 2.5, seed))
+    pending = certifier.start_certify(
+        bundled64, 2.5, seed, spare_cpus=len(os.sched_getaffinity(0))
+    )
+    got = ser.hypothesis_report_dict(pending.result())
+    assert multiprocessing.active_children() == []
+    assert got == want
 
 
 def _same(a, b):

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,6 +9,13 @@ from pathlib import Path
 import pytest
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    # every command closes the certificate's pool before it returns
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def run_cli(*args, check=False):
@@ -248,10 +256,14 @@ def test_solve_sub_bundled_energy_ordering(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["solve-sub", "mountain-pass", "solve-critical"])
-def test_solver_commands_stop_at_the_gate_without_force(tmp_path, command):
+def test_solver_commands_stop_at_the_gate_without_force(tmp_path, monkeypatch, command):
     # the toy problem fails the ratio condition at q = 4 = (2 + N)/2
     import biharm.cli as cli
 
+    def no_curve(*args, **kwargs):
+        raise AssertionError("a curve solve started before the gate")
+
+    monkeypatch.setattr(cli, "trace_mu_curve", no_curve)
     cfg = write_config(tmp_path)
     out = tmp_path / "o"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 4
@@ -262,7 +274,8 @@ def test_solver_commands_stop_at_the_gate_without_force(tmp_path, command):
 
 def test_mu_curve_gate_passes_without_force(tmp_path):
     # a ratio-passing instance traces without --force and records the
-    # certified window in the annotations
+    # certified window in the annotations; with --force the certificate
+    # runs beside the curve instead of before it, and every file is the same
     cfg = write_config(
         tmp_path,
         coefficients={"a": "0", "h": "-1", "f": "cos(2*pi*x1) - 0.999"},
@@ -276,6 +289,13 @@ def test_mu_curve_gate_passes_without_force(tmp_path):
     lo, hi = ann["certified_window"]
     assert lo < hi
     assert ann["certified_bound_ok"] is True
+    forced = tmp_path / "forced"
+    res = run_cli("mu-curve", "--config", str(cfg), "--out", str(forced), "--force")
+    assert res.returncode == 0, res.stderr
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in forced.iterdir()) == ["annotations.json", "mu.csv", "mu.gp"]
+    for name in names:
+        assert (forced / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_nonconvergence_error_keeps_best_iterate(tmp_path, monkeypatch):
@@ -356,15 +376,62 @@ def test_saddle_not_of_index_one_exits_nonconvergence(tmp_path, monkeypatch):
 
 
 def test_curve_without_negative_tail_exits_shape_not_found(tmp_path):
-    # the toy's l2 is near 46, so a curve ending at k = 20 has no tail
+    # the toy's l2 is near 46, so a curve ending at k = 20 has no tail;
+    # the certificate and the curve are written all the same
+    import biharm.cli as cli
+
     cfg = write_config(tmp_path, curve={"k_max": 20.0, "k_steps": 12})
     out = tmp_path / "o"
-    res = run_cli("mountain-pass", "--force", "--config", str(cfg), "--out", str(out))
-    assert res.returncode == 6, res.stderr
+    assert cli.main(["mountain-pass", "--force", "--config", str(cfg), "--out", str(out)]) == 6
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ShapeNotFound"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "annotations.json", "certificate.json", "error.json", "mu.csv",
+    ]
     ann = json.loads((out / "annotations.json").read_text())["annotations"]
     assert ann["shape"] == "incomplete" and "l1" in ann
+    assert "certified_window" in ann
+
+
+@pytest.mark.parametrize(
+    "command, failing",
+    [("mu-curve", None), ("solve-sub", None), ("mu-curve", "curve"),
+     ("solve-sub", "curve"), ("mountain-pass", "curve"),
+     ("solve-sub", "mountain pass"), ("mountain-pass", "mountain pass")],
+)
+def test_certificate_error_outranks_the_curve_and_the_mountain_pass(
+    tmp_path, monkeypatch, command, failing
+):
+    # with --force the certificate runs beside the curve, yet its error is
+    # the one reported, and nothing but error.json is written, exactly as
+    # when the certificate is computed first
+    import biharm.certifier as certifier
+    import biharm.cli as cli
+    import biharm.mountainpass as mountainpass
+    from biharm.errors import Collapse, NonConvergence
+
+    real = certifier.moment_rayleigh
+
+    def failing_moment(problem, eta, q, seed):
+        if eta == 0.1:
+            raise NonConvergence(f"moment solve failed at eta {eta}")
+        return real(problem, eta, q, seed)
+
+    def collapse(*args, **kwargs):
+        raise Collapse(f"{failing} collapsed")
+
+    monkeypatch.setattr(certifier, "moment_rayleigh", failing_moment)
+    if failing == "curve":
+        monkeypatch.setattr(cli, "trace_mu_curve", collapse)
+    elif failing == "mountain pass":
+        monkeypatch.setattr(mountainpass, "mountain_pass", collapse)
+    cfg = write_config(tmp_path, curve={"k_steps": 12})
+    out = tmp_path / "o"
+    assert cli.main([command, "--force", "--config", str(cfg), "--out", str(out)]) == 5
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NonConvergence" and err["exit_code"] == 5
+    assert err["message"] == "moment solve failed at eta 0.1"
 
 
 @pytest.mark.parametrize("q", ["1.5", "9"], ids=["below-2", "above-N"])
@@ -446,13 +513,15 @@ def test_config_numbers_are_checked_before_any_solve(
     tmp_path, monkeypatch, command, section, values, key
 ):
     # a float where an integer belongs is not truncated, and a bad k range
-    # stops the command before the certificate is computed
+    # stops the command before any certificate work starts, whether the
+    # certificate would block (certify) or run beside the curve (start_certify)
     import biharm.cli as cli
 
-    def no_certificate(*args):
-        raise AssertionError("the certificate was computed")
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("certificate work started")
 
     monkeypatch.setattr(cli, "certify", no_certificate)
+    monkeypatch.setattr(cli, "start_certify", no_certificate)
     cfg = write_config(tmp_path, **{section: values})
     out = tmp_path / "o"
     assert cli.main([command, "--config", str(cfg), "--out", str(out), "--force"]) == 2

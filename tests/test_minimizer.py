@@ -11,6 +11,7 @@ from biharm import geometry as geo
 from biharm import problem as prob
 from biharm.errors import NonConvergence
 from biharm.minimizer import (
+    annotate_certified_window,
     first_solution,
     minimize_on_ball,
     minimize_on_sphere,
@@ -151,8 +152,9 @@ def test_certified_window_bound(geom64, seed):
     assert rep.passed_subcritical and rep.k_low < rep.k_high_certified
     curve = trace_mu_curve(
         p, q, rep.k_low * 0.5, rep.k_high_certified * 2.0, n_points=14,
-        seed=seed, certificate=rep,
+        seed=seed,
     )
+    annotate_certified_window(curve, rep)
     assert curve.annotations["certified_bound_ok"] is True
     inside = (curve.ks >= rep.k_low) & (curve.ks <= rep.k_high_certified)
     assert inside.any()

@@ -621,7 +621,7 @@ def test_plate_two_solutions():
         TorusGeometry(7, 2, 16), "0.1", "-1", "cos(2*pi*x1)*cos(2*pi*x2) - 0.25"
     )
     certificate = certify(plate, q, 0)
-    curve = trace_mu_curve(plate, q, 0.5, 1e13, 40, 0, certificate=certificate)
+    curve = trace_mu_curve(plate, q, 0.5, 1e13, 40, 0)
     mu_lo = curve.annotations["mu_lo"]
     assert mu_lo == pytest.approx(366_359_819.58, rel=1e-10)
     _, _, mp = second_solution(plate, q, curve)
