@@ -21,11 +21,11 @@ Everything the existence theory needs as a number is computed here:
 ``certify`` searches a small (eta, sigma, eps) grid for the weakest
 passing configuration and emits a HypothesisReport with every constant
 and margin; failures are reported as flags, never raised.
-``start_certify`` and the ``PendingCertificate`` it returns are
-``certify`` cut in two, a start step and a collect step, for a caller
-that works on while the solves run.  Every randomized start is drawn
-from a generator seeded by the integer ``seed``, so the module needs
-nothing of the solvers but that number.
+``start_certify`` and ``finish_certify`` are ``certify`` cut in two, a
+start step and a collect step, for a caller that works on while the
+solves run.  Every randomized start is drawn from a generator seeded by
+the integer ``seed``, so the module needs nothing of the solvers but
+that number.
 """
 
 from __future__ import annotations
@@ -912,21 +912,25 @@ def _solve(problem: ProblemData, q: float, seed: int, task):
     return embedding_remainder(problem.geometry, arg, seed=seed)
 
 
+@dataclass
 class PendingCertificate:
     """The certificate at q while its solves run in ``start_certify``'s pool."""
 
-    def __init__(self, problem: ProblemData, q: float, pool, solves, meas: float):
-        self._problem, self._q = problem, q
-        self._pool, self._solves, self._meas = pool, solves, meas
+    problem: ProblemData
+    q: float
+    pool: ProcessPoolExecutor
+    solves: dict                  # futures, keyed by task
+    meas: float
 
-    def result(self) -> HypothesisReport:
-        """Wait for the solves, close the pool and assemble the report.
 
-        An error raised in a solve that the report reads reaches the
-        caller here, with its type and message, after the pool is closed.
-        """
-        with self._pool:
-            return _assemble(self._problem, self._q, self._solves, self._meas)
+def finish_certify(pending: PendingCertificate) -> HypothesisReport:
+    """Wait for ``start_certify``'s solves, close its pool and assemble the report.
+
+    An error raised in a solve that the report reads reaches the caller
+    here, with its type and message, after the pool is closed.
+    """
+    with pending.pool:
+        return _assemble(pending.problem, pending.q, pending.solves, pending.meas)
 
 
 def _assemble(problem: ProblemData, q: float, solves, meas: float) -> HypothesisReport:
@@ -1029,7 +1033,6 @@ def start_certify(
     problem: ProblemData,
     q: float,
     seed: int,
-    spare_cpus: int,
 ) -> PendingCertificate:
     """Fork the certificate's pool at exponent q and submit its solves.
 
@@ -1037,10 +1040,8 @@ def start_certify(
     for "bilap-a" and "grad" (the latter only when the measure criterion
     needs it), ``moment_rayleigh`` at each eta and ``embedding_remainder``
     at each eps.  They run in forked worker processes, one per available
-    CPU less ``spare_cpus`` (at least one) up to one per solve, longest
-    first.  ``spare_cpus`` keeps CPUs for a caller that works on while
-    the pool runs.  The returned PendingCertificate's ``result`` waits
-    for the solves and closes the pool.
+    CPU up to one per solve, longest first.  ``finish_certify`` waits
+    for them and closes the pool.
     """
     problem.exponents(q)
     meas = float(np.mean(problem.f.samples >= 0.0))
@@ -1050,9 +1051,8 @@ def start_certify(
     ]
     if not (meas > 0.0 and _mask(problem).any()):
         tasks.remove(("masked", "grad"))
-    cpus = max(1, len(os.sched_getaffinity(0)) - spare_cpus)
     fork = multiprocessing.get_context("fork")
-    pool = ProcessPoolExecutor(min(len(tasks), cpus), mp_context=fork)
+    pool = ProcessPoolExecutor(min(len(tasks), len(os.sched_getaffinity(0))), mp_context=fork)
     solves = {task: pool.submit(_solve, problem, q, seed, task) for task in tasks}
     return PendingCertificate(problem, q, pool, solves, meas)
 
@@ -1070,11 +1070,11 @@ def certify(
     threshold C wins.  ``seed`` seeds every randomized start.
     All conditions are reported with margins; nothing raises on failure.
 
-    This is ``start_certify`` followed by its ``result``: the solves run
+    This is ``finish_certify(start_certify(...))``: the solves run
     in a forked pool that is closed before ``certify`` returns.  Each
     solve is a pure function of its arguments, so the report is
     bit-identical to a serial run, whatever the number of workers; there
     is no option to change this.  An error raised in a solve reaches the
     caller with its type and message.
     """
-    return start_certify(problem, q, seed, 0).result()
+    return finish_certify(start_certify(problem, q, seed))

@@ -36,17 +36,19 @@ certificate to ``report.json`` first); ``--force`` proceeds anyway,
 since the conditions are sufficient, not necessary.  Without ``--force``
 the gate is decided before any solve.  With it nothing waits for the
 certificate: ``mu-curve``, ``solve-sub`` and ``mountain-pass`` start its
-solves in worker processes, trace the curve and run the mountain pass
-meanwhile, and collect it when its numbers are needed.  The artifacts
+solves in worker processes (``start_certify``, one per CPU), trace the
+curve and run the mountain pass meanwhile, and collect it with
+``finish_certify`` when its numbers are needed.  The artifacts
 are the same bytes either way, and an error of the certificate
 outranks one of the curve or the mountain pass.  The solvers take the
 certificate's numbers (window edge, eta, sigma) and check nothing.
 
 Exit codes: 0 success (for ``certify``: conditions (1) and (2) hold),
 2 configuration/validation error, 3 numeric failure, 4 hypothesis gate
-failed, 5 non-convergence (for the mountain pass also a saddle whose
-Newton polish did not converge, that is not of Morse index 1, or whose
-energy lies below the hump maximum ``mu_lo``; for ``solve-sub`` and
+failed, 5 non-convergence (for the mountain pass also a path whose
+polished maximum was rejected at every poll up to the iteration cap:
+a Newton polish that did not converge, a Morse index other than 1, or
+an energy below the hump maximum ``mu_lo``; for ``solve-sub`` and
 ``solve-critical`` also a negative-energy solution whose polish did not
 converge, whose mass is not interior to the ball, whose energy is not
 negative or that is not of Morse index 0), 6 curve shape not found,
@@ -61,7 +63,7 @@ import sys
 from pathlib import Path
 
 from . import serialize as ser
-from .certifier import certify, start_certify
+from .certifier import certify, finish_certify, start_certify
 from .continuation import continue_to_critical
 from .errors import (
     BiharmError,
@@ -248,14 +250,15 @@ def _certificate(problem, q, seed: int, force: bool, report_path=None):
 
     Without ``force`` the gate decides here, before any curve solve, and
     the collector returns its report.  With ``force`` nothing waits for
-    the certificate: its solves start in worker processes, on one CPU
-    fewer than available since the caller traces the curve meanwhile,
-    and the collector waits for them.  Collect in a ``finally``: the pool
-    is closed then, and an error of the certificate outranks the
-    caller's, as when the certificate came first.
+    the certificate: its solves start in worker processes, one per CPU,
+    while the caller traces the curve, and the collector is
+    ``finish_certify``, which waits for them.  Collect in a ``finally``:
+    the pool is closed then, and an error of the certificate outranks
+    the caller's, as when the certificate came first.
     """
     if force:
-        return start_certify(problem, q, seed, spare_cpus=1).result
+        pending = start_certify(problem, q, seed)
+        return lambda: finish_certify(pending)
     report = _gate(problem, q, seed, False, report_path=report_path)
     return lambda: report
 
@@ -312,6 +315,7 @@ def _two_solutions(problem, q, cfg, args, seed, out):
         "l2": l2,
         "l_o": l_o,
         "nu": mp.nu,
+        "path_max": mp.path_max,
         "mu_lo": curve.annotations.get("mu_lo"),
     }
     return certificate, curve, mp, summary

@@ -31,10 +31,10 @@ given its seed.
 
 ``trace_mu_curve`` sweeps a geometric k-grid upward once, each point
 warm-started from its neighbor's minimizer plus a fixed multistart
-battery, and annotates the curve with the negative minimum and
-bisection-refined zero crossings; ``annotate_certified_window`` adds a
-certificate's coercivity window.  The sphere minimizer at the negative
-minimum stays on the curve as the seed of the negative-energy
+battery, and annotates the curve with the negative minimum and the
+zero crossings, refined by Newton in k; ``annotate_certified_window``
+adds a certificate's coercivity window.  The sphere minimizer at the
+negative minimum stays on the curve as the seed of the negative-energy
 solution, and those at the two refined zeros as the mountain pass's
 endpoints.  ``first_solution`` reports the raw minimizer of the ball
 |u|_q^q <= l_q and accepts nothing; it seeds the continuation at q0.
@@ -480,13 +480,14 @@ def trace_mu_curve(
 
     - ``k_neg_min`` / ``mu_neg_min``: the interior negative minimum
       (argmin over the leading negative segment),
-    - ``l1`` / ``l2``: zero crossings refined by bisection in k to a
-      relative width of 1e-4,
+    - ``l1`` / ``l2``: zero crossings refined by Newton in k
+      (``_refine_zero``),
     - ``l_o`` / ``mu_lo``: the in-between maximum.
 
     ``annotate_certified_window`` adds a certificate's window to them
-    afterwards, so the sweep need not wait for the certificate.  The sphere minimizer at ``k_neg_min`` is kept on ``neg_minimizer``,
-    and those at l1 and l2 (the final solves of the bisection) on
+    afterwards, so the sweep need not wait for the certificate.  The
+    sphere minimizer at ``k_neg_min`` is kept on ``neg_minimizer``, and
+    those at l1 and l2 (the last solves of the refinement) on
     ``zero_minimizers``.
     """
     if not (0.0 < k_min < k_max):
@@ -512,21 +513,63 @@ def trace_mu_curve(
     return curve
 
 
-def _refine_zero(problem, q, k_lo, mu_lo, k_hi, warm, seed):
-    """Bisect a sign change of mu(k) to relative width 1e-4; returns (k, SphereResult at k)."""
-    # the battery at every step stays: the mountain pass is sensitive to
-    # the endpoint masses, and warm-only steps move l1/l2 by ~1e-5 rel
-    sign_lo = mu_lo > 0
-    while (k_hi - k_lo) / k_hi > 1e-4:
-        k_mid = math.sqrt(k_lo * k_hi)
-        res = _curve_point(problem, q, k_mid, warm, seed)
+def _hermite_root(k0, mu0, slope0, k1, mu1, slope1):
+    """First root in (k0, k1) of the cubic Hermite interpolant of (mu, mu').
+
+    Without one, the geometric midpoint.
+    """
+    h = k1 - k0
+    d0, d1 = h * slope0, h * slope1
+    # the interpolant in t = (k - k0) / h, highest power first
+    coeffs = (2.0 * mu0 + d0 - 2.0 * mu1 + d1, -3.0 * mu0 - 2.0 * d0 + 3.0 * mu1 - d1, d0, mu0)
+    ts = sorted(r.real for r in np.roots(coeffs) if r.imag == 0.0 and 0.0 < r.real < 1.0)
+    return float(k0 + h * ts[0]) if ts else math.sqrt(k0 * k1)
+
+
+def _refine_zero(problem, q, curve, i, seed):
+    """Newton in k for the sign change of mu(k) between grid points i - 1 and i.
+
+    At a sphere minimizer mu'(k) = 2 lambda_k / q (envelope theorem;
+    lambda_k is the ``lagrange`` column).  The first guess is the root
+    of the cubic Hermite interpolant of (mu, mu') at the two grid
+    points.  Every step is a ``_curve_point`` solve (warm start from the
+    previous one, plus the battery) and keeps a bracket of the sign
+    change.  A Newton step that leaves the bracket, or that is longer
+    than half the step before it, becomes a bisection step (the
+    geometric midpoint of the bracket), as in ``rtsafe`` (Numerical
+    Recipes).  Stops at
+    |mu| <= 1e-12 (1 + |k mu'|), at a bracket of relative width 1e-4, or
+    at a solve that missed its gradient tolerance: near a zero that
+    tolerance, ``TOL_SCALE`` (1 + |mu|), is nearly absolute, large-k
+    solves cannot reach it and run to ``MAX_ITER``, and so would the
+    next one.  Returns (k, SphereResult at k) of the last solve.
+    """
+    ks, mus, slopes = curve.ks, curve.mus, 2.0 * curve.lagranges / q
+    lo, hi = float(ks[i - 1]), float(ks[i])
+    sign_lo = mus[i - 1] > 0
+    warm = curve.minimizers[i - 1]
+    k = _hermite_root(lo, mus[i - 1], slopes[i - 1], hi, mus[i], slopes[i])
+    last_step = hi - lo
+    while True:
+        res = _curve_point(problem, q, k, warm, seed)
         warm = res.v
+        slope = 2.0 * res.lagrange / q
         if (res.mu > 0) == sign_lo:
-            k_lo = k_mid
+            lo = k
         else:
-            k_hi = k_mid
-    k_star = math.sqrt(k_lo * k_hi)
-    return k_star, _curve_point(problem, q, k_star, warm, seed)
+            hi = k
+        if (
+            abs(res.mu) <= 1e-12 * (1.0 + abs(k * slope))
+            or (hi - lo) / hi <= 1e-4
+            or not res.converged
+        ):
+            return k, res
+        step = -res.mu / slope if slope else math.inf
+        if lo < k + step < hi and abs(step) <= 0.5 * abs(last_step):
+            k_next = k + step
+        else:
+            k_next = math.sqrt(lo * hi)
+        k, last_step = k_next, k_next - k
 
 
 def _annotate(curve: MuCurve, problem, q, seed):
@@ -544,19 +587,13 @@ def _annotate(curve: MuCurve, problem, q, seed):
         ann["mu_neg_min"] = float(mus[i_min])
         curve.neg_minimizer = curve.minimizers[i_min]
         # zero crossing l1 between the leading run and the hump
-        warm = curve.minimizers[first_pos - 1]
-        l1, end1 = _refine_zero(
-            problem, q, ks[first_pos - 1], mus[first_pos - 1], ks[first_pos], warm, seed
-        )
+        l1, end1 = _refine_zero(problem, q, curve, first_pos, seed)
         ann["l1"] = l1
         ann["mu_at_l1"] = end1.mu
         after = np.nonzero(~pos[first_pos:])[0]
         if after.size:
             j = first_pos + int(after[0])
-            warm = curve.minimizers[j - 1]
-            l2, end2 = _refine_zero(
-                problem, q, ks[j - 1], mus[j - 1], ks[j], warm, seed
-            )
+            l2, end2 = _refine_zero(problem, q, curve, j, seed)
             ann["l2"] = l2
             ann["mu_at_l2"] = end2.mu
             curve.zero_minimizers = [end1, end2]

@@ -11,22 +11,22 @@ algorithm deforms a free (unconstrained) piecewise path: the maximal
 node and its neighbors move along preconditioned steepest descent and a
 step is accepted only if the path maximum strictly drops.  The maximum
 is measured over the nodes and fixed interior points of every segment,
-and dominant interior points become nodes.  When the level stalls, the
-maximal node is polished into a genuine critical point by damped
+and dominant interior points become nodes.  Every ``POLL`` iterations
+the maximal node is polished into a genuine critical point by damped
 Newton-Krylov steps on the stationarity residual: ``lsqr`` on the
 matrix-free Hessian action, preconditioned by the spectral descent
-metric of the path deformation.  The report describes the polished
-point; ``nu`` is the stalled honest maximum, raised to the polished
-energy when the polish converged (a path threaded through the saddle
-attains it).  ``second_solution`` alone accepts the saddle: its polish
+metric of the path deformation.  The path stops at the first polish
+that passes the one acceptance rule (``_saddle_failure``): the polish
 converged, its energy is at least the hump maximum mu_lo (every path
 between the zero masses crosses each sphere between them) and its Morse
 index is 1, that of a nondegenerate mountain-pass point (Hofer, Proc.
-AMS 91, 1984).  ``polish_minimizer`` alone accepts the negative-energy
-solution, with the same two tools: its polish converged, its mass is
-interior to the ball, its energy is negative and its Morse index is 0.
-``solve-sub`` seeds it with the curve's minimizer at ``k_neg_min``, the
-continuation with the ball minimizer at q0 and then each previous step.
+AMS 91, 1984).  The report describes the accepted saddle v, ``nu`` is
+F(v), and the stop-time path maximum is kept beside it.
+``polish_minimizer`` alone accepts the negative-energy solution, with
+the same two tools: its polish converged, its mass is interior to the
+ball, its energy is negative and its Morse index is 0.  ``solve-sub``
+seeds it with the curve's minimizer at ``k_neg_min``, the continuation
+with the ball minimizer at q0 and then each previous step.
 """
 
 from __future__ import annotations
@@ -194,8 +194,11 @@ def polish_minimizer(
 class MountainPassResult:
     """The level ``nu``, the polished point's ``report``, the path ``nodes`` and ``history``.
 
-    Accepted steps never raise the level; it rises only in rows whose
-    node insertions sharpen the estimate of the polyline maximum.
+    ``nu`` is the energy F(v) of the accepted saddle (of a
+    ``NonConvergence``'s best: the last path maximum).  ``converged``
+    says whether the reported polish converged.  Accepted steps never
+    raise the path level; it rises only in rows whose node insertions
+    sharpen the estimate of the polyline maximum.
     """
 
     nu: float
@@ -205,6 +208,16 @@ class MountainPassResult:
     profile_rows: list            # (iteration, node, energy) records
     iterations: int
     converged: bool
+
+    @property
+    def path_max(self) -> float:
+        """The sampled path maximum when the deformation stopped.
+
+        The stopped path's true maximum bounds the inf-max level from
+        above; this samples it at the nodes and three interior points
+        per segment, so it can fall short of it.
+        """
+        return self.history[-1][1]
 
 
 def _init_path(problem, q, u1, u2, n_nodes, interior_seeds):
@@ -252,10 +265,9 @@ class _Path:
     is tracked over nodes *and* segment interior samples, and an
     interior sample that dominates every node is promoted to a node.
 
-    Each segment's samples, at its interior parameters ``ts``, are
+    Each segment's samples, at its interior parameters ``SUB``, are
     cached.  A segment is evaluated again only when one of its ends
-    moves or a node splits it, and ``final_check`` switches every
-    segment to the denser ``FINAL_TS`` once.
+    moves or a node splits it.
 
     A sweep evaluates every segment that needs samples at once, in
     stacks of at most ``_CHUNK`` fields.  Each sample gets the
@@ -265,7 +277,6 @@ class _Path:
     """
 
     SUB = (0.25, 0.5, 0.75)
-    FINAL_TS = np.linspace(0.05, 0.95, 19)
 
     def __init__(self, problem, q, nodes):
         self.problem = problem
@@ -276,7 +287,6 @@ class _Path:
         self.e_nodes = []
         for rows in _chunks(len(self.nodes), _CHUNK):
             self.e_nodes += prob.eval_F(geo.stack(self.nodes[rows]), problem, q)
-        self.ts = self.SUB
         self._seg: list = [None] * (len(self.nodes) - 1)
 
     def _point(self, j, t):
@@ -295,12 +305,12 @@ class _Path:
         return out
 
     def _samples(self):
-        """(t, energy) interior samples of every segment at ``ts``.
+        """(t, energy) interior samples of every segment at ``SUB``.
 
         Only the segments without cached samples are evaluated.
         """
         todo = [s for s, cached in enumerate(self._seg) if cached is None]
-        rows = [(s, t) for s in todo for t in self.ts]
+        rows = [(s, t) for s in todo for t in self.SUB]
         energies = self._sample_energies(rows)
         for s in todo:
             self._seg[s] = []
@@ -361,16 +371,26 @@ class _Path:
             inserted += 1
         return inserted
 
-    def final_check(self):
-        """Resample every segment at ``FINAL_TS``, promote up to 48 maxima, then ``honest_max``."""
-        self.ts = self.FINAL_TS
-        self._seg = [None] * (len(self.nodes) - 1)
-        self.promote_interior_maxima(48)
-        return self.honest_max()
 
-
-MAX_PATH_ITER = 3000    # deformation steps before a moving maximum is NonConvergence
+MAX_PATH_ITER = 3000    # deformation steps before NonConvergence
 MAX_PATH_NODES = 246    # nodes past which interior maxima are no longer promoted
+POLL = 10               # deformation steps between polishes of the path maximum
+
+
+def _saddle_failure(problem, q, report, floor, floor_name):
+    """Why a polished point is not the mountain-pass saddle, or None if it is.
+
+    The one acceptance rule: the polish converged, the energy is at least
+    ``floor`` (within 1e-8 (1 + |floor|)) and the Morse index is 1, that
+    of a nondegenerate mountain-pass point (Hofer, Proc. AMS 91, 1984).
+    """
+    if not report.converged:
+        return f"saddle polish did not converge (equation residual {report.residual_equation})"
+    if report.energy < floor - 1e-8 * (1.0 + abs(floor)):
+        return f"saddle energy {report.energy} lies below {floor_name} {floor}"
+    if (index := morse_index(problem, q, report.variational)) != 1:
+        return f"saddle has Morse index {index}, not 1"
+    return None
 
 
 def mountain_pass(
@@ -378,62 +398,74 @@ def mountain_pass(
     q: float,
     u1: SpectralField,
     u2: SpectralField,
-    interior_seeds=None,
+    curve: MuCurve | None = None,
 ) -> MountainPassResult:
-    """Deform a discrete path of 41 nodes from u1 to u2 until its maximum stalls.
+    """Deform a discrete path of 41 nodes from u1 to u2 until a polish of its maximum is a saddle.
 
-    ``interior_seeds`` may carry (mass, minimizer) pairs from a traced
-    energy curve; the initial path then threads through the minimizer
-    family instead of plain linear interpolation.  Callers should pass
-    sign-aligned endpoint representatives (see ``align_sign``); the
-    endpoints themselves are never modified.
+    With a traced ``curve`` (u1 and u2 its sphere minimizers at the
+    zeros l1 and l2), the initial path threads through the curve's
+    minimizers between them, and the saddle's floor is the hump maximum
+    ``mu_lo``: every path from l1 to l2 crosses each sphere between
+    them.  Without one the initial path is the straight segment and the
+    floor is the endpoint level.  Callers should pass sign-aligned
+    endpoint representatives (see ``align_sign``); the endpoints
+    themselves are never modified.
 
     Each iteration promotes up to 8 dominant interior samples to nodes,
     but never past ``MAX_PATH_NODES`` nodes; beyond the cap interior
-    maxima still count in the level, they are only not promoted.  The
-    five nodes around the maximum then take a preconditioned descent
-    step, halved up to 25 times until the level drops.  The deformation
-    stalls when the level has spread by at most 1e-6 (1 + |nu|) over the
-    last 40 iterations, or when 25 halvings find no lower level; either
-    way the Newton polish takes over.
+    maxima still count in the level, they are only not promoted.  Every
+    ``POLL`` iterations ``refine_critical_point`` polishes the path
+    maximum (a node, or past the node cap possibly an interior sample),
+    and the deformation stops at the first polish that passes
+    ``_saddle_failure``'s rule.  Otherwise
+    the five nodes around the maximum take a preconditioned descent
+    step, halved up to 25 times until the level drops.
     Raises Collapse when the path maximum falls to within 1e-8 of the
-    endpoint level (no hump), NonConvergence when ``MAX_PATH_ITER``
-    steps end with a moving maximum.  The report describes the point the
-    Newton polish reaches from the maximal node, saddle or not
-    (``second_solution`` decides); ``converged`` means the path stalled
-    and the polish converged.  The returned ``nu`` is the stalled honest
-    path maximum after a denser final sweep, raised to the polished
-    energy F(v) when the polish converged; ``profile_rows`` holds every
-    node energy of every iteration.
+    endpoint level (no hump), NonConvergence naming the last rejected
+    condition when ``MAX_PATH_ITER`` iterations accept no polish.  The
+    report describes the accepted saddle v and ``nu`` is F(v);
+    ``path_max`` is the sampled path maximum at the stop, an estimate of
+    the inf-max level from above.  ``profile_rows`` holds every node
+    energy of every iteration.
     """
     g = problem.geometry
     problem.exponents(q)
 
     n_nodes = 41
     collapse_tol = 1e-8
-    path = _Path(problem, q, _init_path(problem, q, u1, u2, n_nodes, interior_seeds))
+    seeds = None
+    if curve is not None:
+        ann = curve.annotations
+        l1, l2 = ann["l1"], ann["l2"]
+        seeds = [(float(k), v) for k, v in zip(curve.ks, curve.minimizers) if l1 <= k <= l2]
+    path = _Path(problem, q, _init_path(problem, q, u1, u2, n_nodes, seeds))
     f_ends = max(path.e_nodes[0], path.e_nodes[-1])
+    floor = (f_ends, "the endpoint level") if curve is None else (ann["mu_lo"], "the hump maximum")
     profile_rows = []
     history = []
 
     tau = 1e-2
-    plateau = 40
-    stalled = False
+    report, failure = None, "the path maximum was never polished"
     it = 0
     for it in range(1, MAX_PATH_ITER + 1):
         inserted = path.promote_interior_maxima(min(8, MAX_PATH_NODES - len(path.nodes)))
-        nu, jmax, _ = path.honest_max()
+        nu, jmax, t_max = path.honest_max()
         history.append((it, nu, inserted))
         profile_rows.extend(
             (it, j, float(path.e_nodes[j])) for j in range(len(path.nodes))
         )
         if nu <= f_ends + collapse_tol:
             raise Collapse(f"path maximum {nu} fell to the endpoint level {f_ends}")
-        # stall: the level has flattened; the Newton polish takes over
-        levels = [level for _, level, _ in history[-plateau:]]
-        if it > plateau and (max(levels) - min(levels)) / (1.0 + abs(nu)) <= 1e-6:
-            stalled = True
-            break
+        if it % POLL == 0:
+            top = path.nodes[jmax] if t_max is None else path._point(jmax, t_max)
+            v, res_polish, polished = refine_critical_point(problem, q, top)
+            flags = {"polish_residual": res_polish, "polished": polished}
+            report = make_report(problem, q, v, polished, flags)
+            failure = _saddle_failure(problem, q, report, *floor)
+            if failure is None:
+                return MountainPassResult(
+                    report.energy, report, path.nodes, history, profile_rows, it, True
+                )
 
         # a path has at least 41 nodes, so the window is never empty
         n = len(path.nodes)
@@ -459,25 +491,11 @@ def mountain_pass(
                 tau = min(t * 1.5, 1e6)
                 break
             t *= 0.5
-        else:
-            # no step lowers the level: stalled as well
-            stalled = True
-            break
 
-    nu_path, jmax, _ = path.final_check()
-    v, res_polish, polished = refine_critical_point(problem, q, path.nodes[jmax])
-    flags = {"polish_residual": res_polish, "polished": polished}
-    converged = polished and stalled
-    report = make_report(problem, q, v, converged, flags)
-    if polished:
-        # the path threaded through the polished saddle attains F(v)
-        nu_path = max(nu_path, report.energy)
-    result = MountainPassResult(nu_path, report, path.nodes, history, profile_rows, it, converged)
-    if not stalled:
-        raise NonConvergence(
-            f"path deformation still moving after {it} iterations", best=result
-        )
-    return result
+    if report is None:
+        report = make_report(problem, q, path.nodes[jmax], False, {"polished": False})
+    best = MountainPassResult(nu, report, path.nodes, history, profile_rows, it, report.converged)
+    raise NonConvergence(f"no saddle accepted in {it} iterations: {failure}", best=best)
 
 
 # ----------------------------------------------------------------------
@@ -487,33 +505,19 @@ def mountain_pass(
 def second_solution(problem: ProblemData, q: float, curve: MuCurve):
     """Mountain pass between the curve's sphere minimizers at its zeros l1, l2.
 
-    The endpoints are the tracer's ``zero_minimizers``, the final solves
-    of its bisection at l1 and l2; nothing is solved on a sphere here.
-    The curve minimizers in [l1, l2] seed the path.  Returns ((l1, l2,
-    l_o), (result at l1, sign-aligned field at l2), MountainPassResult).
-    The saddle is accepted when its polish converged, its energy is at
-    least the hump maximum ``mu_lo`` (every path from l1 to l2 crosses
-    each sphere between them) and its Morse index is 1; otherwise
-    NonConvergence names the failed condition, with the result as
-    ``best``.  Raises ShapeNotFound unless the tracer found the negative
-    minimum / positive hump / negative tail shape.
+    The endpoints are the tracer's ``zero_minimizers``, its last solves
+    at l1 and l2; nothing is solved on a sphere here.  ``mountain_pass``
+    takes the curve, so the path threads through its minimizers in
+    [l1, l2] and the saddle must reach the hump maximum ``mu_lo``.
+    Returns ((l1, l2, l_o), (result at l1, sign-aligned field at l2),
+    MountainPassResult).  Raises ShapeNotFound unless the tracer found
+    the negative minimum / positive hump / negative tail shape.
     """
     ann = curve.annotations
     if ann.get("shape") != "neg-min/hump/neg-tail":
         raise ShapeNotFound("curve lacks the negative / positive / negative shape")
-    l1, l2, l_o = ann["l1"], ann["l2"], ann["l_o"]
     end1, end2 = curve.zero_minimizers
-    seeds = [(float(k), v) for k, v in zip(curve.ks, curve.minimizers) if l1 <= k <= l2]
     # the energy is even: use the endpoint representative aligned with u1
     u2 = align_sign(end2.v, end1.v)
-    mp = mountain_pass(problem, q, end1.v, u2, interior_seeds=seeds)
-    rep, mu_lo = mp.report, ann["mu_lo"]
-    if not mp.converged:
-        failure = f"saddle polish did not converge (equation residual {rep.residual_equation})"
-    elif rep.energy < mu_lo - 1e-8 * (1.0 + abs(mu_lo)):
-        failure = f"saddle energy {rep.energy} lies below the hump maximum {mu_lo}"
-    elif (index := morse_index(problem, q, rep.variational)) != 1:
-        failure = f"saddle has Morse index {index}, not 1"
-    else:
-        return (l1, l2, l_o), (end1, u2), mp
-    raise NonConvergence(failure, best=mp)
+    mp = mountain_pass(problem, q, end1.v, u2, curve=curve)
+    return (ann["l1"], ann["l2"], ann["l_o"]), (end1, u2), mp

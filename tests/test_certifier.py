@@ -737,18 +737,20 @@ def test_certify_task_error_reaches_the_caller(bundled64, seed, monkeypatch):
 
 
 def test_start_certify_beside_the_caller_equals_certify(bundled64, seed):
-    # keeping every CPU for the caller still leaves a one-worker pool, and
-    # the collected report is the blocking one, bit for bit
+    # the pool takes one worker per CPU up to one per solve, the caller
+    # works on meanwhile, and the collected report is the blocking one,
+    # bit for bit, with the pool closed
     import multiprocessing
     import os
 
     from biharm import serialize as ser
+    from biharm.minimizer import minimize_on_sphere
 
     want = ser.hypothesis_report_dict(certify(bundled64, 2.5, seed))
-    pending = certifier.start_certify(
-        bundled64, 2.5, seed, spare_cpus=len(os.sched_getaffinity(0))
-    )
-    got = ser.hypothesis_report_dict(pending.result())
+    pending = certifier.start_certify(bundled64, 2.5, seed)
+    assert pending.pool._max_workers == min(len(pending.solves), len(os.sched_getaffinity(0)))
+    minimize_on_sphere(bundled64, 2.5, 1.0, seed)
+    got = ser.hypothesis_report_dict(certifier.finish_certify(pending))
     assert multiprocessing.active_children() == []
     assert got == want
 

@@ -337,33 +337,33 @@ def test_nonconvergence_error_keeps_best_iterate(tmp_path, monkeypatch):
 def test_unaccepted_saddle_polish_exits_nonconvergence(tmp_path, monkeypatch, command):
     import biharm.cli as cli
     import biharm.mountainpass as mountainpass
-    from biharm.minimizer import make_report
-    from biharm.mountainpass import MountainPassResult
 
-    def unpolished(problem, q, u1, u2, **kwargs):
-        # the path stalled, but the Newton polish of its top node did not converge
-        report = make_report(problem, q, u1, False, {"polished": False})
-        return MountainPassResult(1.25, report, [], [], [], 17, False)
+    def unpolished(problem, q, u0):
+        # the Newton polish of the path's top node never converges
+        return u0, 1.25, False
 
-    monkeypatch.setattr(mountainpass, "mountain_pass", unpolished)
+    monkeypatch.setattr(mountainpass, "refine_critical_point", unpolished)
+    monkeypatch.setattr(mountainpass, "MAX_PATH_ITER", 2 * mountainpass.POLL)
     cfg = write_config(tmp_path, curve={"k_steps": 12})
     out = tmp_path / "o"
     code = cli.main([command, "--force", "--config", str(cfg), "--out", str(out)])
     assert code == 5
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "NonConvergence" and err["exit_code"] == 5
+    assert "saddle polish did not converge" in err["message"]
     assert err["best"]["converged"] is False
-    assert err["best"]["nu"] == 1.25 and err["best"]["iterations"] == 17
+    assert err["best"]["nu"] > 0.0 and err["best"]["iterations"] == 2 * mountainpass.POLL
     assert not (out / "solution_mp.report.json").exists()
 
 
 def test_saddle_not_of_index_one_exits_nonconvergence(tmp_path, monkeypatch):
-    # the path stalls and the polish converges above the hump, but a
-    # saddle of Morse index 2 is not the mountain-pass point
+    # the polish converges above the hump, but a saddle of Morse index 2
+    # is not the mountain-pass point: no poll passes before the cap
     import biharm.cli as cli
     import biharm.mountainpass as mountainpass
 
     monkeypatch.setattr(mountainpass, "morse_index", lambda problem, q, u: 2)
+    monkeypatch.setattr(mountainpass, "MAX_PATH_ITER", 2 * mountainpass.POLL)
     cfg = write_config(tmp_path)
     out = tmp_path / "o"
     code = cli.main(["solve-sub", "--force", "--config", str(cfg), "--out", str(out)])

@@ -112,7 +112,7 @@ def test_curve_shape_and_annotations(toy64, seed):
     assert ann["shape"] == "neg-min/hump/neg-tail"
     assert 0.05 < ann["k_neg_min"] < ann["l1"] < ann["l_o"] < ann["l2"] < 500.0
     assert ann["mu_neg_min"] < 0.0 < ann["mu_lo"]
-    # crossings sit within the bisection width and near zero energy
+    # crossings sit near zero energy
     assert abs(ann["mu_at_l1"]) <= 1e-3 * (1.0 + ann["mu_lo"])
     assert abs(ann["mu_at_l2"]) <= 1e-3 * (1.0 + ann["mu_lo"])
 
@@ -361,9 +361,105 @@ def test_curve_runs_one_battery_per_point(toy64, seed, monkeypatch):
     grid = [float(k) for k in curve.ks]
     assert solves[:n] == grid                  # one upward sweep
     assert sorted(k for k in solves if k in grid) == grid
-    bisection = sum(k not in grid for k in solves)
-    assert curve.annotations["shape"] == "neg-min/hump/neg-tail" and bisection > 0
-    assert len(batteries) == len(solves) == n + bisection
+    refining = sum(k not in grid for k in solves)
+    assert curve.annotations["shape"] == "neg-min/hump/neg-tail" and refining > 0
+    assert len(batteries) == len(solves) == n + refining
+
+
+# l1 and l2 of the toy curve (0.05 to 500 in 36 points, solver seed 0) as
+# the bisection to relative width 1e-4 found them, in 26 sphere solves
+TOY_BISECTED_ZEROS = (1.3898155596803183, 45.586188877583325)
+
+
+def test_zero_refinement_is_newton_in_k(toy64, seed, monkeypatch):
+    # a Hermite guess plus Newton steps: at most 6 sphere solves for both
+    # zeros, each within 1e-4 rel of the bisection's and meeting the stop
+    # rule |mu| <= 1e-12 (1 + |k mu'|), mu' = 2 lambda / q
+    q, n = 4.0, 36
+    solves = []
+    sphere = mz.minimize_on_sphere
+
+    def counting_sphere(*args, **kwargs):
+        solves.append(args[2])
+        return sphere(*args, **kwargs)
+
+    monkeypatch.setattr(mz, "minimize_on_sphere", counting_sphere)
+    curve = trace_mu_curve(toy64, q, 0.05, 500.0, n_points=n, seed=seed)
+    assert len(solves) - n <= 6
+    for key, bisected, end in zip(("l1", "l2"), TOY_BISECTED_ZEROS, curve.zero_minimizers):
+        k = curve.annotations[key]
+        assert k == pytest.approx(bisected, rel=1e-4)
+        assert geo.lp_mass(end.v, q) == pytest.approx(k, rel=1e-12)
+        assert abs(end.mu) <= 1e-12 * (1.0 + abs(k * 2.0 * end.lagrange / q))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    root=st.floats(0.001, 0.999),
+    steep=st.floats(0.1, 1e4),
+    cubic=st.floats(0.0, 10.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_zero_refinement_stays_in_the_bracket(root, steep, cubic, sign):
+    # a synthetic mu(k) on [1, 2] whose far-off Newton steps overshoot
+    # (atan flattens): every solve lies strictly inside the bracket of
+    # the sign change, and the refinement ends at the stop rule or at
+    # relative width 1e-4
+    q, r = 4.0, 1.0 + root
+
+    def mu(k):
+        return sign * (math.atan(steep * (k - r)) + cubic * (k - r) ** 3)
+
+    def slope(k):
+        return sign * (steep / (1.0 + (steep * (k - r)) ** 2) + 3.0 * cubic * (k - r) ** 2)
+
+    solved = []
+
+    def synthetic_point(problem, q_, k, warm, seed):
+        solved.append(k)
+        return mz.SphereResult(None, mu(k), 0.5 * q * slope(k), 0.0, 0, True, "synthetic")
+
+    ks = np.array([1.0, 2.0])
+    curve = mz.MuCurve(
+        q=q, ks=ks, mus=np.array([mu(1.0), mu(2.0)]),
+        lagranges=np.array([0.5 * q * slope(1.0), 0.5 * q * slope(2.0)]),
+        residuals=np.zeros(2), iterations=np.zeros(2, dtype=int),
+        flags=["ok", "ok"], minimizers=[None, None],
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mz, "_curve_point", synthetic_point)
+        k, res = mz._refine_zero(None, q, curve, 1, 0)
+    lo, hi = 1.0, 2.0
+    for k_i in solved:
+        assert lo < k_i < hi
+        if (mu(k_i) > 0) == (mu(1.0) > 0):
+            lo = k_i
+        else:
+            hi = k_i
+    assert k == solved[-1] and res.mu == mu(k)
+    assert abs(res.mu) <= 1e-12 * (1.0 + abs(k * slope(k))) or (hi - lo) / hi <= 1e-4
+    assert len(solved) <= 40
+
+
+def test_zero_refinement_ends_at_a_solve_short_of_its_tolerance():
+    # a solve that missed its gradient tolerance ends the refinement:
+    # here the first, at the root of the Hermite interpolant
+    q = 4.0
+    solved = []
+
+    def unconverged_point(problem, q_, k, warm, seed):
+        solved.append(k)
+        return mz.SphereResult(None, k - 1.5, 0.5 * q, 1.0, mz.MAX_ITER, False, "synthetic")
+
+    curve = mz.MuCurve(
+        q=q, ks=np.array([1.0, 2.0]), mus=np.array([-0.5, 0.5]),
+        lagranges=np.array([0.5 * q, 0.5 * q]), residuals=np.zeros(2),
+        iterations=np.zeros(2, dtype=int), flags=["ok", "ok"], minimizers=[None, None],
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mz, "_curve_point", unconverged_point)
+        k, res = mz._refine_zero(None, q, curve, 1, 0)
+    assert solved == [k] and k == pytest.approx(1.5, rel=1e-15) and not res.converged
 
 
 def test_downward_warm_resolve_lowers_no_curve_point(toy64, seed):

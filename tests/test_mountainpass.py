@@ -240,32 +240,59 @@ def test_level_exceeds_hump_samples(toy_pipeline):
     assert mp.nu > 0.0
 
 
-def test_saddle_below_the_hump_raises_nonconvergence(toy_pipeline, toy64):
+def test_saddle_below_the_hump_raises_nonconvergence(toy_pipeline, toy64, monkeypatch):
     # every path from l1 to l2 crosses the sphere at l_o, so a saddle
-    # below mu_lo is not the mountain-pass point
+    # below mu_lo is not the mountain-pass point: every polish is
+    # rejected, and the cap names the condition
     curve, _, _, mp = toy_pipeline
     raised = copy.copy(curve)
     raised.annotations = dict(curve.annotations, mu_lo=mp.report.energy * (1.0 + 1e-6))
-    with pytest.raises(NonConvergence, match="hump maximum") as exc:
+    monkeypatch.setattr(mpass, "MAX_PATH_ITER", 2 * mpass.POLL)
+    with pytest.raises(NonConvergence, match="below the hump maximum") as exc:
         second_solution(toy64, 4.0, raised)
-    assert exc.value.best.converged
-    assert exc.value.best.report.energy == mp.report.energy
+    best = exc.value.best
+    assert best.converged and best.iterations == 2 * mpass.POLL
+    assert best.report.energy == pytest.approx(mp.report.energy, rel=1e-10)
 
 
 def test_saddle_not_of_index_one_raises_nonconvergence(toy_pipeline, toy64, monkeypatch):
     # a converged polish above the hump is still not the mountain-pass
-    # point when its Morse index is not 1
+    # point when its Morse index is not 1: the path goes on, polished
+    # every POLL iterations, until the cap names the rejected condition
     curve, _, _, mp = toy_pipeline
     monkeypatch.setattr(mpass, "morse_index", lambda problem, q, u: 2)
-    with pytest.raises(NonConvergence, match="Morse index 2") as exc:
+    monkeypatch.setattr(mpass, "MAX_PATH_ITER", 3 * mpass.POLL)
+    polished_at = []
+    real = mpass.refine_critical_point
+
+    def recorded(problem, q, u0):
+        polished_at.append(len(polished_at))
+        return real(problem, q, u0)
+
+    monkeypatch.setattr(mpass, "refine_critical_point", recorded)
+    with pytest.raises(NonConvergence, match="Morse index 2, not 1$") as exc:
         second_solution(toy64, 4.0, curve)
-    assert exc.value.best.converged
-    assert exc.value.best.report.energy == mp.report.energy
+    best = exc.value.best
+    assert len(polished_at) == 3
+    assert best.converged and best.iterations == 3 * mpass.POLL
+    assert best.nu == best.path_max
+    assert best.report.energy == pytest.approx(mp.report.energy, rel=1e-10)
+
+
+def test_first_passing_polish_stops_the_path(toy_pipeline, toy64):
+    # the toy's first poll already passes: the path stops at iteration
+    # POLL, nu is the saddle's energy and the stop-time path maximum
+    # bounds it from above
+    curve, _, _, mp = toy_pipeline
+    assert mp.iterations == mpass.POLL and len(mp.history) == mpass.POLL
+    assert mp.converged and mp.nu == mp.report.energy
+    assert curve.annotations["mu_lo"] <= mp.nu <= mp.path_max == mp.history[-1][1]
+    assert mp.report.energy == pytest.approx(4.152753636079604, rel=1e-10)
 
 
 def test_saddle_between_the_exact_zeros_is_accepted(toy_pipeline, toy64):
-    # endpoints at the exact zeros of mu: the path stalls far above the
-    # saddle, and the polish still reaches the index-1 saddle
+    # endpoints at the exact zeros of mu: the first poll still reaches
+    # the index-1 saddle
     curve, _, _, mp = toy_pipeline
     l1, l2 = 1.38982499258, 45.5850746017
     exact = copy.copy(curve)
@@ -277,7 +304,8 @@ def test_saddle_between_the_exact_zeros_is_accepted(toy_pipeline, toy64):
     _, _, at_zeros = second_solution(toy64, 4.0, exact)
     assert at_zeros.report.energy == pytest.approx(4.152753636079604, rel=1e-10)
     assert morse_index(toy64, 4.0, at_zeros.report.variational) == 1
-    assert at_zeros.nu > 8.0
+    assert at_zeros.iterations == mpass.POLL
+    assert at_zeros.nu == at_zeros.report.energy <= at_zeros.path_max
 
 
 def test_endpoints_never_move(toy_pipeline):
@@ -342,7 +370,7 @@ def test_curve_minimum_polishes_to_the_ball_minimizer(toy64, solver_seed):
 
 
 def test_budget_exhausted_raises_nonconvergence(toy_pipeline, toy64, monkeypatch):
-    # two iterations cannot flatten the level: the maximum is still moving
+    # two iterations reach no poll: nothing was polished, nothing accepted
     _, _, (end1, u2), _ = toy_pipeline
     monkeypatch.setattr(mpass, "MAX_PATH_ITER", 2)
     with pytest.raises(NonConvergence) as exc:
@@ -353,22 +381,44 @@ def test_budget_exhausted_raises_nonconvergence(toy_pipeline, toy64, monkeypatch
 
 
 def test_node_cap_keeps_the_saddle(toy_pipeline, toy64, monkeypatch):
-    # the uncapped toy path peaks at 45 nodes; at 44 interior maxima past
+    # the uncapped toy path peaks at 43 nodes; at 42 interior maxima past
     # the cap are sampled but not promoted, and the pass still converges
     curve, _, _, mp = toy_pipeline
-    assert max(j for _, j, _ in mp.profile_rows) + 1 > 44
-    monkeypatch.setattr(mpass, "MAX_PATH_NODES", 44)
+    assert max(j for _, j, _ in mp.profile_rows) + 1 == 43
+    monkeypatch.setattr(mpass, "MAX_PATH_NODES", 42)
     _, _, capped = second_solution(toy64, 4.0, curve)
     assert capped.converged
     assert capped.report.energy == pytest.approx(mp.report.energy, rel=1e-12)
-    assert max(j for _, j, _ in capped.profile_rows) + 1 <= 44
+    assert max(j for _, j, _ in capped.profile_rows) + 1 <= 42
 
 
-def test_no_descent_stalls_at_once(toy_pipeline, toy64, monkeypatch):
-    # a zero gradient moves no node: 25 halvings find no lower level, so
-    # the first iteration stalls and the polish (single fields) takes over
-    curve, (l1, l2, _), (end1, u2), _ = toy_pipeline
-    seeds = [(float(k), v) for k, v in zip(curve.ks, curve.minimizers) if l1 <= k <= l2]
+def test_poll_polishes_an_interior_maximum(toy_pipeline, toy64, monkeypatch):
+    # with the node cap at the initial 41 nodes nothing is promoted, and
+    # at the first poll the path maximum is an interior sample above
+    # every node; the polish starts there and reaches the saddle
+    curve, _, _, mp = toy_pipeline
+    monkeypatch.setattr(mpass, "MAX_PATH_NODES", 41)
+    starts = []
+    real = mpass.refine_critical_point
+
+    def recorded(problem, q, u0):
+        starts.append(u0)
+        return real(problem, q, u0)
+
+    monkeypatch.setattr(mpass, "refine_critical_point", recorded)
+    _, _, capped = second_solution(toy64, 4.0, curve)
+    assert capped.iterations == mpass.POLL and len(starts) == 1
+    top_node = max(e for it, _, e in capped.profile_rows if it == mpass.POLL)
+    assert prob.eval_F(starts[0], toy64, 4.0) == capped.path_max > top_node
+    assert capped.converged
+    assert capped.report.energy == pytest.approx(mp.report.energy, rel=1e-12)
+
+
+def test_path_that_cannot_descend_stops_at_its_first_poll(toy_pipeline, toy64, monkeypatch):
+    # a zero gradient moves no node: 25 halvings find no lower level, the
+    # path stays as it was, and the first poll's polish (single fields)
+    # accepts the saddle all the same
+    curve, _, (end1, u2), mp = toy_pipeline
     grad_F = prob.grad_F
 
     def flat_window(u, problem, q):
@@ -376,9 +426,12 @@ def test_no_descent_stalls_at_once(toy_pipeline, toy64, monkeypatch):
         return geo.scale(u, 0.0) if stacked else grad_F(u, problem, q)
 
     monkeypatch.setattr(prob, "grad_F", flat_window)
-    mp = mountain_pass(toy64, 4.0, end1.v, u2, interior_seeds=seeds)
-    assert mp.iterations == 1 and len(mp.history) == 1
-    assert mp.converged and mp.report.flags["polished"]
+    stuck = mountain_pass(toy64, 4.0, end1.v, u2, curve=curve)
+    assert stuck.iterations == mpass.POLL
+    levels = [level for _, level, _ in stuck.history]
+    assert max(levels) - min(levels) <= 1e-15 * levels[0]
+    assert stuck.converged and stuck.report.flags["polished"]
+    assert stuck.report.energy == pytest.approx(mp.report.energy, rel=1e-10)
 
 
 def test_collapse_detected(toy64, seed):
@@ -436,7 +489,7 @@ def test_refine_critical_point_returns_a_real_band_field():
 
 
 def test_refine_critical_point_from_path_seed(toy_pipeline, toy64):
-    # seeded from the stalled path node the polish reaches deep residuals
+    # seeded from the path's top node the polish reaches deep residuals
     _, _, _, mp = toy_pipeline
     assert mp.report.flags["polished"]
     assert mp.report.flags["polish_residual"] <= 1e-10 * (1.0 + mp.nu)
@@ -505,7 +558,7 @@ def test_morse_index_counts_band_modes_only(geom64, m_top):
 
 
 def _toy_path(toy_pipeline, toy64, stride=1):
-    """A path over every ``stride``-th stalled toy node and the last one."""
+    """A path over every ``stride``-th node of the toy's stopped path and the last one."""
     _, _, _, mp = toy_pipeline
     nodes = mp.nodes[:-1:stride] + mp.nodes[-1:]
     return _Path(toy64, 4.0, nodes)
@@ -515,18 +568,17 @@ def test_path_energies_match_single_field_evaluation(toy_pipeline, toy64):
     path = _toy_path(toy_pipeline, toy64)
     q = path.q
     assert path.e_nodes == [prob.eval_F(u, toy64, q) for u in path.nodes]
-    for sweep, n_ts in ((path.honest_max, 3), (path.final_check, 19)):
-        sweep()
-        for j, samples in enumerate(path._seg):
-            assert len(samples) == n_ts
-            for t, e in samples:
-                assert e == prob.eval_F(path._point(j, t), toy64, q)
+    path.honest_max()
+    for j, samples in enumerate(path._seg):
+        assert [t for t, _ in samples] == list(_Path.SUB)
+        for t, e in samples:
+            assert e == prob.eval_F(path._point(j, t), toy64, q)
 
 
-def test_final_check_resamples_only_split_segments(toy_pipeline, toy64, monkeypatch):
-    # a coarse path leaves interior maxima to promote; after the first
-    # sweep at FINAL_TS each insertion evaluates its two new segments only
-    path = _toy_path(toy_pipeline, toy64, stride=8)
+def test_promotion_resamples_only_split_segments(toy_pipeline, toy64, monkeypatch):
+    # a coarse path leaves an interior maximum to promote; after the
+    # first sweep each insertion evaluates its two new segments only
+    path = _toy_path(toy_pipeline, toy64, stride=12)
     path.honest_max()
     swept = []
     real = path._sample_energies
@@ -537,12 +589,10 @@ def test_final_check_resamples_only_split_segments(toy_pipeline, toy64, monkeypa
         return real(rows)
 
     monkeypatch.setattr(path, "_sample_energies", recorded)
-    n_segments = len(path.nodes) - 1
-    val, j, t = path.final_check()
-    inserted = len(path.nodes) - 1 - n_segments
+    inserted = path.promote_interior_maxima(48)
+    val, j, t = path.honest_max()
     assert inserted >= 1 and t is None and val == max(path.e_nodes)
-    assert swept[0] == list(range(n_segments))
-    assert len(swept) == 1 + inserted and all(len(segs) == 2 for segs in swept[1:])
+    assert len(swept) == inserted and all(len(segs) == 2 for segs in swept)
 
 
 def test_sweep_in_chunks_matches_one_stack(toy_pipeline, toy64, monkeypatch):
@@ -582,9 +632,10 @@ def test_trial_path_leaves_the_path_unchanged(toy_pipeline, toy64):
 
 def test_mountain_pass_transform_count(toy_pipeline, toy64, monkeypatch):
     # the field-by-field path evaluation made 15,608 transforms and 5,261
-    # eval_F calls here
-    curve, (l1, l2, _), (end1, u2), mp = toy_pipeline
-    seeds = [(float(k), v) for k, v in zip(curve.ks, curve.minimizers) if l1 <= k <= l2]
+    # eval_F calls here, and the path that ran until its level stalled
+    # (108 iterations) made at most 2,000 and 600; stopping at the first
+    # accepted polish (10 iterations) makes 289 and 24
+    curve, _, (end1, u2), mp = toy_pipeline
     calls = []
     for name in ("forward", "inverse"):
         real = getattr(TorusGeometry, name)
@@ -600,11 +651,40 @@ def test_mountain_pass_transform_count(toy_pipeline, toy64, monkeypatch):
         return real_F(u, *a, **k)
 
     monkeypatch.setattr(prob, "eval_F", counted)
-    again = mountain_pass(toy64, 4.0, end1.v, u2, interior_seeds=seeds)
+    again = mountain_pass(toy64, 4.0, end1.v, u2, curve=curve)
     assert again.iterations == mp.iterations and again.nu == mp.nu
-    assert 0 < len(calls) <= 2000
-    assert 0 < len(rows) <= 600
+    assert 0 < len(calls) <= 400
+    assert 0 < len(rows) <= 40
     assert max(rows) <= mpass._CHUNK
+
+
+# ----------------------------------------------------------------------
+# a certified q = 4 instance
+
+
+@pytest.mark.parametrize(
+    "a, f, energy",
+    [
+        pytest.param("0", "cos(2*pi*x1) - 0.97", 6_230_691_487.38, id="a0-c097"),
+        pytest.param("0.2", "cos(2*pi*x1) - 0.95", 604_632_475.03, id="a02-c095"),
+    ],
+)
+def test_certified_q4_instance_gives_an_index_one_saddle(a, f, energy):
+    # two instances that pass the certificate.  The path level never
+    # flattened over 40 iterations here, so the plateau rule stopped late
+    # (a = 0: 922 iterations) or not at all (a = 0.2: NonConvergence after
+    # 3,000); the first poll accepts an index-1 saddle above the hump
+    from biharm.certifier import certify
+
+    q = 4.0
+    problem = prob.ProblemData.from_expressions(TorusGeometry(6, 1, 32), a, "-1", f)
+    assert certify(problem, q, 0).passed_subcritical
+    curve = trace_mu_curve(problem, q, 1e-3, 1e40, 40, 0)
+    _, _, mp = second_solution(problem, q, curve)
+    assert mp.iterations == mpass.POLL
+    assert mp.nu == mp.report.energy >= curve.annotations["mu_lo"] > 0.0
+    assert mp.report.energy == pytest.approx(energy, rel=1e-6)
+    assert morse_index(problem, q, mp.report.variational) == 1
 
 
 # ----------------------------------------------------------------------
