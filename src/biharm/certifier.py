@@ -23,9 +23,10 @@ passing configuration and emits a HypothesisReport with every constant
 and margin; failures are reported as flags, never raised.
 ``start_certify`` and ``finish_certify`` are ``certify`` cut in two, a
 start step and a collect step, for a caller that works on while the
-solves run.  Every randomized start is drawn from a generator seeded by
-the integer ``seed``, so the module needs nothing of the solvers but
-that number.
+solves run; ``search_coercivity`` collects the (eta, sigma, eps) search
+alone, before the masked quotients are in.  Every randomized start is
+drawn from a generator seeded by the integer ``seed``, so the module
+needs nothing of the solvers but that number.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import geometry as geo
 from . import problem as prob
@@ -221,6 +221,20 @@ def _quotient(form: _MaskedForm, v: np.ndarray) -> float:
     return form.quad(v) / (form.g.weight * float(np.sum(v * v)))
 
 
+def _eigh(A: np.ndarray, B: np.ndarray):
+    """``scipy.linalg.eigh(A, B)``: the package's one scipy call, imported on first use.
+
+    The masked quotient's generalized eigensolve keeps scipy's bits: the
+    golden certificate's ``rayleigh_variant_gap`` (about -1e-11) is gated
+    at abs 1e-12.  Importing scipy costs about 0.26 s and 14 MB, so only
+    the process that runs ``masked_rayleigh`` pays for it: in every
+    command, one worker of ``start_certify``'s pool.
+    """
+    from scipy.linalg import eigh
+
+    return eigh(A, B)
+
+
 def _ritz_step(form: _MaskedForm, basis, Av: np.ndarray):
     """Quotient minimizer within span(basis); returns (vector, value).
 
@@ -238,7 +252,7 @@ def _ritz_step(form: _MaskedForm, basis, Av: np.ndarray):
     A = 0.5 * (A + A.T)
     B = 0.5 * (B + B.T)
     try:
-        vals, vecs = eigh(A, B)
+        vals, vecs = _eigh(A, B)
     except np.linalg.LinAlgError:
         # LAPACK failed (B not numerically positive definite): keep the iterate
         return basis[0], _quotient(form, basis[0])
@@ -901,15 +915,21 @@ _NOTE_GRAD_EXPONENT = (
 
 
 def _solve(problem: ProblemData, q: float, seed: int, task):
-    """One of certify's independent solves: ``masked_rayleigh`` for an
-    operator name, ``moment_rayleigh`` for an eta, ``embedding_remainder``
-    for an eps."""
+    """One of certify's independent tasks: ``masked_rayleigh`` for each
+    operator name of a tuple (a dict by name), ``moment_rayleigh`` for
+    an eta, ``embedding_remainder`` for an eps."""
     kind, arg = task
     if kind == "masked":
-        return masked_rayleigh(problem, arg, seed)
+        return {operator: masked_rayleigh(problem, operator, seed) for operator in arg}
     if kind == "moment":
         return moment_rayleigh(problem, arg, q, seed)
     return embedding_remainder(problem.geometry, arg, seed=seed)
+
+
+def _masked_task(problem: ProblemData, meas: float):
+    """Both masked forms in one task; "grad" only when the measure criterion reads it."""
+    needs_grad = meas > 0.0 and _mask(problem).any()
+    return "masked", ("bilap-a", "grad") if needs_grad else ("bilap-a",)
 
 
 @dataclass
@@ -930,33 +950,38 @@ def finish_certify(pending: PendingCertificate) -> HypothesisReport:
     here, with its type and message, after the pool is closed.
     """
     with pending.pool:
-        return _assemble(pending.problem, pending.q, pending.solves, pending.meas)
+        return _assemble(pending)
 
 
-def _assemble(problem: ProblemData, q: float, solves, meas: float) -> HypothesisReport:
-    """The report from the solves' futures, keyed by task."""
-    g = problem.geometry
-    lam_nonneg, lam_unsigned = solves["masked", "bilap-a"].result()
-    moment_values = {}
+def _moment_values(solves) -> dict:
+    """lambda(eta, q) by eta from the moment solves: +inf over an empty constraint set."""
+    values = {}
     for eta in (0.5, 0.1, 0.02):
         try:
-            moment_values[eta] = solves["moment", eta].result()
+            values[eta] = solves["moment", eta].result()
         except InfeasibleConstraint:
-            moment_values[eta] = math.inf   # infimum over an empty constraint set
+            values[eta] = math.inf
+    return values
 
-    gap = (
-        lam_nonneg - lam_unsigned
-        if math.isfinite(lam_nonneg) and math.isfinite(lam_unsigned)
-        else 0.0
-    )
-    cond1 = problem.h_sup < lam_nonneg
-    margin1 = lam_nonneg - problem.h_sup
 
+def search_coercivity(pending: PendingCertificate) -> CoercivityConstants:
+    """The certificate's (eta, sigma, eps) and window constants, once their solves are in.
+
+    Waits for the moment and remainder solves only, not for the masked
+    quotients, so a caller that needs only eta and sigma (the critical
+    continuation) can start before the report is complete.  sigma is
+    fixed by 2 sigma sup(a+) = 1/2 when sup(a+) > 0 (else a harmless
+    default); eta ranges over (0.5, 0.1, 0.02) and eps over (0.1, 0.01),
+    and the configuration with the largest admissible ratio threshold C
+    wins.  With no admissible configuration the constants are NaN, C is
+    0 and sigma is kept.  ``finish_certify``'s report carries these
+    constants.
+    """
+    problem, q, solves = pending.problem, pending.q, pending.solves
     a_plus = problem.a_plus_sup
     sigma = 0.25 / a_plus if a_plus > 0.0 else 1.0
-
     best: CoercivityConstants | None = None
-    for eta, lam_eq in moment_values.items():
+    for eta, lam_eq in _moment_values(solves).items():
         if lam_eq - problem.h_sup <= 0.0:
             continue                # NonPositiveEps0 at every eps
         for eps in (0.1, 0.01):
@@ -969,19 +994,38 @@ def _assemble(problem: ProblemData, q: float, solves, meas: float) -> Hypothesis
                 continue
             if best is None or cc.c_threshold > best.c_threshold:
                 best = cc
-
-    ratio = (
-        problem.f_plus_sup / problem.int_f_minus
-        if problem.int_f_minus > 0.0
-        else math.inf
-    )
     if best is None:
         best = CoercivityConstants(
             eps0=math.nan, b=math.nan, mu_floor=math.nan,
             k_low=math.nan, k_high=math.nan, k_high_certified=math.nan,
             c_threshold=0.0, eta=math.nan, sigma=sigma, eps=math.nan,
-            remainder=math.nan, c_sigma=grad_interp_constant(sigma, g),
+            remainder=math.nan, c_sigma=grad_interp_constant(sigma, problem.geometry),
         )
+    return best
+
+
+def _assemble(pending: PendingCertificate) -> HypothesisReport:
+    """The report from the solves' futures."""
+    problem, q, solves, meas = pending.problem, pending.q, pending.solves, pending.meas
+    g = problem.geometry
+    masked = solves[_masked_task(problem, meas)].result()
+    lam_nonneg, lam_unsigned = masked["bilap-a"]
+    moment_values = _moment_values(solves)
+
+    gap = (
+        lam_nonneg - lam_unsigned
+        if math.isfinite(lam_nonneg) and math.isfinite(lam_unsigned)
+        else 0.0
+    )
+    cond1 = problem.h_sup < lam_nonneg
+    margin1 = lam_nonneg - problem.h_sup
+
+    best = search_coercivity(pending)
+    ratio = (
+        problem.f_plus_sup / problem.int_f_minus
+        if problem.int_f_minus > 0.0
+        else math.inf
+    )
     cond2 = ratio < best.c_threshold
     cond3 = problem.f_max > 0.0
 
@@ -990,7 +1034,7 @@ def _assemble(problem: ProblemData, q: float, solves, meas: float) -> Hypothesis
     if meas > 0.0 and math.isfinite(lam_nonneg):
         eps_m = best.eps if math.isfinite(best.eps) else 0.1
         rem_m = solves["remainder", eps_m].result()
-        mu_grad = solves["masked", "grad"].result()[0]  # submitted: the mask is nonempty
+        mu_grad = masked["grad"][0]  # computed: the mask is nonempty
         k2_sq = sharp_sobolev_constant(n) ** 2
         rhs = (meas ** (-4.0 / n) - rem_m - mu_grad * problem.a_sup) / (
             k2_sq * (1.0 + eps_m)
@@ -1036,21 +1080,22 @@ def start_certify(
 ) -> PendingCertificate:
     """Fork the certificate's pool at exponent q and submit its solves.
 
-    The seven solves do not depend on each other: ``masked_rayleigh``
-    for "bilap-a" and "grad" (the latter only when the measure criterion
-    needs it), ``moment_rayleigh`` at each eta and ``embedding_remainder``
-    at each eps.  They run in forked worker processes, one per available
-    CPU up to one per solve, longest first.  ``finish_certify`` waits
-    for them and closes the pool.
+    The six tasks do not depend on each other: ``masked_rayleigh`` for
+    "bilap-a" and "grad" (the latter only when the measure criterion
+    needs it) as one task, ``moment_rayleigh`` at each eta and
+    ``embedding_remainder`` at each eps.  They run in forked worker
+    processes, one per available CPU up to one per task.  The masked
+    task goes first: it is the only code that imports scipy (``_eigh``),
+    so one worker pays that import while the others take the moment and
+    remainder solves, longest first, and the caller works on.
+    ``search_coercivity`` waits for the latter only; ``finish_certify``
+    waits for all of them and closes the pool.
     """
     problem.exponents(q)
     meas = float(np.mean(problem.f.samples >= 0.0))
-    tasks = [                               # longest first
-        ("moment", 0.02), ("masked", "bilap-a"), ("masked", "grad"),
-        ("moment", 0.1), ("moment", 0.5), ("remainder", 0.1), ("remainder", 0.01),
+    tasks = [_masked_task(problem, meas)] + [   # then longest first
+        ("moment", 0.02), ("moment", 0.1), ("moment", 0.5), ("remainder", 0.1), ("remainder", 0.01),
     ]
-    if not (meas > 0.0 and _mask(problem).any()):
-        tasks.remove(("masked", "grad"))
     fork = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(min(len(tasks), len(os.sched_getaffinity(0))), mp_context=fork)
     solves = {task: pool.submit(_solve, problem, q, seed, task) for task in tasks}
@@ -1064,10 +1109,9 @@ def certify(
 ) -> HypothesisReport:
     """Hypothesis report at exponent q, searching (eta, sigma, eps).
 
-    sigma is fixed by 2 sigma sup(a+) = 1/2 when sup(a+) > 0 (else a
-    harmless default); eta ranges over (0.5, 0.1, 0.02) and eps over
-    (0.1, 0.01), and the configuration with the largest admissible ratio
-    threshold C wins.  ``seed`` seeds every randomized start.
+    The search is ``search_coercivity``'s: the configuration with the
+    largest admissible ratio threshold C wins.  ``seed`` seeds every
+    randomized start.
     All conditions are reported with margins; nothing raises on failure.
 
     This is ``finish_certify(start_certify(...))``: the solves run

@@ -35,12 +35,15 @@ the certificate at their exponent q, ``solve-critical`` needs (1) and
 certificate to ``report.json`` first); ``--force`` proceeds anyway,
 since the conditions are sufficient, not necessary.  Without ``--force``
 the gate is decided before any solve.  With it nothing waits for the
-certificate: ``mu-curve``, ``solve-sub`` and ``mountain-pass`` start its
-solves in worker processes (``start_certify``, one per CPU), trace the
-curve and run the mountain pass meanwhile, and collect it with
-``finish_certify`` when its numbers are needed.  The artifacts
-are the same bytes either way, and an error of the certificate
-outranks one of the curve or the mountain pass.  The solvers take the
+whole certificate: every command but ``certify`` starts its solves in
+worker processes (``start_certify``, one per CPU).  ``mu-curve``,
+``solve-sub`` and ``mountain-pass`` trace the curve and run the mountain
+pass meanwhile; ``solve-critical`` waits only for the (eta, sigma)
+search (``search_coercivity``) and runs the continuation while the
+masked quotients finish.  Each collects the report with
+``finish_certify`` in a ``finally``.  The artifacts are the same bytes
+either way, and an error of the certificate outranks one of the curve,
+the mountain pass or the continuation.  The solvers take the
 certificate's numbers (window edge, eta, sigma) and check nothing.
 
 Exit codes: 0 success (for ``certify``: conditions (1) and (2) hold),
@@ -63,7 +66,7 @@ import sys
 from pathlib import Path
 
 from . import serialize as ser
-from .certifier import certify, finish_certify, start_certify
+from .certifier import certify, finish_certify, search_coercivity, start_certify
 from .continuation import continue_to_critical
 from .errors import (
     BiharmError,
@@ -349,10 +352,19 @@ def cmd_solve_sub(args) -> int:
 
 def cmd_solve_critical(args) -> int:
     _, problem, seed, out = _setup(args)
-    N = problem.geometry.critical_exponent
-    certificate = _gate(problem, 0.5 * (2.0 + N), seed, args.force, subcritical=False)
-    ser.write_json(out / "certificate.json", ser.hypothesis_report_dict(certificate))
-    trace = continue_to_critical(problem, certificate, seed)
+    q0 = 0.5 * (2.0 + problem.geometry.critical_exponent)
+    if args.force:
+        # the continuation reads only (eta, sigma): it starts once their search is in
+        pending = start_certify(problem, q0, seed)
+        try:
+            trace = continue_to_critical(problem, search_coercivity(pending), seed)
+        finally:
+            certificate = finish_certify(pending)
+            ser.write_json(out / "certificate.json", ser.hypothesis_report_dict(certificate))
+    else:
+        certificate = _gate(problem, q0, seed, False, subcritical=False)
+        ser.write_json(out / "certificate.json", ser.hypothesis_report_dict(certificate))
+        trace = continue_to_critical(problem, certificate, seed)
     ser.write_json(out / "continuation.json", ser.continuation_trace_dict(trace))
     _dump_solution(out, "solution_critical", trace.final)
     return 0

@@ -39,7 +39,13 @@ from dataclasses import dataclass, field as dataclass_field
 
 from . import geometry as geo
 from . import problem as prob
-from .certifier import HypothesisReport, grad_interp_constant, window_cap, window_edge
+from .certifier import (
+    CoercivityConstants,
+    HypothesisReport,
+    grad_interp_constant,
+    window_cap,
+    window_edge,
+)
 from .errors import DivergingNorms
 from .geometry import SpectralField
 from .minimizer import CriticalPointReport, first_solution
@@ -71,15 +77,17 @@ SCHEDULE_STEPS = 8    # subcritical exponents before the solve at q = N
 
 def continue_to_critical(
     problem: ProblemData,
-    certificate: HypothesisReport,
+    certificate: HypothesisReport | CoercivityConstants,
     seed: int,
 ) -> ContinuationTrace:
     """Drive the negative-energy branch to the critical exponent.
 
-    ``certificate`` is the hypothesis report at q0 = (2 + N)/2; its
-    (eta, sigma) set the ball radius l_q at every step.  Whether the
-    hypotheses hold is the caller's decision; a certificate with no
-    admissible eta (it fails condition (2)) falls back to eta = 0.5.
+    ``certificate`` is the hypothesis report at q0 = (2 + N)/2, or the
+    ``search_coercivity`` constants it carries: only its ``eta`` and
+    ``sigma`` are read, and they set the ball radius l_q at every step.
+    Whether the hypotheses hold is the caller's decision; a certificate
+    with no admissible eta (it fails condition (2)) falls back to
+    eta = 0.5.
     The ball solve at q0, at solver ``seed``, is the only multistart
     solve.  Each step, q0 included, runs ``polish_minimizer`` on a seed
     field: at q0 the ball solve's minimizer, at each later exponent the

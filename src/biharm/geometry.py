@@ -20,9 +20,9 @@ coefficients on first read and cached (idempotent, read-only caches).
 values of their inputs, which they are linear in, and ``inner`` and
 ``l2_norm`` use Parseval on the coefficients, so linear arithmetic makes
 no transform.  Every transform of the package is made here, through
-``TorusGeometry.forward`` and ``inverse``, as one call of the pocketfft
-kernel that ``scipy.fft.fftn``/``ifftn`` wrap (see the transforms
-section of ``TorusGeometry``).
+``TorusGeometry.forward`` and ``inverse``, as one call of numpy's
+pocketfft kernel per field axis (see the transforms section of
+``TorusGeometry``).
 
 A field may hold a stack of fields along one leading axis (``stack``;
 ``u[i]`` takes one out).  Transforms, padding, truncation, the
@@ -55,13 +55,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft._pocketfft.pypocketfft import c2c
+from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
 
 from .errors import GeometryMismatch
 
 TWO_PI = 2.0 * math.pi
 
 _FINE_FACTOR = 2  # refinement used for products, powers and quadrature
+_UNSCALED = np.array(1.0)  # the kernel's scale argument for an unscaled pass
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -128,11 +129,10 @@ class TorusGeometry:
         self._off_band = ~self.band_mask
         # the field axes, last first; leading (stack) axes are left alone
         self._axes = tuple(range(-1, -d - 1, -1))
-        # the same axes as the kernel takes them (non-negative), per rank:
-        # a field, a stack, and the gradient components of a stack
-        self._kernel_axes = {
-            rank: tuple(rank + a for a in self._axes) for rank in range(d, d + 3)
-        }
+        # the kernel's core-axis argument for each pass after the first
+        self._later_passes = [[(a,), (), (a,)] for a in self._axes[1:]]
+        # ``forward``'s scale 1/N per grid (native, refined), keyed by points per axis
+        self._scale = {n: np.array(1.0 / n**d) for n in (M, self.fine_size)}
 
     # ------------------------------------------------------------------
     # basic descriptors
@@ -165,28 +165,36 @@ class TorusGeometry:
     # ------------------------------------------------------------------
     # transforms (the only FFT calls of the package)
     #
-    # Complex input, last axis first: the same sequence of 1-D complex
-    # transforms as numpy.fft.fftn/ifftn, so results are bit-identical to
-    # numpy's; the power-of-two normalization is exact.  Only the last
-    # d_eff axes are transformed: a stack is transformed field by field in
-    # one call.
+    # Complex input, one 1-D complex transform per field axis, last axis
+    # first: the sequence numpy.fft.fftn/ifftn and scipy.fft.fftn/ifftn
+    # run.  Only the last d_eff axes are transformed: a stack is
+    # transformed field by field in one call per axis.
     #
-    # Both call pocketfft's ``c2c`` directly, with the arguments that
-    # scipy.fft.fftn/ifftn(..., norm="forward") pass it, so the values are
-    # those of scipy.fft, bit for bit (tests/test_geometry.py pins this).
-    # The grids are small (64 to 1024 points per field in the shipped
-    # configs), and scipy.fft's per-call dispatch and axis normalization
-    # cost about 11 us a call, 1-8x the transform itself.  ``inorm`` 2
-    # divides by the number of transformed points and 0 leaves the sum
-    # as it is: norm="forward".  The kernel runs a real-to-complex
-    # transform on real input, which rounds differently, so ``forward``
-    # casts to complex first; the last two arguments are no output
-    # buffer and one thread.
+    # Both call numpy's pocketfft gufuncs directly (numpy >= 2.0): the
+    # kernel that scipy.fft wraps too, so the values are those of
+    # scipy.fft.fftn/ifftn(..., norm="forward"), bit for bit
+    # (tests/test_geometry.py pins this), and no command has to import
+    # scipy for its transforms.  The grids are small (64 to 1024 points
+    # per field in the shipped configs), so the wrappers' per-call
+    # dispatch would cost more than the transform itself.  The second
+    # argument scales the output of its pass: ``forward`` divides by the
+    # number of transformed points on the first pass only, as pocketfft
+    # applies an n-D scale, and ``inverse`` leaves the sum as it is
+    # (norm="forward"); the power-of-two scale is exact.  The kernel
+    # takes complex input only, so each transform runs in place on a
+    # complex copy of its input (real samples are cast); scales are
+    # passed as 0-d arrays, which spares the kernel a conversion per call.
+
+    def _transform(self, kernel, values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        out = np.array(values, dtype=np.complex128)
+        kernel(out, scale, out)
+        for axes in self._later_passes:
+            kernel(out, _UNSCALED, out, axes=axes)
+        return out
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Coefficients DFT(values) / N of values on a grid of N points (native or refined)."""
-        values = np.asarray(values, dtype=np.complex128)
-        return c2c(values, self._kernel_axes[values.ndim], True, 2, None, 1)
+        return self._transform(_fft, values, self._scale[values.shape[-1]])
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Real part of the grid values of a coefficient array (inverse of ``forward``).
@@ -194,7 +202,7 @@ class TorusGeometry:
         A contiguous copy: it frees the complex buffer and keeps later
         pointwise arithmetic on unit strides.
         """
-        return c2c(coeffs, self._kernel_axes[coeffs.ndim], False, 0, None, 1).real.copy()
+        return self._transform(_ifft, coeffs, _UNSCALED).real.copy()
 
     # ------------------------------------------------------------------
     # real band coordinates

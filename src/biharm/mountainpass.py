@@ -13,7 +13,7 @@ step is accepted only if the path maximum strictly drops.  The maximum
 is measured over the nodes and fixed interior points of every segment,
 and dominant interior points become nodes.  Every ``POLL`` iterations
 the maximal node is polished into a genuine critical point by damped
-Newton-Krylov steps on the stationarity residual: ``lsqr`` on the
+Newton-Krylov steps on the stationarity residual: LSQR on the
 matrix-free Hessian action, preconditioned by the spectral descent
 metric of the path deformation.  The path stops at the first polish
 that passes the one acceptance rule (``_saddle_failure``): the polish
@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse.linalg import LinearOperator, lsqr
 
 from . import geometry as geo
 from . import problem as prob
@@ -83,14 +81,155 @@ def morse_index(problem: ProblemData, q: float, u: SpectralField) -> int:
     """Number of negative eigenvalues of half the Hessian of F_q at u on the band's real fields.
 
     The Hessian is assembled densely as ``to_band(_hessian_apply(from_band(I)))``,
-    in stacks of at most ``_INDEX_CHUNK`` rows, and diagonalized by
-    ``scipy.linalg.eigh``.  The band restriction matters: on grid samples the
-    Nyquist direction is an exact null vector of the Hessian action, and a
-    count over samples reads its rounding-level eigenvalue as a sign.
+    in stacks of at most ``_INDEX_CHUNK`` rows, and its eigenvalues come
+    from ``numpy.linalg.eigvalsh``.  They round differently from
+    ``scipy.linalg.eigh``'s, but the count is the same at every accepted
+    solution of the shipped workloads (tests/test_mountainpass.py checks it),
+    and numpy spares the command its scipy import.  The band restriction
+    matters: on grid samples the Nyquist direction is an exact null vector
+    of the Hessian action, and a count over samples reads its rounding-level
+    eigenvalue as a sign.
     """
     H, eye = _band_hessian(problem, q, u), np.eye(problem.geometry.band_size)
     A = np.concatenate([H(eye[rows]) for rows in _chunks(len(eye), _INDEX_CHUNK)])
-    return int(np.count_nonzero(eigh(0.5 * (A + A.T), eigvals_only=True) < 0.0))
+    return int(np.count_nonzero(np.linalg.eigvalsh(0.5 * (A + A.T)) < 0.0))
+
+
+def _sym_ortho(a, b):
+    """Givens rotation (c, s, r) with c a + s b = r (Choi 2006), as scipy's ``lsqr`` takes it."""
+    if b == 0:
+        return np.sign(a), 0, abs(a)
+    elif a == 0:
+        return 0, np.sign(b), abs(b)
+    elif abs(b) > abs(a):
+        tau = a / b
+        s = np.sign(b) / math.sqrt(1 + tau * tau)
+        c = s * tau
+        r = b / s
+    else:
+        tau = b / a
+        c = np.sign(a) / math.sqrt(1 + tau * tau)
+        s = c * tau
+        r = a / c
+    return c, s, r
+
+
+def _lsqr(matvec, rmatvec, b, damp, atol, btol, iter_lim):
+    """Solution x of min |A x - b|^2 + damp^2 |x|^2 by LSQR (Paige & Saunders, ACM TOMS 8, 1982).
+
+    Step for step the loop of scipy's ``scipy.sparse.linalg.lsqr`` from
+    x0 = 0 with its default conlim 1e8, in the same numpy and Python
+    float operations, so x is scipy's to the bit (tests/test_mountainpass.py
+    checks it) without importing scipy.  A is square, as the polish's
+    is: ``matvec`` is x -> A x and ``rmatvec`` y -> A^T y on vectors of
+    len(b).  The loop stops as scipy's does: on either backward-error test
+    (``atol``, ``btol``), on the condition estimate passing conlim, at
+    machine precision or after ``iter_lim`` steps.  Only x is returned;
+    the outputs that decide nothing (r1norm, r2norm, the variance
+    estimate) are not computed.
+    """
+    n = len(b)
+    eps = np.finfo(np.float64).eps
+    ctol = 1 / 1e8
+    anorm = 0
+    acond = 0
+    dampsq = damp**2
+    ddnorm = 0
+    res2 = 0
+    xnorm = 0
+    xxnorm = 0
+    z = 0
+    cs2 = -1
+    sn2 = 0
+
+    u = b
+    bnorm = np.linalg.norm(b)
+    x = np.zeros(n)
+    beta = bnorm.copy()
+    if beta > 0:
+        u = (1 / beta) * u
+        v = rmatvec(u)
+        alfa = np.linalg.norm(v)
+    else:
+        v = x.copy()
+        alfa = 0
+    if alfa > 0:
+        v = (1 / alfa) * v
+    w = v.copy()
+    rhobar = alfa
+    phibar = beta
+    if alfa * beta == 0:
+        return x
+
+    itn = 0
+    while itn < iter_lim:
+        itn = itn + 1
+        # bidiagonalization: the next beta, u, alfa, v
+        u = matvec(v) - alfa * u
+        beta = np.linalg.norm(u)
+        if beta > 0:
+            u = (1 / beta) * u
+            anorm = math.sqrt(anorm**2 + alfa**2 + beta**2 + dampsq)
+            v = rmatvec(u) - beta * v
+            alfa = np.linalg.norm(v)
+            if alfa > 0:
+                v = (1 / alfa) * v
+        # eliminate the damping, then the subdiagonal beta
+        if damp > 0:
+            rhobar1 = math.sqrt(rhobar**2 + dampsq)
+            cs1 = rhobar / rhobar1
+            sn1 = damp / rhobar1
+            psi = sn1 * phibar
+            phibar = cs1 * phibar
+        else:
+            rhobar1 = rhobar
+            psi = 0.0
+        cs, sn, rho = _sym_ortho(rhobar1, beta)
+        theta = sn * alfa
+        rhobar = -cs * alfa
+        phi = cs * phibar
+        phibar = sn * phibar
+        tau = sn * phi
+        # update x and w
+        t1 = phi / rho
+        t2 = -theta / rho
+        dk = (1 / rho) * w
+        x = x + t1 * w
+        w = v + t2 * w
+        ddnorm = ddnorm + np.linalg.norm(dk) ** 2
+        # estimate |x| by a second rotation
+        delta = sn2 * rho
+        gambar = -cs2 * rho
+        rhs = phi - delta * z
+        zbar = rhs / gambar
+        xnorm = math.sqrt(xxnorm + zbar**2)
+        gamma = math.sqrt(gambar**2 + theta**2)
+        cs2 = gambar / gamma
+        sn2 = theta / gamma
+        z = rhs / gamma
+        xxnorm = xxnorm + z**2
+        # the stopping tests
+        acond = anorm * math.sqrt(ddnorm)
+        res1 = phibar**2
+        res2 = res2 + psi**2
+        rnorm = math.sqrt(res1 + res2)
+        arnorm = alfa * abs(tau)
+        test1 = rnorm / bnorm
+        test2 = arnorm / (anorm * rnorm + eps)
+        test3 = 1 / (acond + eps)
+        t1 = test1 / (1 + anorm * xnorm / bnorm)
+        rtol = btol + atol * anorm * xnorm / bnorm
+        if (
+            itn >= iter_lim
+            or 1 + test3 <= 1
+            or 1 + test2 <= 1
+            or 1 + t1 <= 1
+            or test3 <= ctol
+            or test2 <= atol
+            or test1 <= rtol
+        ):
+            break
+    return x
 
 
 def refine_critical_point(
@@ -103,8 +242,9 @@ def refine_critical_point(
     Converges to the critical point nearest the seed regardless of its
     Morse index, which makes it the right polish for saddle candidates.
     Each step solves min |H d + r|^2 + lm |d|^2 for the half Hessian H
-    and residual r with ``lsqr`` on the matrix-free Hessian action
-    (Jacobian-free Newton-Krylov, Knoll & Keyes 2004).  Least squares
+    and residual r with LSQR (``_lsqr``, scipy's loop copied step for
+    step) on the matrix-free Hessian action (Jacobian-free Newton-Krylov,
+    Knoll & Keyes 2004).  Least squares
     stays well posed at saddles, where H is indefinite, and the damping
     never sweeps a Hessian eigenvalue through zero; translation
     quasi-symmetries leave a near-null direction that an undamped solve
@@ -138,8 +278,7 @@ def refine_critical_point(
         # diagonal in band coordinates (it depends on |m| only): apply it to the ones
         P = g.to_band(_metric(problem, q, geo.lp_mass(u, q)) * g.from_band(np.ones(n)))
         H = _band_hessian(problem, q, u)
-        op = LinearOperator((n, n), lambda x: H(P * x), rmatvec=lambda y: P * H(y), dtype=float)
-        x = lsqr(op, -r, damp=math.sqrt(lm), atol=1e-13, btol=1e-13, iter_lim=800)[0]
+        x = _lsqr(lambda x: H(P * x), lambda y: P * H(y), -r, math.sqrt(lm), 1e-13, 1e-13, 800)
         trial = geo.add(u, SpectralField(g, g.from_band(P * x)), 1.0)
         rt, rtn = residual(trial)
         at_floor = rn <= 1e-9 * scale0 and not rtn <= 0.5 * rn

@@ -215,7 +215,7 @@ def test_ritz_step_falls_back_only_on_linalg_error(bundled64, monkeypatch, exc, 
     def failing(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cert, "eigh", failing)
+    monkeypatch.setattr(cert, "_eigh", failing)
     if falls_back:
         w, val = cert._ritz_step(form, basis, Av)
         assert w is basis[0] and val == cert._quotient(form, basis[0])

@@ -527,3 +527,92 @@ def test_config_numbers_are_checked_before_any_solve(
     assert cli.main([command, "--config", str(cfg), "--out", str(out), "--force"]) == 2
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ConfigError" and key in err["message"]
+
+
+# ----------------------------------------------------------------------
+# solve-critical --force: the continuation runs beside the masked quotients
+
+
+@pytest.mark.parametrize(
+    "certificate, continuation",
+    [("masked", None), ("moment", None), ("masked", "continuation"),
+     ("moment", "continuation"), (None, "continuation")],
+)
+def test_solve_critical_force_errors_write_what_a_serial_run_writes(
+    tmp_path, monkeypatch, certificate, continuation
+):
+    # a certificate error outranks a continuation error, and a failed run
+    # writes the files of the run that certified first: error.json alone
+    # after a certificate error, certificate.json beside it after a
+    # continuation error
+    import biharm.certifier as certifier
+    import biharm.cli as cli
+    import biharm.mountainpass as mountainpass
+    from biharm.errors import NonConvergence
+
+    def failing(*args, **kwargs):
+        raise NonConvergence(f"{certificate} solve failed")
+
+    if certificate is not None:
+        monkeypatch.setattr(certifier, f"{certificate}_rayleigh", failing)
+    if continuation is not None:
+        monkeypatch.setattr(mountainpass, "morse_index", lambda problem, q, u: 1)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert cli.main(["solve-critical", "--force", "--config", str(cfg), "--out", str(out)]) == 5
+    err = json.loads((out / "error.json").read_text())
+    if certificate is not None:
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+        assert err["message"] == f"{certificate} solve failed"
+    else:
+        assert sorted(p.name for p in out.iterdir()) == ["certificate.json", "error.json"]
+        assert "Morse index 1, not 0" in err["message"]
+
+
+def test_solve_critical_force_continues_with_the_reports_eta_and_sigma(tmp_path, monkeypatch):
+    import math
+
+    import biharm.cli as cli
+    from biharm.certifier import certify
+
+    seen = []
+    real = cli.continue_to_critical
+
+    def recorded(problem, certificate, seed):
+        seen.append((certificate.eta, certificate.sigma))
+        return real(problem, certificate, seed)
+
+    monkeypatch.setattr(cli, "continue_to_critical", recorded)
+    cfg = write_config(tmp_path, coefficients={"f": "cos(2*pi*x1) - 0.25"})
+    out = tmp_path / "o"
+    assert cli.main(["solve-critical", "--force", "--config", str(cfg), "--out", str(out)]) == 0
+    problem = cli._build_problem(json.loads(cfg.read_text()), True)
+    report = certify(problem, 0.5 * (2.0 + problem.geometry.critical_exponent), 0)
+    assert math.isfinite(report.eta)
+    assert seen == [(report.eta, report.sigma)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_solve_critical_force_artifacts_equal_certify_then_continue(tmp_path, seed):
+    # the bundled workload's artifacts, byte for byte, against the serial
+    # pipeline run in this process
+    import biharm.cli as cli
+    from biharm import serialize as ser
+    from biharm.certifier import certify
+    from biharm.continuation import continue_to_critical
+
+    cfg = CONFIGS / "bundled.json"
+    out, want = tmp_path / "o", tmp_path / "want"
+    argv = ["solve-critical", "--force", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]
+    assert cli.main(argv) == 0
+    problem = cli._build_problem(json.loads(cfg.read_text()), True)
+    report = certify(problem, 0.5 * (2.0 + problem.geometry.critical_exponent), seed)
+    trace = continue_to_critical(problem, report, seed)
+    want.mkdir()
+    ser.write_json(want / "certificate.json", ser.hypothesis_report_dict(report))
+    ser.write_json(want / "continuation.json", ser.continuation_trace_dict(trace))
+    cli._dump_solution(want, "solution_critical", trace.final)
+    names = sorted(p.name for p in want.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name

@@ -209,34 +209,36 @@ def test_product_projection_exactness(geom64, rng):
 
 
 # ----------------------------------------------------------------------
-# transforms: one pocketfft kernel call each, pinned to scipy.fft
+# transforms: numpy's pocketfft kernel, one call per field axis, pinned to scipy.fft
 
 
-@pytest.mark.parametrize("d_eff, M", [(1, 64), (1, 128), (2, 16)])
+@pytest.mark.parametrize("d_eff, M", [(1, 64), (1, 128), (2, 16), (2, 32)])
 def test_transforms_equal_scipy_fft_bitwise(d_eff, M):
-    """``forward``/``inverse`` are the kernel behind ``scipy.fft.fftn``/``ifftn``.
+    """``forward``/``inverse`` equal ``scipy.fft.fftn``/``ifftn`` bit for bit.
 
-    They call scipy's private ``pypocketfft.c2c`` with the arguments
-    ``scipy.fft`` passes it; if a scipy release moves or changes that
-    kernel, this fails instead of every result drifting.  Native and
-    refined grids; a field, a stack and the gradient components of a
-    stack; real and complex input to both directions.
+    They call numpy's private pocketfft gufuncs, one pass per field axis;
+    if a numpy release moves or changes that kernel, this fails instead
+    of every result drifting.  Native and refined grids; a field, stacks
+    and the gradient components of a stack; every input the package
+    passes: real or complex samples to ``forward``, complex coefficients
+    to ``inverse``.
     """
     g = TorusGeometry(6, d_eff, M)
     rng = np.random.default_rng(M)
     for grid in (g.shape, g.fine_shape):
-        for lead in ((), (3,), (d_eff, 2)):
+        for lead in ((), (3,), (5,), (d_eff, 2)):
             x = rng.standard_normal(lead + grid)
-            for values in (x, x + 1j * rng.standard_normal(x.shape)):
+            z = x + 1j * rng.standard_normal(x.shape)
+            for values in (x, z):
                 got = g.forward(values)
                 want = scipy.fft.fftn(
                     np.asarray(values, np.complex128), axes=g._axes, norm="forward"
                 )
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-                got = g.inverse(values)
-                want = scipy.fft.ifftn(values, axes=g._axes, norm="forward").real
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-                assert got.flags.c_contiguous
+            got = g.inverse(z)
+            want = scipy.fft.ifftn(z, axes=g._axes, norm="forward").real
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.flags.c_contiguous
 
 
 @pytest.mark.parametrize("d, grid", [(1, 64), (2, 8)], ids=["1d-64", "2d-8"])
@@ -345,14 +347,13 @@ def test_construction_and_linear_ops_make_no_transform(dim, geom64, geom2d, monk
     cached = _cached_fields(g, 11, 2)
     plain = [g.field_from_coeffs(f.coeffs) for f in cached]
     calls = []
+    real = geo.TorusGeometry._transform
 
-    def counting(kernel):
-        def wrapped(a, axes, forward, *args):
-            calls.append("fftn" if forward else "ifftn")   # the scipy.fft name
-            return kernel(a, axes, forward, *args)
-        return wrapped
+    def counting(self, kernel, *args):
+        calls.append("fftn" if kernel is geo._fft else "ifftn")   # the numpy.fft name
+        return real(self, kernel, *args)
 
-    monkeypatch.setattr(geo, "c2c", counting(geo.c2c))
+    monkeypatch.setattr(geo.TorusGeometry, "_transform", counting)
     for u, v in (cached, plain):
         g.field_from_coeffs(u.coeffs)
         geo.scale(u, 2.0)
@@ -432,8 +433,8 @@ def test_stack_rows_are_fields_of_their_own(dim, geom64, geom2d, monkeypatch):
     g = _geom(dim, geom64, geom2d)
     fields = _cached_fields(g, 5, 3)
     calls = []
-    real = geo.c2c
-    monkeypatch.setattr(geo, "c2c", lambda *a: calls.append(1) or real(*a))
+    real = geo.TorusGeometry._transform
+    monkeypatch.setattr(geo.TorusGeometry, "_transform", lambda *a: calls.append(1) or real(*a))
     u = geo.stack(fields)
     first = u[0]
     assert first.coeffs.shape == g.shape and first.coeffs.base is None

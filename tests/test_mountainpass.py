@@ -1,9 +1,14 @@
 import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.linalg import eigh
+from scipy.sparse.linalg import LinearOperator, lsqr
 
 from biharm import geometry as geo
 from biharm import minimizer as mz
@@ -15,6 +20,7 @@ from biharm.geometry import SpectralField, TorusGeometry
 from biharm.minimizer import MuCurve, minimize_on_sphere, trace_mu_curve
 from biharm.mountainpass import (
     _Path,
+    _lsqr,
     morse_index,
     mountain_pass,
     polish_minimizer,
@@ -23,6 +29,7 @@ from biharm.mountainpass import (
 )
 
 TWO_PI = 2.0 * math.pi
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ----------------------------------------------------------------------
@@ -536,6 +543,47 @@ def test_morse_index_matches_the_dense_band_oracle(toy_pipeline, toy64):
     assert spectra[1][:2] == pytest.approx([-14.41, 1568.5], abs=0.05)
 
 
+def _scipy_morse_index(problem, q, u):
+    """The count by ``scipy.linalg.eigh`` of the same dense band Hessian."""
+    H, eye = mpass._band_hessian(problem, q, u), np.eye(problem.geometry.band_size)
+    A = np.concatenate([H(eye[rows]) for rows in mpass._chunks(len(eye), mpass._INDEX_CHUNK)])
+    return int(np.count_nonzero(eigh(0.5 * (A + A.T), eigvals_only=True) < 0.0))
+
+
+@pytest.fixture()
+def scipy_checked_morse_index(monkeypatch):
+    """Check every ``morse_index`` call against scipy's count; yields the counts made."""
+    real, counts = mpass.morse_index, []
+
+    def checked(problem, q, u):
+        counts.append(real(problem, q, u))
+        assert counts[-1] == _scipy_morse_index(problem, q, u)
+        return counts[-1]
+
+    monkeypatch.setattr(mpass, "morse_index", checked)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["solve-sub", "--config", str(CONFIGS / "toy_mp.json")], {0, 1}),
+        (["solve-critical", "--config", str(CONFIGS / "bundled.json")], {0}),
+    ],
+    ids=["toy", "bundled"],
+)
+def test_morse_index_equals_scipy_count_at_accepted_solutions(
+    scipy_checked_morse_index, tmp_path, argv, want
+):
+    # numpy's eigvalsh rounds differently from scipy's eigh: the sign
+    # count must not move at any solution the commands accept (the plate's
+    # are checked in test_plate_two_solutions)
+    from biharm import cli
+
+    assert cli.main([*argv, "--force", "--out", str(tmp_path)]) == 0
+    assert set(scipy_checked_morse_index) >= want
+
+
 @pytest.mark.parametrize("m_top", [0, 5, 31])
 def test_morse_index_counts_band_modes_only(geom64, m_top):
     # at a constant c the half Hessian is diagonal in the modes:
@@ -691,9 +739,9 @@ def test_certified_q4_instance_gives_an_index_one_saddle(a, f, energy):
 # two solutions on the 2-D plate
 
 
-def test_plate_two_solutions():
+def test_plate_two_solutions(scipy_checked_morse_index):
     # the 16 x 16 plate of the benchmark, traced far enough (k up to 1e13)
-    # for mu to fall back below zero
+    # for mu to fall back below zero; every Morse index agrees with scipy's
     from biharm.certifier import certify
 
     q = 3.0
@@ -711,3 +759,50 @@ def test_plate_two_solutions():
     assert morse_index(plate, q, saddle.variational) == 1
     assert mz.first_solution(plate, q, certificate.k_low, 0).energy < 0.0
     _assert_curve_seed_matches_ball_seed(plate, q, certificate.k_low, curve, 0)
+    assert set(scipy_checked_morse_index) == {0, 1}
+
+
+# ----------------------------------------------------------------------
+# the polish's LSQR: scipy's loop, bit for bit
+
+
+def _scipy_lsqr(matvec, rmatvec, b, damp, atol, btol, iter_lim):
+    n = len(b)
+    op = LinearOperator((n, n), matvec, rmatvec=rmatvec, dtype=float)
+    return lsqr(op, b, damp=damp, atol=atol, btol=btol, iter_lim=iter_lim)[0]
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    rank=st.integers(0, 30),
+    damp=st.one_of(st.just(0.0), st.floats(1e-8, 10.0)),
+    atol=st.sampled_from([0.0, 1e-13, 1e-8, 1e-3]),
+    btol=st.sampled_from([0.0, 1e-13, 1e-8, 1e-3]),
+    iter_lim=st.integers(1, 80),
+)
+def test_lsqr_matches_scipy_bit_for_bit(seed, n, rank, damp, atol, btol, iter_lim):
+    # square systems, as the polish solves, of any rank and column scaling;
+    # a zero right-hand side returns at once in both
+    rng = np.random.default_rng(seed)
+    k = min(rank, n)
+    A = rng.standard_normal((n, k)) @ rng.standard_normal((k, n)) * np.exp(rng.uniform(-3, 3, n))
+    b = rng.standard_normal(n) if seed % 7 else np.zeros(n)
+    args = (lambda x: A @ x, lambda y: A.T @ y, b, damp, atol, btol, iter_lim)
+    assert np.array_equal(_lsqr(*args), _scipy_lsqr(*args))
+
+
+@pytest.mark.parametrize("lm", [0.0, 1e-12, 16.0])
+def test_lsqr_matches_scipy_on_the_polish_band_hessian(toy_pipeline, toy64, lm):
+    # the first Newton step's system at the path's saddle and at the zero
+    # field, with the polish's tolerances and cap
+    q = 4.0
+    g = toy64.geometry
+    n = g.band_size
+    for u in (toy_pipeline[3].report.variational, geo.scale(toy_pipeline[0].neg_minimizer, 0.5)):
+        r = 0.5 * g.to_band(prob.grad_F(u, toy64, q).coeffs)
+        P = g.to_band(mz._metric(toy64, q, geo.lp_mass(u, q)) * g.from_band(np.ones(n)))
+        H = mpass._band_hessian(toy64, q, u)
+        args = (lambda x: H(P * x), lambda y: P * H(y), -r, math.sqrt(lm), 1e-13, 1e-13, 800)
+        assert np.array_equal(_lsqr(*args), _scipy_lsqr(*args))

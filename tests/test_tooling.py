@@ -19,7 +19,8 @@ PACKAGE = ROOT / "src" / "biharm"
 PERFBENCH = ROOT / "perfbench"
 
 # fft, ifft, fftn, ifftn, fft2, rfft, irfft, rfftn, irfftn, ... (not fftfreq),
-# and pocketfft's kernels c2c, r2c, c2r, which geometry calls directly
+# which also names numpy's pocketfft gufuncs fft/ifft that geometry calls
+# directly, and scipy's pocketfft kernels c2c, r2c, c2r
 TRANSFORM = re.compile(r"^(i?r?fft[n2]?|[rc]2[rc])$")
 
 
@@ -150,6 +151,72 @@ def test_package_source_never_names_scipy_optimize():
     """Not even a lazy import on a path the run above does not take."""
     offenders = [p.name for p in PACKAGE.glob("*.py") if "scipy.optimize" in p.read_text(encoding="utf-8")]
     assert not offenders
+
+
+# one CLI command in this process, then every scipy module it holds
+RUN_COMMAND = """
+import json
+import sys
+import biharm.cli
+
+after_import = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+code = biharm.cli.main(sys.argv[1:])
+after_run = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps([code, after_import, after_run]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, config, code",
+    [
+        ("certify", "configs/toy_mp.json", 4),
+        ("mu-curve", "configs/toy_mp.json", 0),
+        ("solve-sub", "configs/toy_mp.json", 0),
+        ("mountain-pass", "configs/toy_mp.json", 0),
+        ("solve-critical", "configs/toy_mp.json", 0),
+        ("certify", "perfbench/plate2d.json", 4),
+    ],
+    ids=["certify", "mu-curve", "solve-sub", "mountain-pass", "solve-critical", "certify-plate"],
+)
+def test_no_command_loads_scipy_in_its_main_process(tmp_path, command, config, code):
+    """scipy is loaded only by the masked quotient, in a certificate worker.
+
+    Importing it costs about 0.26 s and 14 MB; numpy's own pocketfft,
+    eigvalsh and the package's LSQR do the rest of the arithmetic.
+    """
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    argv = [command, "--force", "--config", str(ROOT / config), "--out", str(tmp_path)]
+    res = subprocess.run(
+        [sys.executable, "-c", RUN_COMMAND, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == [code, [], []]
+
+
+def _scipy_imports(node, where="<module>"):
+    """Name of the function around each import of scipy, by statement or by module name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scipy_imports(child, child.name)
+            continue
+        if isinstance(child, ast.Import):
+            names = [a.name for a in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""] if child.level == 0 else []
+        elif isinstance(child, ast.Call):   # importlib.import_module("scipy..."), __import__
+            names = [a.value for a in child.args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+        else:
+            names = []
+        if any(name.partition(".")[0] == "scipy" for name in names):
+            yield where
+        yield from _scipy_imports(child, where)
+
+
+def test_package_imports_scipy_only_for_the_masked_quotient():
+    """The one scipy import is ``certifier._eigh``'s, which only ``masked_rayleigh`` reaches."""
+    found = {(p.name, where) for p in PACKAGE.glob("*.py") for where in _scipy_imports(_parse(p))}
+    assert found == {("certifier.py", "_eigh")}
 
 
 OPTIONAL_PARAMETER_CEILING = 14
